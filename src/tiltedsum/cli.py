@@ -3,8 +3,9 @@
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
-byte.  Exit codes: 0 success, 1 validation error, 2 verification failure,
-3 I/O error.
+byte.  The limit row of ``variance-table`` writes its infinite ``n`` and
+``var_total`` as the string ``inf``, which keeps its JSON valid.  Exit
+codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ from . import (
     variance_exact,
 )
 from .errors import RegimeError
-from .markov import ChainParams
 
 DEFAULT_SEED = 20250809
 
 # Golden reference values for the paper-tables command, quoted to three
-# decimals; the pass tolerance is half an ULP of that presentation.
+# decimals; the pass tolerance is half an ULP of that presentation.  The
+# "inf" row of the variance table is the limit V_sl.
 GOLDEN_TOL = 5e-4
-GOLDEN_VARIANCE_TABLE = {1: 0.471, 2: 0.754, 5: 1.232, 10: 1.533, 50: 1.813}
-GOLDEN_V_SL = 1.884
+GOLDEN_VARIANCE_TABLE = {1: 0.471, 2: 0.754, 5: 1.232, 10: 1.533, 50: 1.813, "inf": 1.884}
 GOLDEN_SOURCES = [
     # label, a, b, lambda2, gap, v_sl, amplification
     ("iid", 0.25, 0.75, 0.0, 0.0, 0.471, 1.0),
@@ -116,11 +116,15 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
-    payload = {
-        "command": command,
-        "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
-    }
+    return _dump_json({"command": command, "rows": _json_rows(columns, rows)})
+
+
+def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _json_rows(columns: list[str], rows: list[dict]) -> list[dict]:
+    return [{c: _json_value(row[c]) for c in columns} for row in rows]
 
 
 def _json_value(v):
@@ -147,13 +151,8 @@ def render_table(columns: list[str], rows: list[dict], decimals: int | None = No
     return "\n".join(out) + "\n"
 
 
-def _emit(args, command: str, columns: list[str], rows: list[dict], decimals=None) -> None:
-    if args.format == "csv":
-        text = render_csv(columns, rows)
-    elif args.format == "json":
-        text = render_json(command, columns, rows)
-    else:
-        text = render_table(columns, rows, decimals=decimals)
+def _write(args, text: str) -> None:
+    """Write a command's whole output to ``--out`` (LF line endings) or stdout."""
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
@@ -161,8 +160,14 @@ def _emit(args, command: str, columns: list[str], rows: list[dict], decimals=Non
         sys.stdout.write(text)
 
 
-def _chain_from(args) -> ChainParams:
-    return derive_chain(args.a, args.b)
+def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
+    if args.format == "csv":
+        text = render_csv(columns, rows)
+    elif args.format == "json":
+        text = render_json(command, columns, rows)
+    else:
+        text = render_table(columns, rows)
+    _write(args, text)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,7 @@ def _chain_from(args) -> ChainParams:
 
 
 def cmd_jtilt(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     rows = [
         {"x": x, "j_value": jtilt(chain, args.distortion, x)} for x in (0, 1)
     ]
@@ -179,7 +184,7 @@ def cmd_jtilt(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     row = {
         "a": chain.a,
         "b": chain.b,
@@ -188,7 +193,6 @@ def cmd_stats(args) -> int:
         "lambda2": chain.lambda2,
         "ell": chain.ell,
     }
-    columns = list(row)
     # The per-letter summary needs a distortion only for mu_d and beta; the
     # gap and the variances are distortion-free.
     probe_d = args.distortion if args.distortion is not None else min(chain.pi0, chain.pi1) / 2
@@ -200,18 +204,15 @@ def cmd_stats(args) -> int:
         v_sl=stats.v_sl,
         amplification=stats.amplification,
     )
-    columns += ["h_rate", "gap", "v_iid", "v_sl", "amplification"]
     if args.distortion is not None:
         point = ba_operating_point(chain, args.distortion)
         row.update(mu_d=stats.mu_d, beta=point.beta, q0=point.q0, q1=point.q1)
-        columns += ["mu_d", "beta", "q0", "q1"]
-    _emit(args, "stats", columns, [row])
+    _emit(args, "stats", list(row), [row])
     return 0
 
 
 def cmd_pmf(args) -> int:
-    chain = _chain_from(args)
-    law = jn_law(chain, args.distortion, args.n)
+    law = jn_law(derive_chain(args.a, args.b), args.distortion, args.n)
     rows = [
         {"m": m, "prob": float(p), "j_value": float(j)}
         for m, (p, j) in enumerate(zip(law.probs, law.support))
@@ -221,20 +222,21 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_variance_table(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     grid = _parse_grid(args.n_grid, int) if args.n_grid else [1, 2, 5, 10, 50]
     v_sl = tilted_stats(chain, min(chain.pi0, chain.pi1) / 2).v_sl
     rows = []
     for n in grid:
         total = variance_exact(chain, n)
         rows.append({"n": n, "var_total": total, "var_per_letter": total / n})
-    rows.append({"n": float("inf"), "var_total": float("inf"), "var_per_letter": v_sl})
+    # "inf" rather than a float: JSON has no literal for infinity.
+    rows.append({"n": "inf", "var_total": "inf", "var_per_letter": v_sl})
     _emit(args, "variance-table", ["n", "var_total", "var_per_letter"], rows)
     return 0
 
 
 def cmd_cgf(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     if args.theta is not None:
         thetas = [args.theta]
     else:
@@ -249,7 +251,7 @@ def cmd_cgf(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     if args.x is not None:
         xs = [args.x]
     elif args.x_grid:
@@ -265,7 +267,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     estimate = saddlepoint_tail(chain, args.n, args.x)
     exact = centered_tail_probability(chain, args.n, args.x)
     row = {
@@ -278,17 +280,12 @@ def cmd_tail(args) -> int:
         "ratio": estimate.probability / exact if exact > 0 else float("inf"),
         "near_gaussian": estimate.near_gaussian,
     }
-    _emit(
-        args,
-        "tail",
-        ["n", "x", "theta_star", "rate", "saddlepoint", "exact", "ratio", "near_gaussian"],
-        [row],
-    )
+    _emit(args, "tail", list(row), [row])
     return 0
 
 
 def cmd_simulate(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {
         "n": report.n,
@@ -305,7 +302,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    chain = _chain_from(args)
+    chain = derive_chain(args.a, args.b)
     grid = _parse_grid(args.n_grid, int) if args.n_grid else list(range(1, 201))
     stats = tilted_stats(chain, min(chain.pi0, chain.pi1) / 2)
     rows = [
@@ -321,210 +318,149 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _status(*checks) -> str:
+    """PASS when every (value, golden, tolerance) triple agrees, else FAIL."""
+    return "PASS" if all(abs(value - golden) <= tol for value, golden, tol in checks) else "FAIL"
+
+
 def cmd_paper_tables(args) -> int:
     chain = derive_chain(0.1, 0.3)
-    failures = 0
-
     var_rows = []
     for n, golden in GOLDEN_VARIANCE_TABLE.items():
-        value = variance_exact(chain, n) / n
-        ok = abs(value - golden) <= GOLDEN_TOL
-        failures += not ok
+        value = tilted_stats(chain, 0.1).v_sl if n == "inf" else variance_exact(chain, n) / n
         var_rows.append(
-            {"n": n, "var_per_letter": value, "golden": golden, "status": "PASS" if ok else "FAIL"}
+            {"n": n, "var_per_letter": value, "golden": golden,
+             "status": _status((value, golden, GOLDEN_TOL))}
         )
-    v_sl = tilted_stats(chain, 0.1).v_sl
-    ok = abs(v_sl - GOLDEN_V_SL) <= GOLDEN_TOL
-    failures += not ok
-    var_rows.append(
-        {"n": "inf", "var_per_letter": v_sl, "golden": GOLDEN_V_SL, "status": "PASS" if ok else "FAIL"}
-    )
 
     source_rows = []
-    for label, a, b, g_lam, g_gap, g_vsl, g_amp in GOLDEN_SOURCES:
+    tolerances = (GOLDEN_TOL, GOLDEN_TOL, GOLDEN_TOL, AMPLIFICATION_TOL)
+    for label, a, b, *goldens in GOLDEN_SOURCES:
         ch = derive_chain(a, b)
         stats = tilted_stats(ch, min(ch.pi0, ch.pi1) / 2)
-        ok = (
-            abs(ch.lambda2 - g_lam) <= GOLDEN_TOL
-            and abs(stats.gap - g_gap) <= GOLDEN_TOL
-            and abs(stats.v_sl - g_vsl) <= GOLDEN_TOL
-            and abs(stats.amplification - g_amp) <= AMPLIFICATION_TOL
-        )
-        failures += not ok
+        values = (ch.lambda2, stats.gap, stats.v_sl, stats.amplification)
         source_rows.append(
-            {
-                "source": label,
-                "a": a,
-                "b": b,
-                "lambda2": ch.lambda2,
-                "gap": stats.gap,
-                "v_sl": stats.v_sl,
-                "amplification": stats.amplification,
-                "status": "PASS" if ok else "FAIL",
-            }
+            {"source": label, "a": a, "b": b,
+             **dict(zip(("lambda2", "gap", "v_sl", "amplification"), values)),
+             "status": _status(*zip(values, goldens, tolerances))}
         )
 
     correction = variance_correction(chain, 1).constant
-    ok = abs(correction - 3.53) <= 5e-3
-    failures += not ok
-    extra_rows = [
+    constant_rows = [
         {"quantity": "variance_deficit_constant", "value": correction, "golden": 3.53,
-         "status": "PASS" if ok else "FAIL"}
+         "status": _status((correction, 3.53, 5e-3))}
     ]
 
+    sections = [
+        ("variance_table", "Per-letter variance, chain a=0.1 b=0.3", var_rows),
+        ("sources", "Same marginal, different dynamics (pi1 = 1/4)", source_rows),
+        ("constants", "Finite-n variance deficit constant", constant_rows),
+    ]
+    failures = sum(row["status"] == "FAIL" for _, _, rows in sections for row in rows)
     if args.format == "json":
-        payload = {
-            "command": "paper-tables",
-            "variance_table": [{k: _json_value(v) for k, v in r.items()} for r in var_rows],
-            "sources": [{k: _json_value(v) for k, v in r.items()} for r in source_rows],
-            "constants": [{k: _json_value(v) for k, v in r.items()} for r in extra_rows],
-            "pass": failures == 0,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        tables = {key: _json_rows(list(rows[0]), rows) for key, _, rows in sections}
+        text = _dump_json({"command": "paper-tables", **tables, "pass": failures == 0})
     elif args.format == "csv":
-        text = render_csv(["n", "var_per_letter", "golden", "status"], var_rows)
-        text += render_csv(
-            ["source", "a", "b", "lambda2", "gap", "v_sl", "amplification", "status"], source_rows
-        )
-        text += render_csv(["quantity", "value", "golden", "status"], extra_rows)
+        text = "".join(render_csv(list(rows[0]), rows) for _, _, rows in sections)
     else:
-        text = "Per-letter variance, chain a=0.1 b=0.3\n"
-        text += render_table(["n", "var_per_letter", "golden", "status"], var_rows, decimals=3)
-        text += "\nSame marginal, different dynamics (pi1 = 1/4)\n"
-        text += render_table(
-            ["source", "a", "b", "lambda2", "gap", "v_sl", "amplification", "status"],
-            source_rows,
-            decimals=3,
+        text = "\n".join(
+            f"{title}\n" + render_table(list(rows[0]), rows, decimals=3)
+            for _, title, rows in sections
         )
-        text += "\nFinite-n variance deficit constant\n"
-        text += render_table(["quantity", "value", "golden", "status"], extra_rows, decimals=3)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 2 if failures else 0
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: each check yields one deviation per case for one chain
 
 
 VERIFY_PAIRS = [(0.1, 0.3), (0.3, 0.1), (0.25, 0.75), (0.6, 0.7), (0.45, 0.35), (0.5, 0.5)]
 VERIFY_D_GRID = (0.05, 0.1, 0.2)
 
 
-def _suite_oracle_pmf(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        for n in range(1, 13):
-            tv = 0.5 * float(
-                np.abs(enumerate_pmf(chain, n, u_values=()).pmf - occupation_pmf(chain, n).probs).sum()
-            )
-            worst = max(worst, tv)
-            cases += 1
-    return {"name": "oracle-pmf-tv", "cases": cases, "max_deviation": worst, "tolerance": 1e-12}
-
-
-def _suite_variance_forms(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        for n in (1, 2, 10, 100, 10_000):
-            double = variance_exact(chain, n, "double_sum")
-            closed = variance_exact(chain, n, "closed_form") * (1.0 + perturb)
-            scale = max(abs(double), 1e-30)
-            worst = max(worst, abs(double - closed) / scale)
-            cases += 1
-    return {"name": "variance-forms", "cases": cases, "max_deviation": worst, "tolerance": 1e-10}
-
-
-def _suite_oracle_variance(pairs, d_grid, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        if chain.a == chain.b:
-            continue
-        for d in d_grid:
-            if not 0.0 < d < min(chain.pi0, chain.pi1):
-                continue
-            for n in range(1, 11):
-                per_path = oracle_variance(chain, d, n)
-                closed = variance_exact(chain, n) * (1.0 + perturb)
-                worst = max(worst, abs(per_path - closed) / max(abs(closed), 1e-30))
-                cases += 1
-    return {"name": "oracle-variance", "cases": cases, "max_deviation": worst, "tolerance": 1e-10}
-
-
-def _suite_pgf_pmf(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        for n in (1, 2, 10, 50, 200):
-            pmf = occupation_pmf(chain, n)
-            powers = np.arange(n + 1)
-            for u in (0.5, 1.0, 2.0):
-                direct = float(pmf.probs @ (u**powers))
-                worst = max(worst, abs(occupation_pgf(chain, n, u) - direct) / direct)
-                cases += 1
-    return {"name": "pgf-pmf", "cases": cases, "max_deviation": worst, "tolerance": 1e-10}
-
-
-def _suite_cgf_zeros(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        worst = max(worst, abs(perron_root(chain, 1.0) - 1.0))
-        worst = max(worst, abs(cgf_limit(chain, 0.0)))
-        cases += 2
-        for n in (1, 4, 16, 200):
-            worst = max(worst, abs(cgf_finite(chain, n, 0.0)))
-            cases += 1
-    return {"name": "cgf-zeros", "cases": cases, "max_deviation": worst, "tolerance": 1e-13}
-
-
-def _suite_cgf_expectation(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        if chain.a == chain.b:
-            continue
-        d = min(chain.pi0, chain.pi1) / 2
-        mu = tilted_stats(chain, d).mu_d
-        for n in (1, 4, 16):
-            law = jn_law(chain, d, n)
-            centered = law.support - n * mu
-            for theta in (-1.0, -0.3, 0.3, 1.0):
-                direct = math.log2(float(law.probs @ np.exp2(theta * centered))) / n
-                worst = max(worst, abs(cgf_finite(chain, n, theta) - direct))
-                cases += 1
-    return {"name": "cgf-expectation", "cases": cases, "max_deviation": worst, "tolerance": 1e-10}
-
-
-def _suite_d_invariance(pairs, perturb) -> dict:
-    worst, cases = 0.0, 0
-    for a, b in pairs:
-        chain = derive_chain(a, b)
-        d_lo, d_hi = 0.05, 0.2
-        if not d_hi < min(chain.pi0, chain.pi1):
-            d_lo, d_hi = (
-                min(chain.pi0, chain.pi1) / 4,
-                min(chain.pi0, chain.pi1) / 2,
-            )
-        n = 20
-        k_lo = centered_cumulants(chain, d_lo, n)
-        k_hi = centered_cumulants(chain, d_hi, n)
-        scale = np.maximum(np.abs(k_lo), 1.0)
-        worst = max(worst, float(np.max(np.abs(k_lo - k_hi) / scale)))
-        shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
-        law_lo = jn_law(chain, d_lo, n)
-        law_hi = jn_law(chain, d_hi, n)
-        worst = max(
-            worst, float(np.max(np.abs((law_lo.support - law_hi.support) - shift))) / max(n, 1)
+def _oracle_pmf_tv(chain, d_grid, perturb):
+    for n in range(1, 13):
+        yield 0.5 * float(
+            np.abs(enumerate_pmf(chain, n, u_values=()).pmf - occupation_pmf(chain, n).probs).sum()
         )
-        cases += 1
-    return {"name": "d-invariance", "cases": cases, "max_deviation": worst, "tolerance": 1e-12}
+
+
+def _variance_forms(chain, d_grid, perturb):
+    for n in (1, 2, 10, 100, 10_000):
+        double = variance_exact(chain, n, "double_sum")
+        closed = variance_exact(chain, n, "closed_form") * (1.0 + perturb)
+        yield abs(double - closed) / max(abs(double), 1e-30)
+
+
+def _oracle_variance(chain, d_grid, perturb):
+    if chain.a == chain.b:
+        return
+    for d in d_grid:
+        if not 0.0 < d < min(chain.pi0, chain.pi1):
+            continue
+        for n in range(1, 11):
+            per_path = oracle_variance(chain, d, n)
+            closed = variance_exact(chain, n) * (1.0 + perturb)
+            yield abs(per_path - closed) / max(abs(closed), 1e-30)
+
+
+def _pgf_pmf(chain, d_grid, perturb):
+    for n in (1, 2, 10, 50, 200):
+        pmf = occupation_pmf(chain, n)
+        powers = np.arange(n + 1)
+        for u in (0.5, 1.0, 2.0):
+            direct = float(pmf.probs @ (u**powers))
+            yield abs(occupation_pgf(chain, n, u) - direct) / direct
+
+
+def _cgf_zeros(chain, d_grid, perturb):
+    yield abs(perron_root(chain, 1.0) - 1.0)
+    yield abs(cgf_limit(chain, 0.0))
+    for n in (1, 4, 16, 200):
+        yield abs(cgf_finite(chain, n, 0.0))
+
+
+def _cgf_expectation(chain, d_grid, perturb):
+    if chain.a == chain.b:
+        return
+    d = min(chain.pi0, chain.pi1) / 2
+    mu = tilted_stats(chain, d).mu_d
+    for n in (1, 4, 16):
+        law = jn_law(chain, d, n)
+        centered = law.support - n * mu
+        for theta in (-1.0, -0.3, 0.3, 1.0):
+            direct = math.log2(float(law.probs @ np.exp2(theta * centered))) / n
+            yield abs(cgf_finite(chain, n, theta) - direct)
+
+
+def _d_invariance(chain, d_grid, perturb):
+    """One case per chain: cumulants and atom shifts between two distortions."""
+    d_lo, d_hi = 0.05, 0.2
+    if not d_hi < min(chain.pi0, chain.pi1):
+        d_lo, d_hi = min(chain.pi0, chain.pi1) / 4, min(chain.pi0, chain.pi1) / 2
+    n = 20
+    k_lo = centered_cumulants(chain, d_lo, n)
+    k_hi = centered_cumulants(chain, d_hi, n)
+    scale = np.maximum(np.abs(k_lo), 1.0)
+    shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
+    atoms = jn_law(chain, d_lo, n).support - jn_law(chain, d_hi, n).support
+    yield max(
+        float(np.max(np.abs(k_lo - k_hi) / scale)),
+        float(np.max(np.abs(atoms - shift))) / n,
+    )
+
+
+# (suite name, tolerance on its largest deviation, deviation generator)
+CHECKS = [
+    ("oracle-pmf-tv", 1e-12, _oracle_pmf_tv),
+    ("variance-forms", 1e-10, _variance_forms),
+    ("oracle-variance", 1e-10, _oracle_variance),
+    ("pgf-pmf", 1e-10, _pgf_pmf),
+    ("cgf-zeros", 1e-13, _cgf_zeros),
+    ("cgf-expectation", 1e-10, _cgf_expectation),
+    ("d-invariance", 1e-12, _d_invariance),
+]
 
 
 def cmd_verify(args) -> int:
@@ -533,53 +469,28 @@ def cmd_verify(args) -> int:
     pairs = [(args.a, args.b)] if args.a is not None else VERIFY_PAIRS
     d_grid = (args.distortion,) if args.distortion is not None else VERIFY_D_GRID
     perturb = args.perturb or 0.0
-    suites = [
-        _suite_oracle_pmf(pairs, perturb),
-        _suite_variance_forms(pairs, perturb),
-        _suite_oracle_variance(pairs, d_grid, perturb),
-        _suite_pgf_pmf(pairs, perturb),
-        _suite_cgf_zeros(pairs, perturb),
-        _suite_cgf_expectation(pairs, perturb),
-        _suite_d_invariance(pairs, perturb),
-    ]
-    all_pass = True
-    for suite in suites:
-        suite["pass"] = suite["max_deviation"] <= suite["tolerance"]
-        all_pass &= suite["pass"]
+    suites = []
+    for name, tolerance, deviations in CHECKS:
+        worst, cases = 0.0, 0
+        for a, b in pairs:
+            for deviation in deviations(derive_chain(a, b), d_grid, perturb):
+                worst = max(worst, deviation)
+                cases += 1
+        suites.append({"name": name, "cases": cases, "max_deviation": worst,
+                       "tolerance": tolerance, "pass": worst <= tolerance})
+    all_pass = all(s["pass"] for s in suites)
 
-    as_json = args.json or args.format == "json"
-    if as_json:
-        payload = {
-            "command": "verify",
-            "perturb": perturb,
-            "suites": [
-                {
-                    "name": s["name"],
-                    "cases": s["cases"],
-                    "max_deviation": s["max_deviation"],
-                    "tolerance": s["tolerance"],
-                    "pass": s["pass"],
-                }
-                for s in suites
-            ],
-            "pass": all_pass,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+    if args.json or args.format == "json":
+        text = _dump_json({"command": "verify", "perturb": perturb, "suites": suites, "pass": all_pass})
     else:
-        lines = []
-        for s in suites:
-            verdict = "PASS" if s["pass"] else "FAIL"
-            lines.append(
-                f"{s['name']}: max deviation {s['max_deviation']:.3e} over "
-                f"{s['cases']} cases (tol {s['tolerance']:.0e}): {verdict}"
-            )
+        lines = [
+            f"{s['name']}: max deviation {s['max_deviation']:.3e} over {s['cases']} cases "
+            f"(tol {s['tolerance']:.0e}): {'PASS' if s['pass'] else 'FAIL'}"
+            for s in suites
+        ]
         lines.append("verify: ALL PASS" if all_pass else "verify: FAILURES DETECTED")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0 if all_pass else 2
 
 
@@ -587,95 +498,54 @@ def cmd_verify(args) -> int:
 # wiring
 
 
-def _add_chain_args(p, required=True):
-    p.add_argument("--a", type=float, required=required, help="0->1 transition probability")
-    p.add_argument("--b", type=float, required=required, help="1->0 transition probability")
+def _command(sub, func, help, options=None, chain=True) -> None:
+    """Add the subcommand run by ``func`` (``cmd_paper_tables`` -> ``paper-tables``).
 
-
-def _add_common(p):
+    Its arguments are ``--a``/``--b`` (required when ``chain`` is true, absent
+    when it is None), then ``options`` (flag -> add_argument keywords), then
+    the shared ``--format`` and ``--out``.
+    """
+    p = sub.add_parser(func.__name__.removeprefix("cmd_").replace("_", "-"), help=help)
+    if chain is not None:
+        p.add_argument("--a", type=float, required=chain, help="0->1 transition probability")
+        p.add_argument("--b", type=float, required=chain, help="1->0 transition probability")
+    for flag, kwargs in (options or {}).items():
+        p.add_argument(flag, **kwargs)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tiltedsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    real = {"type": float, "required": True}
+    count = {"type": int, "required": True}
+    grid = {"help": "start:stop[:step] or comma list"}
 
-    p = sub.add_parser("jtilt", help="tilted information of both states")
-    _add_chain_args(p)
-    p.add_argument("--distortion", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_jtilt)
-
-    p = sub.add_parser("stats", help="chain and per-letter summary statistics")
-    _add_chain_args(p)
-    p.add_argument("--distortion", type=float, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("pmf", help="exact law of the tilted block sum")
-    _add_chain_args(p)
-    p.add_argument("--distortion", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_pmf)
-
-    p = sub.add_parser("variance-table", help="Var(J_n)/n over a blocklength grid")
-    _add_chain_args(p)
-    p.add_argument("--n-grid", default=None, help="start:stop[:step] or comma list")
-    _add_common(p)
-    p.set_defaults(func=cmd_variance_table)
-
-    p = sub.add_parser("cgf", help="finite-n and limiting CGF on a theta grid")
-    _add_chain_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--theta-grid", default=None, help="start:stop[:step] or comma list")
-    _add_common(p)
-    p.set_defaults(func=cmd_cgf)
-
-    p = sub.add_parser("rate", help="Legendre-Fenchel rate function")
-    _add_chain_args(p)
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--x-grid", default=None, help="start:stop[:step] or comma list")
-    _add_common(p)
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("tail", help="saddlepoint vs exact tail probability")
-    _add_chain_args(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_tail)
-
-    p = sub.add_parser("simulate", help="Monte Carlo cross-check of the exact law")
-    _add_chain_args(p)
-    p.add_argument("--distortion", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("figure", help="per-letter variance curve data (CSV-friendly)")
-    _add_chain_args(p)
-    p.add_argument("--n-grid", default=None, help="start:stop[:step], default 1:200")
-    _add_common(p)
-    p.set_defaults(func=cmd_figure)
-
-    p = sub.add_parser("paper-tables", help="reproduce the golden reference tables")
-    _add_common(p)
-    p.set_defaults(func=cmd_paper_tables)
-
-    p = sub.add_parser("verify", help="certify the closed forms against the oracle")
-    _add_chain_args(p, required=False)
-    p.add_argument("--distortion", type=float, default=None)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="inject a relative error into the closed-form variance (self-test)")
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
+    _command(sub, cmd_jtilt, "tilted information of both states", {"--distortion": real})
+    _command(sub, cmd_stats, "chain and per-letter summary statistics",
+             {"--distortion": {"type": float}})
+    _command(sub, cmd_pmf, "exact law of the tilted block sum",
+             {"--distortion": real, "--n": count})
+    _command(sub, cmd_variance_table, "Var(J_n)/n over a blocklength grid", {"--n-grid": grid})
+    _command(sub, cmd_cgf, "finite-n and limiting CGF on a theta grid",
+             {"--n": count, "--theta": {"type": float}, "--theta-grid": grid})
+    _command(sub, cmd_rate, "Legendre-Fenchel rate function",
+             {"--x": {"type": float}, "--x-grid": grid})
+    _command(sub, cmd_tail, "saddlepoint vs exact tail probability", {"--n": count, "--x": real})
+    _command(sub, cmd_simulate, "Monte Carlo cross-check of the exact law",
+             {"--distortion": real, "--n": count, "--reps": count,
+              "--seed": {"type": int, "default": DEFAULT_SEED}})
+    _command(sub, cmd_figure, "per-letter variance curve data (CSV-friendly)",
+             {"--n-grid": {"help": "start:stop[:step], default 1:200"}})
+    _command(sub, cmd_paper_tables, "reproduce the golden reference tables", chain=None)
+    _command(sub, cmd_verify, "certify the closed forms against the oracle",
+             {"--distortion": {"type": float},
+              "--perturb": {"type": float, "default": 0.0,
+                            "help": "inject a relative error into the closed-form variance (self-test)"},
+              "--json": {"action": "store_true", "help": "shorthand for --format json"}},
+             chain=False)
     return parser
 
 

@@ -73,19 +73,10 @@ class JnLaw:
     def mean(self) -> float:
         return float(self.support @ self.probs)
 
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(((self.support - mu) ** 2) @ self.probs)
-
     def cdf_points(self) -> tuple[np.ndarray, np.ndarray]:
         """Atoms sorted ascending with their cumulative probabilities."""
         order = np.argsort(self.support)
         return self.support[order], np.cumsum(self.probs[order])
-
-    def tail_probability(self, threshold: float) -> float:
-        """Pr(J_n >= threshold), summed over atoms (all terms positive)."""
-        mask = self.support >= threshold
-        return float(self.probs[mask].sum())
 
 
 class VarianceCorrection(NamedTuple):

@@ -60,10 +60,6 @@ class Trajectory:
     seed: int
     n: int
 
-    def occupation_count(self) -> int:
-        """Number of letters equal to 1."""
-        return int(self.states.sum())
-
 
 def derive_chain(a: float, b: float) -> ChainParams:
     """Validate (a, b) and derive the stationary/spectral quantities.

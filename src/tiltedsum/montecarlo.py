@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .exact import jn_law, occupation_pmf, variance_exact
+from .exact import JnLaw, jn_law, occupation_pmf, variance_exact
 from .markov import ChainParams
 from .tilting import binary_entropy, require_interior, tilted_stats
 
@@ -54,19 +54,22 @@ class CltDistance:
 
 
 def _sample_sums(
-    chain: ChainParams, d: float, n: int, replications: int, seed: int
+    chain: ChainParams, d: float, law: JnLaw, replications: int, seed: int
 ) -> np.ndarray:
     """Tilted block sums for each replication, pathwise-checked.
 
     Trajectories are generated block by block; within a block the chain
-    steps column-wise (inverse CDF per row of P).  The per-letter sum uses
+    steps column-wise (inverse CDF per row of P).  Each sample is the atom
+    of ``law`` at the path's occupation count, so it lands exactly on an
+    atom of the law it is later compared with.  The per-letter sum uses
     compensated accumulation so the pathwise identity check is not limited
     by summation order at large n.
     """
+    n = law.n
     j0 = -math.log2(chain.pi0) - binary_entropy(d)
     j1 = -math.log2(chain.pi1) - binary_entropy(d)
-    offset = n * j0
-    slope = j1 - j0  # equals -ell
+    # A symmetric chain's law is a single atom, shared by every count.
+    atoms = np.broadcast_to(law.support, n + 1)
     stay0 = 1.0 - chain.a
     go0 = chain.b
 
@@ -89,7 +92,7 @@ def _sample_sums(
             tentative = path_sum + term
             comp = (tentative - path_sum) - term
             path_sum = tentative
-        affine = offset + slope * counts
+        affine = atoms[counts]
         err = np.abs(path_sum - affine)
         if err.max() > PATHWISE_TOL:
             raise RuntimeError(
@@ -176,7 +179,8 @@ def simulate(
         raise ValueError(
             f"replications*n = {replications * n} exceeds the sample budget {max_budget}"
         )
-    sums = _sample_sums(chain, d, n, replications, seed)
+    law = jn_law(chain, d, n)
+    sums = _sample_sums(chain, d, law, replications, seed)
 
     # Shifted moments: deviations from the first sample keep the arithmetic
     # exact for the degenerate (constant) case and well-scaled otherwise.
@@ -184,7 +188,6 @@ def simulate(
     emp_mean = sums[0] + float(dev.mean())
     emp_var = float(np.var(dev, ddof=1))
 
-    law = jn_law(chain, d, n)
     atoms, cum = law.cdf_points()
     ks_exact = _ks_to_discrete(sums, atoms, cum)
 

@@ -91,13 +91,20 @@ class TestRoundTrip:
         columns, rows = parse_csv(out)
         assert render_csv(columns, rows) == out
 
-    def test_json_reemission_is_byte_identical(self, capsys):
-        code, out = run_cli(
-            capsys, "pmf", "--a", "0.1", "--b", "0.3", "--distortion", "0.1",
-            "--n", "4", "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pmf", "--a", "0.1", "--b", "0.3", "--distortion", "0.1", "--n", "4"),
+            ("variance-table", "--a", "0.1", "--b", "0.3"),
+        ],
+    )
+    def test_json_reemission_is_byte_identical(self, capsys, argv):
+        def strict(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        assert json.dumps(json.loads(out, parse_constant=strict), indent=2) + "\n" == out
 
     def test_machine_output_deterministic(self, capsys):
         argv = ("cgf", "--a", "0.2", "--b", "0.5", "--n", "16", "--format", "csv")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tiltedsum import (
+    DP_MAX_N,
     centered_cumulants,
     clt_distance_sweep,
     derive_chain,
@@ -13,6 +14,7 @@ from tiltedsum import (
     tilted_stats,
     variance_exact,
 )
+from tiltedsum import montecarlo
 
 
 def variance_standard_error(chain, d, n, replications):
@@ -48,10 +50,22 @@ class TestSimulate:
         assert report.emp_mean == law.support[0]
         assert report.ks_exact == 0.0
 
-    def test_ks_exact_shrinks_with_replications(self, moderate):
-        small = simulate(moderate, 0.1, 20, 1000, 11).ks_exact
-        large = simulate(moderate, 0.1, 20, 100_000, 11).ks_exact
+    @pytest.mark.parametrize("a, b, d", [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1)])
+    def test_ks_exact_shrinks_with_replications(self, a, b, d):
+        chain = derive_chain(a, b)
+        small = simulate(chain, d, 20, 1000, 11).ks_exact
+        large = simulate(chain, d, 20, 100_000, 11).ks_exact
         assert large < small
+        # DKW: Pr(ks > eps) <= 2*exp(-2*reps*eps^2); failure probability 1e-9.
+        assert large <= math.sqrt(math.log(2 / 1e-9) / (2 * 100_000))
+
+    def test_dp_cap_checked_before_sampling(self, moderate, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the DP cap")
+
+        monkeypatch.setattr(montecarlo, "_sample_sums", no_sampling)
+        with pytest.raises(ValueError, match="DP cap"):
+            simulate(moderate, 0.1, DP_MAX_N + 1, 100, 1)
 
     def test_input_validation(self, moderate):
         with pytest.raises(ValueError):
