@@ -3,8 +3,9 @@
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
-byte.  The limit row of ``variance-table`` writes its infinite ``n`` and
-``var_total`` as the string ``inf``, which keeps its JSON valid.  Exit
+byte.  Infinite values are written as the string ``inf``, which keeps the
+JSON valid: the limit row's ``n`` and ``var_total`` in ``variance-table``,
+and ``tail``'s ``ratio`` when the exact tail is 0.  Exit
 codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 """
 
@@ -224,13 +225,12 @@ def cmd_pmf(args) -> int:
 def cmd_variance_table(args) -> int:
     chain = derive_chain(args.a, args.b)
     grid = _parse_grid(args.n_grid, int) if args.n_grid else [1, 2, 5, 10, 50]
-    v_sl = tilted_stats(chain, min(chain.pi0, chain.pi1) / 2).v_sl
     rows = []
     for n in grid:
         total = variance_exact(chain, n)
         rows.append({"n": n, "var_total": total, "var_per_letter": total / n})
     # "inf" rather than a float: JSON has no literal for infinity.
-    rows.append({"n": "inf", "var_total": "inf", "var_per_letter": v_sl})
+    rows.append({"n": "inf", "var_total": "inf", "var_per_letter": chain.v_sl})
     _emit(args, "variance-table", ["n", "var_total", "var_per_letter"], rows)
     return 0
 
@@ -277,7 +277,7 @@ def cmd_tail(args) -> int:
         "rate": estimate.rate,
         "saddlepoint": estimate.probability,
         "exact": exact,
-        "ratio": estimate.probability / exact if exact > 0 else float("inf"),
+        "ratio": estimate.probability / exact if exact > 0 else "inf",
         "near_gaussian": estimate.near_gaussian,
     }
     _emit(args, "tail", list(row), [row])
@@ -327,7 +327,7 @@ def cmd_paper_tables(args) -> int:
     chain = derive_chain(0.1, 0.3)
     var_rows = []
     for n, golden in GOLDEN_VARIANCE_TABLE.items():
-        value = tilted_stats(chain, 0.1).v_sl if n == "inf" else variance_exact(chain, n) / n
+        value = chain.v_sl if n == "inf" else variance_exact(chain, n) / n
         var_rows.append(
             {"n": n, "var_per_letter": value, "golden": golden,
              "status": _status((value, golden, GOLDEN_TOL))}

@@ -74,9 +74,15 @@ class JnLaw:
         return float(self.support @ self.probs)
 
     def cdf_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atoms sorted ascending with their cumulative probabilities."""
+        """Distinct atoms ascending with their cumulative probabilities.
+
+        Atoms that coincide in floating point, as on a nearly symmetric
+        chain, count as one point of the CDF.
+        """
         order = np.argsort(self.support)
-        return self.support[order], np.cumsum(self.probs[order])
+        atoms, cum = self.support[order], np.cumsum(self.probs[order])
+        last = np.append(atoms[1:] != atoms[:-1], True)
+        return atoms[last], cum[last]
 
 
 class VarianceCorrection(NamedTuple):

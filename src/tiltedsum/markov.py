@@ -51,6 +51,16 @@ class ChainParams:
         """True when a == b, i.e. the log-ratio ell vanishes."""
         return self.a == self.b
 
+    @property
+    def v_iid(self) -> float:
+        """Single-letter variance of the tilted information, ell^2*pi0*pi1."""
+        return self.ell**2 * self.pi0 * self.pi1
+
+    @property
+    def v_sl(self) -> float:
+        """Asymptotic variance per letter, v_iid*(1+lambda2)/(1-lambda2)."""
+        return self.v_iid * (1.0 + self.lambda2) / (1.0 - self.lambda2)
+
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exact import JnLaw, jn_law, occupation_pmf, variance_exact
 from .markov import ChainParams
@@ -24,6 +23,7 @@ PATHWISE_TOL = 1e-10
 MIN_REPLICATIONS = 100
 MAX_SAMPLE_BUDGET = 10**8  # replications * n
 _BLOCK_ROWS = 4096
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,30 @@ def _sample_sums(
     return sums
 
 
-def _ks_to_discrete(samples: np.ndarray, atoms: np.ndarray, cum: np.ndarray) -> float:
-    """Sup-distance between an empirical CDF and a discrete CDF.
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5*erfc(-z/sqrt(2)), elementwise.
 
-    Both CDFs jump only at the atoms (samples land exactly on them), so
-    the supremum is attained at an atom or its left limit.
+    erfc keeps relative accuracy in the lower tail, where 1 + erf(z/sqrt(2))
+    would round to 0; the relative error stays below 1e-14 for |z| <= 10.
     """
-    size = len(samples)
-    sorted_samples = np.sort(samples)
-    emp_right = np.searchsorted(sorted_samples, atoms, side="right") / size
-    emp_left = np.searchsorted(sorted_samples, atoms, side="left") / size
-    cum_left = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.abs(emp_right - cum).max(), np.abs(emp_left - cum_left).max()))
+    return np.array([0.5 * math.erfc(-x / _SQRT2) for x in z.tolist()])
 
 
-def _ks_to_normal(z: np.ndarray) -> float:
-    """One-sample Kolmogorov statistic of z against the standard normal."""
-    size = len(z)
-    z = np.sort(z)
-    phi = ndtr(z)
-    upper = np.arange(1, size + 1) / size - phi
-    lower = phi - np.arange(0, size) / size
-    return float(max(upper.max(), lower.max()))
+def _sup_distance(f: np.ndarray, f_left: np.ndarray, g: np.ndarray, g_left: np.ndarray) -> float:
+    """Sup-distance between two CDFs given at common sorted atoms.
+
+    Each CDF comes as its values at the atoms and its left limits there.
+    Neither jumps between consecutive atoms and both are nondecreasing, so
+    the supremum over the line is attained at an atom or its left limit.
+    """
+    return float(max(np.abs(f - g).max(), np.abs(f_left - g_left).max()))
+
+
+def _scale(chain: ChainParams, n: int, use_finite_n_variance: bool) -> float:
+    """Standardization scale sqrt(n*V_sl), or sqrt(Var(J_n)) when asked."""
+    if use_finite_n_variance:
+        return math.sqrt(variance_exact(chain, n))
+    return math.sqrt(n * chain.v_sl)
 
 
 def exact_normal_distance(
@@ -139,19 +141,11 @@ def exact_normal_distance(
     """
     if chain.symmetric:
         raise ValueError("symmetric chain: the centered sum is a point mass")
-    if use_finite_n_variance:
-        scale = math.sqrt(variance_exact(chain, n))
-    else:
-        v_sl = chain.ell**2 * chain.pi0 * chain.pi1 * (1.0 + chain.lambda2) / (1.0 - chain.lambda2)
-        scale = math.sqrt(n * v_sl)
-    pmf = occupation_pmf(chain, n)
-    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / scale
+    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / _scale(chain, n, use_finite_n_variance)
     order = np.argsort(atoms)
-    atoms = atoms[order]
-    cum = np.cumsum(pmf.probs[order])
-    phi = ndtr(atoms)
-    cum_left = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.abs(cum - phi).max(), np.abs(cum_left - phi).max()))
+    cum = np.cumsum(occupation_pmf(chain, n).probs[order])
+    phi = _phi(atoms[order])
+    return _sup_distance(cum, np.concatenate(([0.0], cum[:-1])), phi, phi)
 
 
 def simulate(
@@ -188,21 +182,21 @@ def simulate(
     emp_mean = sums[0] + float(dev.mean())
     emp_var = float(np.var(dev, ddof=1))
 
+    # Every sample sits on an atom of the law, so both distances need the
+    # CDFs at the atoms only: Phi is evaluated at most n+1 times.
     atoms, cum = law.cdf_points()
-    ks_exact = _ks_to_discrete(sums, atoms, cum)
-
-    stats = tilted_stats(chain, d)
+    ordered = np.sort(sums)
+    emp = np.searchsorted(ordered, atoms, side="right") / replications
+    emp_left = np.searchsorted(ordered, atoms, side="left") / replications
+    ks_exact = _sup_distance(emp, emp_left, cum, np.concatenate(([0.0], cum[:-1])))
     if chain.symmetric:
         # Degenerate law: standardization is undefined; report the distance
         # of a point mass at 0 from Phi, which is 1/2.
         ks_normal = 0.5
     else:
-        scale = (
-            math.sqrt(variance_exact(chain, n))
-            if use_finite_n_variance
-            else math.sqrt(n * stats.v_sl)
-        )
-        ks_normal = _ks_to_normal((sums - n * stats.mu_d) / scale)
+        mean = n * tilted_stats(chain, d).mu_d
+        phi = _phi((atoms - mean) / _scale(chain, n, use_finite_n_variance))
+        ks_normal = _sup_distance(emp, emp_left, phi, phi)
     return SimReport(
         n=n,
         replications=replications,

@@ -51,6 +51,9 @@ class TiltedStats:
             same D: h2(pi1) - h_rate, independent of D       [bits/letter]
     v_iid   single-letter variance ell^2*pi0*pi1             [bits^2]
     v_sl    asymptotic variance v_iid*(1+lambda2)/(1-lambda2) [bits^2]
+    amplification
+            memory amplification v_sl / v_iid = (1+lambda2)/(1-lambda2),
+            from the closed form, so it is defined when a == b
     """
 
     mu_d: float
@@ -58,11 +61,7 @@ class TiltedStats:
     gap: float
     v_iid: float
     v_sl: float
-
-    @property
-    def amplification(self) -> float:
-        """Memory amplification factor v_sl / v_iid = (1+lambda2)/(1-lambda2)."""
-        return self.v_sl / self.v_iid
+    amplification: float
 
 
 def binary_entropy(p: float) -> float:
@@ -190,6 +189,11 @@ def tilted_stats(chain: ChainParams, d: float) -> TiltedStats:
     mu_d = binary_entropy(chain.pi1) - binary_entropy(d)
     h_rate = chain.pi0 * binary_entropy(chain.a) + chain.pi1 * binary_entropy(chain.b)
     gap = binary_entropy(chain.pi1) - h_rate
-    v_iid = chain.ell**2 * chain.pi0 * chain.pi1
-    v_sl = v_iid * (1.0 + chain.lambda2) / (1.0 - chain.lambda2)
-    return TiltedStats(mu_d=mu_d, h_rate=h_rate, gap=gap, v_iid=v_iid, v_sl=v_sl)
+    return TiltedStats(
+        mu_d=mu_d,
+        h_rate=h_rate,
+        gap=gap,
+        v_iid=chain.v_iid,
+        v_sl=chain.v_sl,
+        amplification=(1.0 + chain.lambda2) / (1.0 - chain.lambda2),
+    )

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tiltedsum
 from tiltedsum.cli import main, parse_cell, render_csv
 
 
@@ -96,6 +100,8 @@ class TestRoundTrip:
         [
             ("pmf", "--a", "0.1", "--b", "0.3", "--distortion", "0.1", "--n", "4"),
             ("variance-table", "--a", "0.1", "--b", "0.3"),
+            # The exact tail underflows to 0, so the ratio is infinite.
+            ("tail", "--a", "0.7", "--b", "0.6", "--n", "3000", "--x", "0.119"),
         ],
     )
     def test_json_reemission_is_byte_identical(self, capsys, argv):
@@ -140,6 +146,14 @@ class TestSchemas:
         columns, rows = parse_csv(out)
         assert columns == ["x", "theta_star", "rate"]
         assert rows[0]["rate"] > 0
+
+    def test_stats_symmetric_chain(self, capsys):
+        code, out = run_cli(
+            capsys, "stats", "--a", "0.3", "--b", "0.3", "--distortion", "0.2", "--format", "csv"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["amplification"] == pytest.approx(7.0 / 3.0, rel=1e-15)
 
     def test_simulate_seeded(self, capsys):
         argv = (
@@ -206,3 +220,20 @@ class TestValidation:
     def test_unknown_command_exits_1(self, capsys):
         code, _ = run_cli(capsys, "no-such-command")
         assert code == 1
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # Only what the import adds counts: .pth files run at interpreter
+    # start-up may load site packages of their own.
+    script = (
+        "import sys; before = set(sys.modules); import tiltedsum.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    src = os.path.dirname(os.path.dirname(tiltedsum.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    allowed = sys.stdlib_module_names | {"numpy", "tiltedsum"}
+    assert [m for m in loaded if m not in allowed] == []

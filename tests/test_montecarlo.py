@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -50,7 +51,11 @@ class TestSimulate:
         assert report.emp_mean == law.support[0]
         assert report.ks_exact == 0.0
 
-    @pytest.mark.parametrize("a, b, d", [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1)])
+    @pytest.mark.parametrize(
+        "a, b, d",
+        # The last pair is one ulp from symmetric: its atoms coincide in floating point.
+        [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1), (0.3, 0.30000000000000004, 0.1)],
+    )
     def test_ks_exact_shrinks_with_replications(self, a, b, d):
         chain = derive_chain(a, b)
         small = simulate(chain, d, 20, 1000, 11).ks_exact
@@ -83,6 +88,47 @@ class TestSimulate:
         # Same samples, different scale: distances differ but both are KS-valid.
         assert default.ks_normal != finite.ks_normal
         assert 0.0 <= finite.ks_normal <= 1.0
+
+
+class TestDistanceReference:
+    """The distances against the per-sample formulas, evaluated at every draw."""
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05)])
+    def test_matches_per_sample_formulas(self, a, b):
+        chain = derive_chain(a, b)
+        d, n, reps, seed = 0.1, 40, 3000, 21
+        report = simulate(chain, d, n, reps, seed)
+        law = jn_law(chain, d, n)
+        sums = np.sort(montecarlo._sample_sums(chain, d, law, reps, seed)).tolist()
+        atoms, cum = law.cdf_points()
+        cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
+        stats = tilted_stats(chain, d)
+        scale = math.sqrt(n * stats.v_sl)
+        phi = NormalDist().cdf
+        ks_exact = ks_normal = 0.0
+        # The i-th order statistic: the empirical CDF is i/reps there and
+        # (i-1)/reps just below it.
+        for i, x in enumerate(sums, start=1):
+            value, left = cdf[x]
+            z = phi((x - n * stats.mu_d) / scale)
+            ks_exact = max(ks_exact, i / reps - value, left - (i - 1) / reps)
+            ks_normal = max(ks_normal, i / reps - z, z - (i - 1) / reps)
+        assert report.ks_exact == pytest.approx(ks_exact, rel=0, abs=1e-15)
+        assert report.ks_normal == pytest.approx(ks_normal, rel=0, abs=1e-15)
+
+    def test_phi_deep_tail(self):
+        # Phi to 20 significant digits, from a 40-digit evaluation.
+        z = np.array([-10.0, -8.0, -5.0, -3.0, -1.0, 0.0, 3.0])
+        want = [
+            7.619853024160526066e-24,
+            6.2209605742717841235e-16,
+            2.8665157187919391167e-7,
+            0.0013498980316300945267,
+            0.15865525393145705141,
+            0.5,
+            0.99865010196836990547,
+        ]
+        assert montecarlo._phi(z) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestCltDistanceSweep:

@@ -181,6 +181,13 @@ class TestTiltedStats:
         assert stats.gap == pytest.approx(0.0, abs=1e-14)
         assert stats.v_sl == pytest.approx(V_IID_SHARED, rel=1e-12)
 
+    @pytest.mark.parametrize("a, amplification", [(0.5, 1.0), (0.3, 7.0 / 3.0)])
+    def test_symmetric_chain(self, a, amplification):
+        # Both variances vanish, so the factor comes from (1+lambda2)/(1-lambda2).
+        stats = tilted_stats(derive_chain(a, a), 0.2)
+        assert stats.v_iid == 0.0 and stats.v_sl == 0.0
+        assert stats.amplification == pytest.approx(amplification, rel=1e-15)
+
     def test_gap_independent_of_distortion(self, moderate):
         assert tilted_stats(moderate, 0.05).gap == pytest.approx(
             tilted_stats(moderate, 0.2).gap, abs=1e-14
