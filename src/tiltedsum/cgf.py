@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .exact import occupation_log2_pgf
+from .exact import _log2_pgf
 from .markov import ChainParams, derive_chain
 from .tilting import LN2
 
@@ -162,30 +162,47 @@ def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     return chain.ell**2 * LN2 * c
 
 
-def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
-    """Finite-n base-2 CGF of the centered tilted sum, in bits.
+def _cgf_finite_batch(chain: ChainParams, n: int, thetas: np.ndarray) -> np.ndarray:
+    """L_n at every theta of a 1-D array, one batched kernel call per branch.
 
-    Uses the rescaled transfer-matrix product; for extreme tilts where
+    Uses the rescaled transfer-matrix power; for extreme tilts where
     u_theta itself is not representable, the state-relabeling identity
     G_n(u; a, b) = u^n * G_n(1/u; b, a) takes over.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
     if chain.symmetric:
-        return 0.0
-    log2_u = -theta * chain.ell
-    if log2_u > 512.0:
-        swapped = _swap(chain)
-        log2_g = n * log2_u + occupation_log2_pgf(swapped, n, max(2.0**-log2_u, 5e-324))
-    else:
-        log2_g = occupation_log2_pgf(chain, n, max(2.0**log2_u, 5e-324))
-    return theta * chain.pi1 * chain.ell + log2_g / n
+        return np.zeros_like(thetas)
+    log2_u = -thetas * chain.ell
+    swap = log2_u > 512.0
+    log2_g = np.empty_like(log2_u)
+    if not swap.all():
+        direct = log2_u[~swap]
+        log2_g[~swap] = _log2_pgf(chain, n, np.maximum(2.0**direct, 5e-324))
+    if swap.any():
+        swapped = log2_u[swap]
+        log2_g[swap] = n * swapped + _log2_pgf(
+            _swap(chain), n, np.maximum(2.0**-swapped, 5e-324)
+        )
+    return thetas * chain.pi1 * chain.ell + log2_g / n
+
+
+def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
+    """Finite-n base-2 CGF of the centered tilted sum, in bits.
+
+    Costs O(log n) products of 2x2 matrices, at any tilt.
+    """
+    return float(_cgf_finite_batch(chain, n, np.array([float(theta)]))[0])
 
 
 def cgf_curve(chain: ChainParams, n: int, thetas) -> CGFCurve:
-    """Sample the finite-n and limiting CGFs on a theta grid."""
+    """Sample the finite-n and limiting CGFs on a theta grid.
+
+    The finite-n values come from one batched kernel call per branch; the
+    limit is the closed-form Perron root at each theta.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    lam_n = np.array([cgf_finite(chain, n, float(t)) for t in thetas])
+    lam_n = _cgf_finite_batch(chain, n, thetas)
     lam_inf = np.array([cgf_limit(chain, float(t)) for t in thetas])
     return CGFCurve(thetas=thetas, lambda_n=lam_n, lambda_inf=lam_inf, n=n)
 

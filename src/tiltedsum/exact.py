@@ -6,11 +6,15 @@ block sum is an affine image of the occupation count,
     J_n(D) = n*(-log2(pi0) - h2(D)) - ell*N_n,
 
 so its centered law J_n(D) - n*mu_D = -ell*(N_n - n*pi1) does not depend on
-the distortion level at all.  This module computes the exact PMF of N_n by
-dynamic programming over (state, count), evaluates the probability
-generating function G_n(u) = pi^T D(u) (P D(u))^{n-1} 1 by a rescaled
-transfer-matrix product, and exposes the variance in both its double-sum
-and closed forms:
+the distortion level at all.  Both the law of N_n and its probability
+generating function come from one transfer matrix,
+
+    G_n(u) = pi^T D(u) (P D(u))^{n-1} 1,    D(u) = diag(1, u),
+
+raised to the power n-1 by binary powering.  With u a formal variable z the
+entries are polynomials whose coefficients give the PMF of N_n; with u a
+number they are rescaled scalars, batched over many u at once.  The
+variance comes in both its double-sum and closed forms:
 
     Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
              = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
@@ -28,9 +32,18 @@ import numpy as np
 from .markov import ChainParams
 from .tilting import binary_entropy, require_interior
 
-# The O(n^2) count DP is capped; larger blocklengths must go through the
-# generating-function / CGF routes, which are O(n) per evaluation.
+# The count law costs O(n^2) flops in its polynomial products, so it is
+# capped; larger blocklengths must go through the generating-function / CGF
+# routes, which cost O(log n) matrix products per evaluation.
 DP_MAX_N = 32768
+
+# Count probabilities below the smallest normal float are flushed to 0:
+# subnormals carry no relative accuracy, and 0.7*5e-324 rounds back up to
+# 5e-324, so mass that should keep shrinking would stick there instead.
+_TINY = np.finfo(float).tiny
+# Below this n*(a+b) the closed-form variance bracket cancels; its power
+# series in a+b is used instead.
+_SERIES_MAX_NS = 0.5
 
 
 @dataclass(frozen=True)
@@ -92,12 +105,72 @@ class VarianceCorrection(NamedTuple):
     constant: float
 
 
-def occupation_pmf(chain: ChainParams, n: int, max_n: int = DP_MAX_N) -> OccupationPMF:
-    """Exact PMF of N_n by forward DP over (state, count).
+def _power(acc, step, e: int, mul):
+    """acc * step**e by binary powering under the associative product ``mul``.
 
-    alpha_1(x, 1{x=1}) = pi_x and alpha_{t+1}(y, m + 1{y=1}) accumulates
-    alpha_t(x, m) * P[x, y].  All terms are nonnegative, so there is no
-    cancellation; cost is O(n^2) scalar work and O(n) space per state.
+    Both element types of the transfer matrix go through here: stacks of
+    rescaled scalar matrices for the generating function and polynomial
+    matrices for the count law.  At most 2*log2(e) products are formed.
+    """
+    while e:
+        if e & 1:
+            acc = mul(acc, step)
+        e >>= 1
+        if e:
+            step = mul(step, step)
+    return acc
+
+
+def _rescale(mantissa: np.ndarray, log2_scale: np.ndarray):
+    """Divide each matrix of a stack by a power of two near its largest entry.
+
+    Division by a power of two is exact: the integer log2 scale carries the
+    magnitude without rounding, and each largest entry lands in [0.5, 1).
+    """
+    _, shift = np.frexp(mantissa.max(axis=(1, 2)))
+    return np.ldexp(mantissa, -shift[:, None, None]), log2_scale + shift
+
+
+def _scaled_mul(x, y):
+    return _rescale(x[0] @ y[0], x[1] + y[1])
+
+
+def _poly_mul(x, y):
+    """Product of polynomial matrices, given as rows of coefficient arrays.
+
+    Every coefficient is a sum of nonnegative products, so np.convolve has
+    no cancellation; results below the smallest normal float become 0.
+    """
+    out = []
+    for row in x:
+        entries = [np.convolve(row[0], y[0][j]) + np.convolve(row[1], y[1][j]) for j in (0, 1)]
+        for entry in entries:
+            entry[entry < _TINY] = 0.0
+        out.append(entries)
+    return out
+
+
+def _log2_pgf(chain: ChainParams, n: int, u: np.ndarray) -> np.ndarray:
+    """log2 G_n(u) for every entry of the 1-D array u > 0 in one batched pass.
+
+    The row vector pi^T D(u) and the matrices P D(u), one per u, are
+    rescaled before the first product, so u up to 2^512 cannot overflow.
+    """
+    step = chain.transition_matrix * np.stack([np.ones_like(u), u], axis=-1)[:, None, :]
+    start = np.stack([np.full_like(u, chain.pi0), chain.pi1 * u], axis=-1)[:, None, :]
+    unscaled = np.zeros(len(u), dtype=np.int64)
+    mantissa, log2_scale = _power(
+        _rescale(start, unscaled), _rescale(step, unscaled), n - 1, _scaled_mul
+    )
+    return np.log2(mantissa.sum(axis=(1, 2))) + log2_scale
+
+
+def occupation_pmf(chain: ChainParams, n: int, max_n: int = DP_MAX_N) -> OccupationPMF:
+    """Exact PMF of N_n from the polynomial transfer matrix [[p00, p01 z], [p10, p11 z]].
+
+    The coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 is Pr(N_n = m).
+    Every entry is either a normal float or exactly 0; probabilities below
+    the smallest normal float (about 2.2e-308) are flushed to 0.
 
     Raises
     ------
@@ -111,51 +184,28 @@ def occupation_pmf(chain: ChainParams, n: int, max_n: int = DP_MAX_N) -> Occupat
             f"blocklength n={n} exceeds the DP cap {max_n}; use the "
             f"generating-function routes for large n"
         )
-    p00, p01 = 1.0 - chain.a, chain.a
-    p10, p11 = chain.b, 1.0 - chain.b
-    # in_state0[m] / in_state1[m]: mass with count m, currently in state 0 / 1.
-    in_state0 = np.zeros(n + 1)
-    in_state1 = np.zeros(n + 1)
-    in_state0[0] = chain.pi0
-    in_state1[1] = chain.pi1
-    for _ in range(1, n):
-        to0 = in_state0 * p00 + in_state1 * p10
-        to1 = in_state0 * p01 + in_state1 * p11
-        shifted = np.empty(n + 1)
-        shifted[0] = 0.0
-        shifted[1:] = to1[:-1]  # entering state 1 raises the count by one
-        in_state0, in_state1 = to0, shifted
+    # Coefficient arrays of equal length in each matrix keep the sums aligned.
+    step = [
+        [np.array([1.0 - chain.a, 0.0]), np.array([0.0, chain.a])],
+        [np.array([chain.b, 0.0]), np.array([0.0, 1.0 - chain.b])],
+    ]
+    start = [[np.array([chain.pi0, 0.0]), np.array([0.0, chain.pi1])]]
+    ((in_state0, in_state1),) = _power(start, step, n - 1, _poly_mul)
     return OccupationPMF(n=n, probs=in_state0 + in_state1)
 
 
 def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
     """log2 of G_n(u) = pi^T D(u) (P D(u))^{n-1} 1, for u > 0.
 
-    The two-entry row vector is renormalized to unit sum after every
-    transfer-matrix step and the log2 scale factors are accumulated, so
-    the result neither overflows nor underflows for any finite u > 0.
+    The matrix power is formed by binary powering with an exact power-of-two
+    rescaling after every product, so the result neither overflows nor
+    underflows for any finite u > 0 and costs O(log n).
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
     if not u > 0.0:
         raise ValueError(f"generating-function argument u={u!r} must be positive")
-    p00, p01 = 1.0 - chain.a, chain.a
-    p10, p11 = chain.b, 1.0 - chain.b
-    v0 = chain.pi0
-    v1 = chain.pi1 * u
-    log2_g = 0.0
-    s = v0 + v1
-    log2_g += math.log2(s)
-    v0 /= s
-    v1 /= s
-    for _ in range(n - 1):
-        w0 = v0 * p00 + v1 * p10
-        w1 = (v0 * p01 + v1 * p11) * u
-        s = w0 + w1
-        log2_g += math.log2(s)
-        v0 = w0 / s
-        v1 = w1 / s
-    return log2_g
+    return float(_log2_pgf(chain, n, np.array([float(u)]))[0])
 
 
 def occupation_pgf(chain: ChainParams, n: int, u: float) -> float:
@@ -208,6 +258,45 @@ def centered_tail_probability(
     return float(pmf.probs[atoms >= n * x].sum())
 
 
+def _one_minus_power(chain: ChainParams, n: int) -> float:
+    """1 - lambda2^n without cancellation, also as lambda2 -> +1 or -1.
+
+    Near +1, lambda2 = 1 - s with s = a + b; near -1, lambda2 = -(1 - t)
+    with t = (1-a) + (1-b).  Either small quantity is formed without
+    subtracting from 1, and |lambda2|^n goes through log1p and expm1.
+    """
+    r = chain.lambda2
+    if abs(r) <= 0.5:
+        return 1.0 - r**n
+    if r > 0.0:
+        return -math.expm1(n * math.log1p(-(chain.a + chain.b)))
+    log_magnitude = n * math.log1p(-((1.0 - chain.a) + (1.0 - chain.b)))
+    return 1.0 + math.exp(log_magnitude) if n % 2 else -math.expm1(log_magnitude)
+
+
+def _variance_bracket(chain: ChainParams, n: int) -> float:
+    """n + 2*sum_{k<n} (n-k)*lambda2^k in closed form, in terms of s = a + b.
+
+    The closed form n*(1+lambda2)/s - 2*lambda2*(1-lambda2^n)/s^2 is a
+    difference of two terms near 2n/s when n*s is small, so there the
+    bracket comes from its expansion in s instead,
+
+        n^2 + 2*sum_{j>=1} (-s)^j * C(n+1, j+2),
+
+    whose terms shrink by a factor below n*s/4 each.
+    """
+    s = chain.a + chain.b
+    if n * s < _SERIES_MAX_NS:
+        total, term, j = float(n) * n, -s * (n + 1) * n * (n - 1) / 3.0, 1
+        while abs(term) > 1e-17 * total:
+            total += term
+            term *= -s * (n - j - 1) / (j + 3)
+            j += 1
+        return total
+    one_plus_r = (1.0 - chain.a) + (1.0 - chain.b)
+    return n * one_plus_r / s - 2.0 * chain.lambda2 * _one_minus_power(chain, n) / (s * s)
+
+
 def variance_exact(
     chain: ChainParams,
     n: int,
@@ -216,17 +305,19 @@ def variance_exact(
     """Var(J_n(D)) in bits^2; identical for every valid distortion level.
 
     ``double_sum`` evaluates ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k]
-    term by term; ``closed_form`` evaluates the geometric-sum reduction.
+    term by term; ``closed_form`` evaluates the geometric-sum reduction,
+    written in s = a + b so that it keeps its relative accuracy on
+    slow-mixing chains.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
     amp = chain.ell**2 * chain.pi0 * chain.pi1
-    r = chain.lambda2
     if method == "double_sum":
+        r = chain.lambda2
         k = np.arange(1, n)
         bracket = n + 2.0 * float((n - k) @ (r**k))
     elif method == "closed_form":
-        bracket = n * (1.0 + r) / (1.0 - r) - 2.0 * r * (1.0 - r**n) / (1.0 - r) ** 2
+        bracket = _variance_bracket(chain, n)
     else:
         raise ValueError(f"unknown method {method!r}")
     return amp * bracket
@@ -235,15 +326,18 @@ def variance_exact(
 def variance_correction(chain: ChainParams, n: int) -> VarianceCorrection:
     """Finite-n variance deficit n*V_sl - Var(J_n) and its limiting constant.
 
-    The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/(1-lambda2)^2,
-    which increases to the returned constant as n grows (positive for
-    positively correlated chains, negative for anti-correlated ones).
+    The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/s^2 with
+    s = a + b = 1 - lambda2, which increases to the returned constant as n
+    grows (positive for positively correlated chains, negative for
+    anti-correlated ones).
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    r = chain.lambda2
-    constant = 2.0 * chain.ell**2 * chain.pi0 * chain.pi1 * r / (1.0 - r) ** 2
-    return VarianceCorrection(correction=constant * (1.0 - r**n), constant=constant)
+    s = chain.a + chain.b
+    constant = 2.0 * chain.ell**2 * chain.pi0 * chain.pi1 * chain.lambda2 / (s * s)
+    return VarianceCorrection(
+        correction=constant * _one_minus_power(chain, n), constant=constant
+    )
 
 
 def centered_cumulants(

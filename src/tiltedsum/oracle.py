@@ -35,6 +35,31 @@ class OracleResult:
     mgf_samples: dict[float, float]
 
 
+def _enumerate_paths(chain: ChainParams, n: int, letter_values: np.ndarray | None = None):
+    """Probability and occupation count of every length-n path, at once.
+
+    Path i reads its letters off the bits of i.  Given per-letter values,
+    each path's sum of them is also accumulated letter by letter; otherwise
+    that third result is None.  Refuses n > 20.
+    """
+    if not 1 <= n <= ENUM_MAX_N:
+        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got n={n}")
+    index = np.arange(2**n, dtype=np.uint32)
+    trans = np.array([1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b])  # flat P, row-major
+    prev = (index & 1).astype(np.int64)
+    prob = np.where(prev == 0, chain.pi0, chain.pi1)
+    path_sum = None if letter_values is None else letter_values[prev]
+    counts = prev.copy()
+    for t in range(1, n):
+        cur = ((index >> t) & 1).astype(np.int64)
+        prob = prob * trans[2 * prev + cur]
+        if path_sum is not None:
+            path_sum = path_sum + letter_values[cur]
+        counts += cur
+        prev = cur
+    return prob, counts, path_sum
+
+
 def enumerate_pmf(
     chain: ChainParams, n: int, u_values: tuple[float, ...] = (0.5, 1.0, 2.0)
 ) -> OracleResult:
@@ -43,20 +68,7 @@ def enumerate_pmf(
     Also evaluates G_n(u) = sum_paths prob * u^count directly for each
     requested u.  Refuses n > 20.
     """
-    if not 1 <= n <= ENUM_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got n={n}")
-    index = np.arange(2**n, dtype=np.uint32)
-    trans = np.array(
-        [1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b]
-    )  # flat P, row-major
-    prev = (index & 1).astype(np.int64)
-    prob = np.where(prev == 0, chain.pi0, chain.pi1)
-    counts = prev.copy()
-    for t in range(1, n):
-        cur = ((index >> t) & 1).astype(np.int64)
-        prob = prob * trans[2 * prev + cur]
-        counts += cur
-        prev = cur
+    prob, counts, _ = _enumerate_paths(chain, n)
     # Pairwise sums per bin keep the total within ~1e-14 of 1 even at n = 20;
     # bincount's sequential accumulation drifts past 1e-13 there.
     pmf = np.array([prob[counts == m].sum() for m in range(n + 1)])
@@ -77,22 +89,8 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     pathwise.
     """
     require_interior(chain, d)
-    if not 1 <= n <= ENUM_MAX_N:
-        raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got n={n}")
     jvals = np.array([jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)])
-
-    index = np.arange(2**n, dtype=np.uint32)
-    trans = np.array([1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b])
-    prev = (index & 1).astype(np.int64)
-    prob = np.where(prev == 0, chain.pi0, chain.pi1)
-    path_sum = jvals[prev]
-    counts = prev.copy()
-    for t in range(1, n):
-        cur = ((index >> t) & 1).astype(np.int64)
-        prob = prob * trans[2 * prev + cur]
-        path_sum = path_sum + jvals[cur]
-        counts += cur
-        prev = cur
+    prob, counts, path_sum = _enumerate_paths(chain, n, jvals)
     mean = float(prob @ path_sum)
     var_paths = float(prob @ (path_sum - mean) ** 2)
 

@@ -1,4 +1,5 @@
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +25,34 @@ from tiltedsum import (
 from conftest import PAIR_GRID
 
 LN2 = math.log(2.0)
+EPS = 2.0**-52
+
+
+def decimal_cgf(chain, n, theta):
+    """L_n(theta) from G_n(u) = pi^T D(u) (P D(u))^{n-1} 1 in 50-digit decimals.
+
+    The matrix power is formed by binary powering of unscaled entries; the
+    context's exponent range is wide enough that nothing over- or underflows.
+    """
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, MAX_EMAX, MIN_EMIN
+        a, b = Decimal(chain.a), Decimal(chain.b)
+        log2_u = -Decimal(theta) * Decimal(chain.ell)
+        u = Decimal(2) ** log2_u
+        step = [[1 - a, a * u], [b, (1 - b) * u]]
+        acc = [b / (a + b), a / (a + b) * u]
+        e = n - 1
+        while e:
+            if e & 1:
+                acc = [acc[0] * step[0][j] + acc[1] * step[1][j] for j in (0, 1)]
+            e >>= 1
+            if e:
+                step = [
+                    [step[i][0] * step[0][j] + step[i][1] * step[1][j] for j in (0, 1)]
+                    for i in (0, 1)
+                ]
+        log2_g = (acc[0] + acc[1]).ln() / Decimal(2).ln()
+        return float(-log2_u * a / (a + b) + log2_g / n)
 
 
 class TestPerronRoot:
@@ -88,6 +117,42 @@ class TestFiniteCGF:
     def test_extreme_tilt_finite(self, moderate):
         for theta in (1e6, -1e6, 1e300):
             assert math.isfinite(cgf_finite(moderate, 30, theta))
+
+
+class TestPoweredKernel:
+    @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.6, 0.7), (2e-12, 0.3)])
+    def test_matches_decimal_reference(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (1, 2, 3, 1000, 10**6):
+            for tilt in (-60.0, -20.0, -1.0, 0.0, 0.5, 3.0, 20.0, 60.0):
+                theta = tilt / chain.ell
+                assert abs(cgf_finite(chain, n, theta) - decimal_cgf(chain, n, theta)) <= 1e-13
+
+    @pytest.mark.parametrize("a,b", [(0.02, 0.05), (1e-3, 2e-3), (2e-12, 0.3)])
+    def test_tilts_near_the_state_swap(self, a, b):
+        # log2_u up to 511.99 runs the direct branch with u near 2^512, whose
+        # first squaring would overflow unless rescaled; 512.01 runs the
+        # state-swapped branch.
+        chain = derive_chain(a, b)
+        for n in (2, 1000, 10**6):
+            for log2_u in (500.0, 511.99, 512.01, -511.99):
+                theta = -log2_u / chain.ell
+                tol = 8 * EPS * (1.0 + abs(log2_u))
+                assert abs(cgf_finite(chain, n, theta) - decimal_cgf(chain, n, theta)) <= tol
+
+    def test_billion_letters(self, moderate):
+        # O(log n) matrix products: a letter-by-letter product could not
+        # finish this in any reasonable time.
+        for theta in (-1.0, 0.5, 2.0):
+            assert abs(cgf_finite(moderate, 10**9, theta) - cgf_limit(moderate, theta)) <= 1e-6
+
+    @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.02, 0.05), (0.6, 0.7)])
+    def test_curve_is_cgf_finite_on_each_theta(self, a, b):
+        chain = derive_chain(a, b)
+        thetas = np.array([-900.0, -3.0, 0.0, 0.5, 7.0, 900.0]) / chain.ell
+        curve = cgf_curve(chain, 10_000, thetas)
+        for theta, value in zip(thetas, curve.lambda_n):
+            assert value == pytest.approx(cgf_finite(chain, 10_000, theta), rel=1e-15, abs=1e-15)
 
 
 class TestLimitCGF:

@@ -155,6 +155,18 @@ class TestSchemas:
         _, rows = parse_csv(out)
         assert rows[0]["amplification"] == pytest.approx(7.0 / 3.0, rel=1e-15)
 
+    def test_tail_below_float_range_is_zero(self, capsys):
+        # The exact tail is near 1e-879: it must print 0.0, not a subnormal
+        # the count law got stuck at.
+        code, out = run_cli(
+            capsys, "tail", "--a", "0.1", "--b", "0.3", "--n", "6000", "--x", "1.18",
+            "--format", "csv",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["exact"] == 0.0
+        assert rows[0]["ratio"] == float("inf")
+
     def test_simulate_seeded(self, capsys):
         argv = (
             "simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.1",

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +29,59 @@ VAR_PER_LETTER_MODERATE = {
     50: 1.813426611650297,
 }
 CORRECTION_CONSTANT_MODERATE = 3.532649243473492
+TINY = np.finfo(float).tiny
+
+
+def exact_count_law(chain, n):
+    """Pr(N_n = m) for m = 0..n, each correctly rounded from its exact value.
+
+    a and b are dyadic, so the larger of their denominators, D, is common
+    to both; the DP runs on integer numerators scaled by D^t and divides
+    once at the end.
+    """
+    fa, fb = Fraction(chain.a), Fraction(chain.b)
+    den = max(fa.denominator, fb.denominator)
+    a, b = int(fa * den), int(fb * den)
+    in0, in1 = [b] + [0] * n, [0, a] + [0] * (n - 1)
+    for _ in range(n - 1):
+        to0 = [x * (den - a) + y * b for x, y in zip(in0, in1)]
+        to1 = [x * a + y * (den - b) for x, y in zip(in0, in1)]
+        in0, in1 = to0, [0] + to1[:-1]
+    total = (a + b) * den ** (n - 1)
+    return np.array([(x + y) / total for x, y in zip(in0, in1)])
+
+
+def _dyadic(x):
+    """(R, E) with x == R / 2**E exactly."""
+    q = Fraction(x)
+    return q.numerator, q.denominator.bit_length() - 1
+
+
+def exact_variance_bracket(chain, n):
+    """n + 2*sum_{k<n} (n-k)*lambda2^k, summed exactly and rounded once.
+
+    lambda2 = R/2^E; Horner's rule runs on integer numerators, so no term
+    is rounded and no gcd is taken.
+    """
+    num, e = _dyadic(1 - Fraction(chain.a) - Fraction(chain.b))
+    acc = 0  # sum_{k>=j} (n-k) * lambda2^(k-j), scaled by 2^(e*(n-1-j))
+    for j in range(n - 1, 0, -1):
+        acc = ((n - j) << (e * (n - 1 - j))) + num * acc
+    return ((n << (e * (n - 1))) + 2 * num * acc) / (1 << (e * (n - 1)))
+
+
+def exact_closed_form_brackets(chain, n):
+    """The variance bracket and the deficit 2*lambda2*(1-lambda2^n)/(1-lambda2)^2.
+
+    Both come from the closed forms evaluated exactly on integer numerators
+    (cheap at any n, unlike the double sum) and are rounded once.
+    """
+    num, e = _dyadic(1 - Fraction(chain.a) - Fraction(chain.b))
+    one = 1 << e
+    den = (1 << (e * (n - 1))) * (one - num) ** 2
+    deficit = 2 * num * ((1 << (e * n)) - num**n)
+    total = n * (one + num) * (one - num) * (1 << (e * (n - 1))) - deficit
+    return total / den, deficit / den
 
 
 class TestOccupationPMF:
@@ -56,6 +111,26 @@ class TestOccupationPMF:
             assert np.all(pmf.probs >= 0)
             assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert pmf.mean() == pytest.approx(n * chain.pi1, abs=1e-9)
+
+    @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.6, 0.7), (0.02, 0.05), (2e-12, 0.3)])
+    def test_matches_exact_rational_law(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (33, 200):
+            exact = exact_count_law(chain, n)
+            probs = occupation_pmf(chain, n).probs
+            kept = exact >= 1e-250
+            assert np.all(np.abs(probs[kept] - exact[kept]) <= 1e-12 * exact[kept])
+
+    @pytest.mark.parametrize(
+        "a,b,n", [(0.1, 0.3, 6000), (0.6, 0.7, 4000), (0.02, 0.05, 2048), (2e-12, 0.3, 300)]
+    )
+    def test_no_subnormal_entries(self, a, b, n):
+        probs = occupation_pmf(derive_chain(a, b), n).probs
+        assert not np.any((probs > 0.0) & (probs < TINY))
+
+    def test_deep_tail_is_zero_not_stuck_at_subnormal(self, moderate):
+        # The true last entry is about 1e-930, far below float range.
+        assert occupation_pmf(moderate, 6000).probs[-1] == 0.0
 
     def test_cap_enforced(self, moderate):
         with pytest.raises(ValueError):
@@ -157,6 +232,23 @@ class TestVarianceExact:
         for n in (1, 5, 100):
             assert variance_exact(symmetric, n) == 0.0
 
+    def test_matches_exact_rational_sum(self):
+        # Log-uniform a, b down to 2e-12 reach the slow-mixing chains where
+        # n*(a+b) is small and the closed form's two terms nearly cancel
+        # (at (1e-9, 2e-9) and n=10 it used to be 8.7% off); 1 - a, 1 - b
+        # reach lambda2 near -1.
+        rng = random.Random(2024)
+        pairs = [(1e-9, 2e-9), (1.5e-12, 2e-12)]
+        pairs += [tuple(10 ** rng.uniform(math.log10(2e-12), 0.0) for _ in "ab") for _ in range(40)]
+        for a, b in pairs:
+            for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
+                for n in (1, 2, 3, 10, 137, 1000, 10_000):
+                    bracket, _ = exact_closed_form_brackets(chain, n)
+                    if n <= 1000:
+                        assert exact_variance_bracket(chain, n) == bracket
+                    want = chain.v_iid * bracket
+                    assert variance_exact(chain, n) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_per_letter_monotone_below_limit(self, moderate):
         v_sl = tilted_stats(moderate, 0.1).v_sl
         values = [variance_exact(moderate, n) / n for n in range(1, 200)]
@@ -190,6 +282,16 @@ class TestVarianceCorrection:
             assert variance_correction(moderate, n).correction == pytest.approx(
                 deficit, rel=1e-10
             )
+
+    def test_matches_exact_rational_deficit(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b = (10 ** rng.uniform(math.log10(2e-12), 0.0) for _ in "ab")
+            for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
+                for n in (1, 2, 10, 1000, 10_000):
+                    want = chain.v_iid * exact_closed_form_brackets(chain, n)[1]
+                    got = variance_correction(chain, n).correction
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_negative_for_anticorrelated(self):
         chain = derive_chain(0.7, 0.6)  # a + b > 1, lambda2 < 0
