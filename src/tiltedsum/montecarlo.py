@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import JnLaw, jn_law, occupation_pmf, variance_exact
 from .markov import ChainParams
-from .tilting import binary_entropy, require_interior, tilted_stats
+from .tilting import binary_entropy, require_interior
 
 PATHWISE_TOL = 1e-10
 MIN_REPLICATIONS = 100
@@ -55,8 +55,8 @@ class CltDistance:
 
 def _sample_sums(
     chain: ChainParams, d: float, law: JnLaw, replications: int, seed: int
-) -> np.ndarray:
-    """Tilted block sums for each replication, pathwise-checked.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tilted block sums for each replication, pathwise-checked, and the count histogram.
 
     Trajectories are generated block by block; within a block the chain
     steps column-wise (inverse CDF per row of P).  Each sample is the atom
@@ -74,6 +74,7 @@ def _sample_sums(
     go0 = chain.b
 
     sums = np.empty(replications)
+    histogram = np.zeros(n + 1, dtype=np.int64)  # replications per occupation count
     streams = np.random.SeedSequence(seed).spawn(-(-replications // _BLOCK_ROWS))
     for block, stream in enumerate(streams):
         start = block * _BLOCK_ROWS
@@ -100,7 +101,8 @@ def _sample_sums(
                 f"form differ by {err.max():.3e} (> {PATHWISE_TOL:g})"
             )
         sums[start : start + rows] = affine
-    return sums
+        histogram += np.bincount(counts, minlength=n + 1)
+    return sums, histogram
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -129,23 +131,32 @@ def _scale(chain: ChainParams, n: int, use_finite_n_variance: bool) -> float:
     return math.sqrt(n * chain.v_sl)
 
 
+def _normal_distance(chain: ChainParams, n: int, probs: np.ndarray, finite_n: bool) -> float:
+    """Sup-distance from Phi of the standardized sum whose count m has mass probs[m].
+
+    The count m sits at -ell*(m - n*pi1)/sqrt(n*V).  Standardizing the
+    count, not the rounded atoms offset - ell*m, keeps the distance
+    meaningful on chains a few ulps from symmetric, where ell is tiny.
+    """
+    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / _scale(chain, n, finite_n)
+    order = np.argsort(atoms)
+    cum = np.cumsum(probs[order])
+    phi = _phi(atoms[order])
+    return _sup_distance(cum, np.concatenate(([0.0], cum[:-1])), phi, phi)
+
+
 def exact_normal_distance(
     chain: ChainParams, n: int, use_finite_n_variance: bool = False
 ) -> float:
     """Sup-distance between the standardized exact law and the normal CDF.
 
-    This isolates the CLT approximation error from sampling noise: the
-    atoms -ell*(m - n*pi1)/sqrt(n*V) carry the exact count probabilities
-    and are compared with Phi directly.  Standardization uses the limiting
-    variance unless ``use_finite_n_variance`` is set.
+    This isolates the CLT approximation error from sampling noise.
+    Standardization uses the limiting variance unless
+    ``use_finite_n_variance`` is set.
     """
     if chain.symmetric:
         raise ValueError("symmetric chain: the centered sum is a point mass")
-    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / _scale(chain, n, use_finite_n_variance)
-    order = np.argsort(atoms)
-    cum = np.cumsum(occupation_pmf(chain, n).probs[order])
-    phi = _phi(atoms[order])
-    return _sup_distance(cum, np.concatenate(([0.0], cum[:-1])), phi, phi)
+    return _normal_distance(chain, n, occupation_pmf(chain, n).probs, use_finite_n_variance)
 
 
 def simulate(
@@ -174,7 +185,7 @@ def simulate(
             f"replications*n = {replications * n} exceeds the sample budget {max_budget}"
         )
     law = jn_law(chain, d, n)
-    sums = _sample_sums(chain, d, law, replications, seed)
+    sums, histogram = _sample_sums(chain, d, law, replications, seed)
 
     # Shifted moments: deviations from the first sample keep the arithmetic
     # exact for the degenerate (constant) case and well-scaled otherwise.
@@ -194,9 +205,7 @@ def simulate(
         # of a point mass at 0 from Phi, which is 1/2.
         ks_normal = 0.5
     else:
-        mean = n * tilted_stats(chain, d).mu_d
-        phi = _phi((atoms - mean) / _scale(chain, n, use_finite_n_variance))
-        ks_normal = _sup_distance(emp, emp_left, phi, phi)
+        ks_normal = _normal_distance(chain, n, histogram / replications, use_finite_n_variance)
     return SimReport(
         n=n,
         replications=replications,

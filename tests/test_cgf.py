@@ -1,11 +1,11 @@
 import math
+import random
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from tiltedsum import (
-    ConvergenceError,
     achievable_interval,
     centered_tail_probability,
     cgf_curve,
@@ -22,7 +22,7 @@ from tiltedsum import (
     variance_exact,
 )
 
-from conftest import PAIR_GRID
+from conftest import LN2_DECIMAL, PAIR_GRID, decimal_limit
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -53,6 +53,34 @@ def decimal_cgf(chain, n, theta):
                 ]
         log2_g = (acc[0] + acc[1]).ln() / Decimal(2).ln()
         return float(-log2_u * a / (a + b) + log2_g / n)
+
+
+def decimal_tilt(chain, x):
+    """theta* from the closed form, written out plainly, in 50-digit decimals.
+
+    The chain's float a, b and ell are taken as exact and pi1 is a/(a+b);
+    q - r and 1 - q - r are formed by subtraction, which 50 digits afford.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, ell = Decimal(chain.a), Decimal(chain.b), Decimal(chain.ell)
+        q = a / (a + b) - Decimal(x) / ell
+        kappa = a * b / ((1 - a) * (1 - b))
+        disc = kappa * kappa + 4 * (1 - kappa) * kappa * q * (1 - q)
+        r = 2 * kappa * q * (1 - q) / (kappa + disc.sqrt())
+        u = (q - r) * (1 - q) * (1 - a) / ((1 - q - r) * q * (1 - b))
+        return float(-u.ln() / (ell * LN2_DECIMAL))
+
+
+# Fractions of the achievable interval at which the rate is swept; None
+# draws a uniform fraction.
+SWEEP_FRACTIONS = (1e-8, 1e-4, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-4, 1 - 1e-8, None)
+
+
+def sweep_points(chain, rng):
+    lo, hi = achievable_interval(chain)
+    for fraction in SWEEP_FRACTIONS:
+        yield lo + (rng.random() if fraction is None else fraction) * (hi - lo)
 
 
 class TestPerronRoot:
@@ -231,6 +259,41 @@ class TestRateFunction:
             assert cgf_limit_derivative(moderate, point.theta_star) == pytest.approx(
                 x, abs=1e-10
             )
+
+    def test_closed_form_sweep(self):
+        # 1,000 log-uniform draws of (a, b) in [2e-12, 1) and their mirrors
+        # (1-a, 1-b): slow-mixing, nearly alternating and in-between chains.
+        rng = random.Random(20261018)
+        worst_rate = worst_theta = (0.0, None)
+        for _ in range(1000):
+            a, b = (math.exp(rng.uniform(math.log(2e-12), 0.0)) for _ in range(2))
+            for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
+                for x in sweep_points(chain, rng):
+                    point = rate_function(chain, x)
+                    if x == 0.0:
+                        continue
+                    legendre, _ = decimal_limit(chain, point.theta_star)
+                    legendre = Decimal(point.theta_star) * Decimal(x) - legendre
+                    dev = abs(point.rate - float(legendre)) / max(1.0, abs(point.theta_star * x))
+                    worst_rate = max(worst_rate, (dev, (chain.a, chain.b, x)))
+                    theta = decimal_tilt(chain, x)
+                    dev = abs(point.theta_star - theta) / abs(theta)
+                    worst_theta = max(worst_theta, (dev, (chain.a, chain.b, x)))
+        assert worst_rate[0] <= 1e-13, worst_rate
+        assert worst_theta[0] <= 1e-7, worst_theta
+
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_slope_at_optimal_tilt(self, a, b):
+        chain = derive_chain(a, b)
+        for x in sweep_points(chain, random.Random(3)):
+            point = rate_function(chain, x)
+            assert abs(cgf_limit_derivative(chain, point.theta_star) - x) <= 1e-10
+
+    def test_interval_is_exact(self, moderate):
+        # q = pi1 - x/ell runs over (0, 1): x in (ell*pi1, -ell*pi0).
+        lo, hi = achievable_interval(moderate)
+        assert lo == pytest.approx(-0.25 * math.log2(3.0), rel=1e-15)
+        assert hi == pytest.approx(0.75 * math.log2(3.0), rel=1e-15)
 
     def test_outside_interval_rejected(self, moderate):
         lo, hi = achievable_interval(moderate)

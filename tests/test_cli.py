@@ -8,6 +8,8 @@ import pytest
 import tiltedsum
 from tiltedsum.cli import main, parse_cell, render_csv
 
+from conftest import decimal_limit
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -212,6 +214,37 @@ class TestVerifyCommand:
             capsys, "verify", "--a", "0.2", "--b", "0.4", "--distortion", "0.15"
         )
         assert code == 0 and "ALL PASS" in out
+
+
+class TestRateDomain:
+    # Chains near the ends of the accepted domain: slow mixing, a sticky
+    # state, nearly alternating.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rate", "--a", "1.781510379126522e-11", "--b", "5.233863770635598e-06",
+             "--x", "1.8456444210731207"),
+            ("tail", "--a", "0.00972356736242579", "--b", "6.3573332322043285e-12",
+             "--n", "100", "--x", "20.65778673353927"),
+            ("rate", "--a", "0.999943193268331", "--b", "0.9999999998752219",
+             "--x", "4.09796321030106e-05"),
+        ],
+    )
+    def test_optimal_tilt_on_extreme_chains(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        _, rows = parse_csv(out)
+        chain = tiltedsum.derive_chain(float(argv[2]), float(argv[4]))
+        for row in rows:
+            _, slope = decimal_limit(chain, row["theta_star"])
+            assert abs(float(slope) - row["x"]) <= 1e-9
+
+    def test_past_the_interval_end_exits_1(self, capsys):
+        # The interval's upper end for (0.1, 0.3) is 1.1887218755408666.
+        code = main(["rate", "--a", "0.1", "--b", "0.3", "--x", "1.188721875540867"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestValidation:

@@ -64,6 +64,19 @@ class TestSimulate:
         # DKW: Pr(ks > eps) <= 2*exp(-2*reps*eps^2); failure probability 1e-9.
         assert large <= math.sqrt(math.log(2 / 1e-9) / (2 * 100_000))
 
+    @pytest.mark.parametrize(
+        "a, b",
+        # The first pair is one ulp from symmetric, where ell is about 4e-16.
+        [(0.3, 0.30000000000000004), (0.1, 0.3), (0.3, 0.1), (0.6, 0.7)],
+    )
+    def test_ks_normal_within_dkw_of_exact_distance(self, a, b):
+        # sup|F_emp - Phi| <= sup|F_emp - F| + sup|F - Phi|, and DKW bounds
+        # the first term at failure probability 1e-9.
+        chain = derive_chain(a, b)
+        ks_normal = simulate(chain, 0.1, 200, 20_000, 1).ks_normal
+        dkw = math.sqrt(math.log(2 / 1e-9) / (2 * 20_000))
+        assert ks_normal <= exact_normal_distance(chain, 200) + dkw
+
     def test_dp_cap_checked_before_sampling(self, moderate, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("sampled before checking the DP cap")
@@ -99,18 +112,21 @@ class TestDistanceReference:
         d, n, reps, seed = 0.1, 40, 3000, 21
         report = simulate(chain, d, n, reps, seed)
         law = jn_law(chain, d, n)
-        sums = np.sort(montecarlo._sample_sums(chain, d, law, reps, seed)).tolist()
+        sums, histogram = montecarlo._sample_sums(chain, d, law, reps, seed)
+        counts = np.repeat(np.arange(n + 1), histogram)
         atoms, cum = law.cdf_points()
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
-        stats = tilted_stats(chain, d)
-        scale = math.sqrt(n * stats.v_sl)
+        # ks_normal standardizes each sample's count, not its rounded atom.
+        scale = math.sqrt(n * tilted_stats(chain, d).v_sl)
+        standardized = np.sort(-chain.ell * (counts - n * chain.pi1) / scale)
         phi = NormalDist().cdf
         ks_exact = ks_normal = 0.0
         # The i-th order statistic: the empirical CDF is i/reps there and
         # (i-1)/reps just below it.
-        for i, x in enumerate(sums, start=1):
+        pairs = zip(np.sort(sums).tolist(), standardized.tolist())
+        for i, (x, count_z) in enumerate(pairs, start=1):
             value, left = cdf[x]
-            z = phi((x - n * stats.mu_d) / scale)
+            z = phi(count_z)
             ks_exact = max(ks_exact, i / reps - value, left - (i - 1) / reps)
             ks_normal = max(ks_normal, i / reps - z, z - (i - 1) / reps)
         assert report.ks_exact == pytest.approx(ks_exact, rel=0, abs=1e-15)
