@@ -91,11 +91,6 @@ def perron_root(chain: ChainParams, u: float) -> float:
     return 0.5 * (diag0 + diag1 + disc)
 
 
-def _swap(chain: ChainParams) -> ChainParams:
-    """Chain with the state labels exchanged (a <-> b)."""
-    return derive_chain(chain.b, chain.a)
-
-
 def _log2_perron(chain: ChainParams, log2_u: float) -> float:
     """log2 lambda_plus(2^log2_u), safe for any finite log2_u.
 
@@ -103,35 +98,33 @@ def _log2_perron(chain: ChainParams, log2_u: float) -> float:
     so tilts above u = 1 reduce to tilts below it and nothing overflows.
     """
     if log2_u > 0.0:
-        return log2_u + _log2_perron(_swap(chain), -log2_u)
+        return log2_u + _log2_perron(derive_chain(chain.b, chain.a), -log2_u)
     u = max(2.0**log2_u, 5e-324)  # floor keeps u > 0 after underflow
     return math.log2(perron_root(chain, u))
 
 
 def _tilted_occupancy(chain: ChainParams, log2_u: float) -> tuple[float, float]:
-    """Occupancy fraction g = d log lambda_plus / d log u and its log-slope.
+    """(g, c) at u = 2^log2_u: occupancy g = d log lambda_plus / d log u and c = u * g'(u).
 
-    Returns (g, c) at u = 2^log2_u, where c = u * g'(u) is the curvature of
-    log lambda_plus in log u.  g runs from 0 (u -> 0) to 1 (u -> inf); the
-    same relabeling as in :func:`_log2_perron` maps g(u) to 1 - g(1/u) and
-    leaves c invariant, which keeps large tilts exact.
+    The tilted chain has p01 = mu/lambda and p10 = nu/lambda, with mu = lambda - (1-a),
+    nu = mu + gap and gap = (1-a) - (1-b)*u: mu*nu = a*b*u and mu + nu = s.  So
+    g = mu/s and c = g*(1-g)*(p00 + p11)/(p01 + p10) = a*b*u*((1-a) + (1-b)*u)/s^3.
+    gap takes the form with the smaller terms and the smaller of mu, nu is a*b*u over
+    the larger, so nothing cancels; u > 1 is relabeled to 1/u (g -> 1 - g = nu/s).
     """
-    if log2_u > 0.0:
-        g, c = _tilted_occupancy(_swap(chain), -log2_u)
-        return 1.0 - g, c
+    relabel = log2_u > 0.0
+    a, b, log2_u = (chain.b, chain.a, -log2_u) if relabel else (chain.a, chain.b, log2_u)
     u = max(2.0**log2_u, 5e-324)
-    a, b = chain.a, chain.b
-    diag0 = 1.0 - a
-    diag1 = (1.0 - b) * u
-    gap = diag0 - diag1
-    s = math.sqrt(gap * gap + 4.0 * a * b * u)
-    s1 = (2.0 * a * b - (1.0 - b) * gap) / s  # d s / d u
-    lam = 0.5 * (diag0 + diag1 + s)
-    lam1 = 0.5 * ((1.0 - b) + s1)
-    lam2 = 0.5 * ((1.0 - b) ** 2 - s1 * s1) / s
-    g = u * lam1 / lam
-    g_prime = (lam1 + u * lam2) / lam - u * (lam1 / lam) ** 2
-    return g, u * g_prime
+    if log2_u < -1.0:
+        gap = (1.0 - a) - (1.0 - b) * u
+    else:
+        gap = (b - a) - (1.0 - b) * math.expm1(log2_u * LN2)
+    abu = a * b * u
+    s = math.sqrt(gap * gap + 4.0 * abu)
+    larger = 0.5 * (s + abs(gap))
+    mu, nu = (abu / larger, larger) if gap > 0.0 else (larger, abu / larger)
+    c = abu * ((1.0 - a) + (1.0 - b) * u) / s**3
+    return (nu if relabel else mu) / s, c
 
 
 def cgf_limit(chain: ChainParams, theta: float) -> float:
@@ -166,20 +159,21 @@ def _cgf_finite_batch(chain: ChainParams, n: int, thetas: np.ndarray) -> np.ndar
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
+    largest = float(np.abs(thetas).max(initial=0.0)) * abs(chain.ell)
+    if not math.isfinite(largest):
+        raise ValueError(f"|theta*ell| must be finite at every theta, got up to {largest!r}")
     if chain.symmetric:
         return np.zeros_like(thetas)
     log2_u = -thetas * chain.ell
     swap = log2_u > 512.0
-    log2_g = np.empty_like(log2_u)
+    per_letter = np.empty_like(log2_u)  # (1/n) log2 G_n(u_theta)
     if not swap.all():
-        direct = log2_u[~swap]
-        log2_g[~swap] = _log2_pgf(chain, n, np.maximum(2.0**direct, 5e-324))
+        per_letter[~swap] = _log2_pgf(chain, n, np.maximum(2.0 ** log2_u[~swap], 5e-324)) / n
     if swap.any():
         swapped = log2_u[swap]
-        log2_g[swap] = n * swapped + _log2_pgf(
-            _swap(chain), n, np.maximum(2.0**-swapped, 5e-324)
-        )
-    return thetas * chain.pi1 * chain.ell + log2_g / n
+        relabeled = derive_chain(chain.b, chain.a)
+        per_letter[swap] = swapped + _log2_pgf(relabeled, n, np.maximum(2.0**-swapped, 5e-324)) / n
+    return thetas * chain.pi1 * chain.ell + per_letter
 
 
 def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 # Parameters this close to {0, 1} are rejected: the closed forms divide by
 # a, b, a+b and 1-lambda2, so clamping would silently destroy precision.
 BOUNDARY_MARGIN = 1e-12
+_CHUNK_ELEMENTS = 2**16  # runs per sampler chunk, across all of its rows
 
 
 @dataclass(frozen=True)
@@ -100,26 +101,39 @@ def indicator_autocov(chain: ChainParams, k: int) -> float:
     return chain.pi0 * chain.pi1 * chain.lambda2**k
 
 
-def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
-    """Sample n letters of the stationary chain.
+def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
+    """Runs of ``rows`` stationary paths of n letters, as (rows, k) chunks ``(states, lengths)``.
 
-    The initial state is drawn from pi by inverse CDF; each subsequent
-    state by inverse CDF on its row of P.  Uniforms come from a Philox
-    counter-based generator, so the sequence is a pure function of
-    (seed, n) and regenerating with the same arguments is bit-identical.
+    The first letter is drawn from pi by inverse CDF; runs then alternate states, with
+    Geometric(a) lengths in state 0 and Geometric(b) in state 1 (the first run too: the
+    chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  Run ends are clipped
+    at n, so each row's lengths sum to exactly n; k*rows <= ``_CHUNK_ELEMENTS``.
+    """
+    k = min(n, _CHUNK_ELEMENTS // rows)
+    parity = np.arange(k, dtype=np.uint8) & 1
+    # 1/ln(1-p) of the j-th run of a chunk that starts in state 0 (row 0) or 1 (row 1).
+    inv_log_stay = (1.0 / np.log1p(-np.array([chain.a, chain.b])))[np.array([[0], [1]]) ^ parity]
+    state = (rng.random(rows) >= chain.pi0).astype(np.uint8)  # each row's next run
+    filled = np.zeros((rows, 1))
+    while filled.min() < n:
+        hold = np.floor(np.log(1.0 - rng.random((rows, k))) * inv_log_stay[state]) + 1.0
+        ends = np.minimum(np.cumsum(hold, axis=1) + filled, n)
+        lengths = ends.copy()
+        lengths[:, 1:] -= ends[:, :-1]
+        lengths[:, :1] -= filled
+        yield state[:, None] ^ parity, lengths.astype(np.int64)
+        filled = ends[:, -1:]
+        state ^= k & 1
+
+
+def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
+    """Sample n letters of the stationary chain, run by run (see :func:`_runs`).
+
+    Uniforms come from a Philox counter-based generator, so the sequence is
+    a pure function of (seed, n) and regenerating it is bit-identical.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(n)
-    states = np.empty(n, dtype=np.uint8)
-    x = 0 if u[0] < chain.pi0 else 1
-    states[0] = x
-    # P(x -> 0) is 1-a from state 0 and b from state 1.
-    stay0 = 1.0 - chain.a
-    go0 = chain.b
-    for t in range(1, n):
-        thresh = stay0 if x == 0 else go0
-        x = 0 if u[t] < thresh else 1
-        states[t] = x
-    return Trajectory(states=states, seed=seed, n=n)
+    states, lengths = (np.concatenate(part, axis=1)[0] for part in zip(*_runs(chain, n, 1, rng)))
+    return Trajectory(states=np.repeat(states, lengths), seed=seed, n=n)

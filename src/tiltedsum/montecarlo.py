@@ -1,8 +1,8 @@
 """Simulation harness: empirical moments and CDF distances against the exact law.
 
-Each replication draws a stationary trajectory, computes the tilted block
-sum twice (once by summing the per-letter closed form along the path, once
-through the occupation-count reduction), and enforces their pathwise
+Each replication draws a stationary path as runs and computes the tilted
+block sum twice, as j0*n0 + j1*n1 over the letters n0, n1 its runs spend in
+each state and as the exact law's atom at the count n1, and enforces their
 agreement.  Replications are partitioned into fixed-size blocks whose
 generators are derived from (seed, block-index), so the report is a pure
 function of its inputs no matter how blocks would be scheduled.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import JnLaw, jn_law, occupation_pmf, variance_exact
-from .markov import ChainParams
+from .markov import ChainParams, _runs
 from .tilting import binary_entropy, require_interior
 
 PATHWISE_TOL = 1e-10
@@ -58,20 +58,18 @@ def _sample_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tilted block sums for each replication, pathwise-checked, and the count histogram.
 
-    Trajectories are generated block by block; within a block the chain
-    steps column-wise (inverse CDF per row of P).  Each sample is the atom
-    of ``law`` at the path's occupation count, so it lands exactly on an
-    atom of the law it is later compared with.  The per-letter sum uses
-    compensated accumulation so the pathwise identity check is not limited
-    by summation order at large n.
+    Paths are drawn block by block as runs (:func:`markov._runs`).  Each
+    letter of a state-x run carries jx, so the per-letter sum is
+    n0*j0 + n1*j1 with equal letters grouped, free of summation-order error.
+    It must match the atom of ``law`` at m = n1 to ``PATHWISE_TOL``, and
+    n0 + n1 must be n.  Each sample is that atom, so it lands exactly on an
+    atom of the law it is later compared with.
     """
     n = law.n
     j0 = -math.log2(chain.pi0) - binary_entropy(d)
     j1 = -math.log2(chain.pi1) - binary_entropy(d)
     # A symmetric chain's law is a single atom, shared by every count.
     atoms = np.broadcast_to(law.support, n + 1)
-    stay0 = 1.0 - chain.a
-    go0 = chain.b
 
     sums = np.empty(replications)
     histogram = np.zeros(n + 1, dtype=np.int64)  # replications per occupation count
@@ -79,29 +77,21 @@ def _sample_sums(
     for block, stream in enumerate(streams):
         start = block * _BLOCK_ROWS
         rows = min(_BLOCK_ROWS, replications - start)
-        rng = np.random.Generator(np.random.Philox(stream))
-        state = (rng.random(rows) >= chain.pi0).astype(np.int8)
-        counts = state.astype(np.int64)
-        path_sum = np.where(state == 0, j0, j1)
-        comp = np.zeros(rows)
-        for _ in range(1, n):
-            thresh = np.where(state == 0, stay0, go0)
-            state = (rng.random(rows) >= thresh).astype(np.int8)
-            counts += state
-            # Kahan step, vectorized over replications.
-            term = np.where(state == 0, j0, j1) - comp
-            tentative = path_sum + term
-            comp = (tentative - path_sum) - term
-            path_sum = tentative
-        affine = atoms[counts]
-        err = np.abs(path_sum - affine)
+        n0 = n1 = 0  # letters of each path in state 0 and in state 1
+        for states, lengths in _runs(chain, n, rows, np.random.Generator(np.random.Philox(stream))):
+            ones = (states * lengths).sum(axis=1)
+            n0, n1 = n0 + lengths.sum(axis=1) - ones, n1 + ones
+        if (n0 + n1 != n).any():
+            raise RuntimeError(f"sampled paths do not all have n={n} letters")
+        affine = atoms[n1]
+        err = np.abs(n0 * j0 + n1 * j1 - affine)
         if err.max() > PATHWISE_TOL:
             raise RuntimeError(
                 f"pathwise identity violated: per-letter sum and occupation-count "
                 f"form differ by {err.max():.3e} (> {PATHWISE_TOL:g})"
             )
         sums[start : start + rows] = affine
-        histogram += np.bincount(counts, minlength=n + 1)
+        histogram += np.bincount(n1, minlength=n + 1)
     return sums, histogram
 
 

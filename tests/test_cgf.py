@@ -22,6 +22,8 @@ from tiltedsum import (
     variance_exact,
 )
 
+from tiltedsum.cgf import _tilted_occupancy
+
 from conftest import LN2_DECIMAL, PAIR_GRID, decimal_limit
 
 LN2 = math.log(2.0)
@@ -70,6 +72,30 @@ def decimal_tilt(chain, x):
         r = 2 * kappa * q * (1 - q) / (kappa + disc.sqrt())
         u = (q - r) * (1 - q) * (1 - a) / ((1 - q - r) * q * (1 - b))
         return float(-u.ln() / (ell * LN2_DECIMAL))
+
+
+def decimal_occupancy(chain, log2_u):
+    """g = u*lambda'/lambda and c = u*g'(u) at u = 2^log2_u, in 60-digit decimals.
+
+    Differentiates the Perron root formula directly, whose cancellations
+    near u = 1 cost digits that 60 afford.  u > 1 is relabeled to 1/u, which
+    maps g to 1 - g and keeps c.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(chain.a), Decimal(chain.b)
+        if log2_u > 0:
+            a, b = b, a
+        u = (-abs(Decimal(log2_u)) * LN2_DECIMAL).exp()
+        gap = (1 - a) - (1 - b) * u
+        disc = (gap * gap + 4 * a * b * u).sqrt()
+        ddisc = (2 * a * b - (1 - b) * gap) / disc
+        lam = ((1 - a) + (1 - b) * u + disc) / 2
+        dlam = ((1 - b) + ddisc) / 2
+        d2lam = ((1 - b) ** 2 - ddisc * ddisc) / (2 * disc)
+        g = u * dlam / lam
+        c = u * ((dlam + u * d2lam) / lam - u * (dlam / lam) ** 2)
+        return float(1 - g if log2_u > 0 else g), float(c)
 
 
 # Fractions of the achievable interval at which the rate is swept; None
@@ -264,7 +290,7 @@ class TestRateFunction:
         # 1,000 log-uniform draws of (a, b) in [2e-12, 1) and their mirrors
         # (1-a, 1-b): slow-mixing, nearly alternating and in-between chains.
         rng = random.Random(20261018)
-        worst_rate = worst_theta = (0.0, None)
+        worst_rate = worst_theta = worst_occupancy = (0.0, None)
         for _ in range(1000):
             a, b = (math.exp(rng.uniform(math.log(2e-12), 0.0)) for _ in range(2))
             for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
@@ -279,8 +305,14 @@ class TestRateFunction:
                     theta = decimal_tilt(chain, x)
                     dev = abs(point.theta_star - theta) / abs(theta)
                     worst_theta = max(worst_theta, (dev, (chain.a, chain.b, x)))
+                    # The tilted occupancy and its log-slope behind L' and L''.
+                    log2_u = -point.theta_star * chain.ell
+                    got, want = _tilted_occupancy(chain, log2_u), decimal_occupancy(chain, log2_u)
+                    dev = max(abs(g / w - 1.0) for g, w in zip(got, want))
+                    worst_occupancy = max(worst_occupancy, (dev, (chain.a, chain.b, x)))
         assert worst_rate[0] <= 1e-13, worst_rate
         assert worst_theta[0] <= 1e-7, worst_theta
+        assert worst_occupancy[0] <= 1e-7, worst_occupancy
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_slope_at_optimal_tilt(self, a, b):

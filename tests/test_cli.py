@@ -17,6 +17,11 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def reject_constant(name):
+    """json.loads hook: Infinity, -Infinity and NaN are not valid JSON."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def parse_csv(text):
     lines = text.strip("\n").split("\n")
     columns = lines[0].split(",")
@@ -107,12 +112,9 @@ class TestRoundTrip:
         ],
     )
     def test_json_reemission_is_byte_identical(self, capsys, argv):
-        def strict(name):
-            raise ValueError(f"{name} is not valid JSON")
-
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert json.dumps(json.loads(out, parse_constant=strict), indent=2) + "\n" == out
+        assert json.dumps(json.loads(out, parse_constant=reject_constant), indent=2) + "\n" == out
 
     def test_machine_output_deterministic(self, capsys):
         argv = ("cgf", "--a", "0.2", "--b", "0.5", "--n", "16", "--format", "csv")
@@ -245,6 +247,25 @@ class TestRateDomain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestCgfTilts:
+    def test_infinite_tilt_exits_1(self, capsys):
+        code = main(["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta", "inf",
+                     "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_huge_tilts_stay_finite(self, capsys):
+        # n*theta*ell overflows here; theta*ell itself does not.
+        code, out = run_cli(capsys, "cgf", "--a", "0.1", "--b", "0.3", "--n", "10",
+                            "--theta-grid=1e307,5e307", "--format", "json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject_constant)["rows"]
+        assert [row["theta"] for row in rows] == [1e307, 5e307]
+        for row in rows:
+            assert row["lambda_n"] == pytest.approx(row["lambda_inf"], rel=1e-12)
 
 
 class TestValidation:

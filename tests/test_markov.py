@@ -79,10 +79,14 @@ class TestSampleTrajectory:
         assert t1.n == 10 and t1.seed == 42
 
     def test_frozen_sequences(self, moderate):
-        # Golden sequences pin the generator convention (Philox + inverse CDF).
-        assert sample_trajectory(moderate, 10, 42).states.tolist() == [0] * 10
+        # Golden sequences pin the generator convention: Philox, the first
+        # letter by inverse CDF on pi, then Geometric holding times by
+        # inverse CDF.
+        assert sample_trajectory(moderate, 10, 42).states.tolist() == [
+            0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
+        ]
         assert sample_trajectory(moderate, 10, 7).states.tolist() == [
-            0, 0, 0, 0, 0, 0, 0, 1, 0, 0,
+            0, 0, 0, 0, 0, 0, 1, 1, 0, 0,
         ]
 
     def test_states_binary(self, moderate):
@@ -105,6 +109,19 @@ class TestSampleTrajectory:
         pairs = s[:-1] * 2 + s[1:]
         freq = np.bincount(pairs, minlength=4) / (len(s) - 1)
         assert np.abs(freq - 0.25).max() < 4 * math.sqrt(0.25 * 0.75 / len(s))
+
+    def test_mean_run_lengths(self):
+        # Completed runs (neither the first nor the clipped last) are
+        # Geometric(a) in state 0 and Geometric(b) in state 1.
+        chain = derive_chain(0.02, 0.05)
+        states = sample_trajectory(chain, 2_000_000, 31).states
+        starts = np.flatnonzero(np.diff(states)) + 1
+        lengths = np.diff(starts)
+        run_states = states[starts[:-1]]
+        for state, p in ((0, chain.a), (1, chain.b)):
+            runs = lengths[run_states == state]
+            se = math.sqrt((1 - p) / p**2 / len(runs))
+            assert abs(runs.mean() - 1 / p) < 4 * se
 
     def test_rejects_bad_length(self, moderate):
         with pytest.raises(ValueError):

@@ -26,6 +26,9 @@ def variance_standard_error(chain, d, n, replications):
     return math.sqrt((mu4 - (replications - 3) / (replications - 1) * sigma2**2) / replications)
 
 
+KS_CHAINS = [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1), (0.3, 0.30000000000000004, 0.1)]
+
+
 class TestSimulate:
     def test_deterministic(self, moderate):
         r1 = simulate(moderate, 0.1, 30, 500, 42)
@@ -52,14 +55,21 @@ class TestSimulate:
         assert report.ks_exact == 0.0
 
     @pytest.mark.parametrize(
-        "a, b, d",
-        # The last pair is one ulp from symmetric: its atoms coincide in floating point.
-        [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1), (0.3, 0.30000000000000004, 0.1)],
+        "a, b, d, n",
+        # The last pair is one ulp from symmetric: its atoms coincide in
+        # floating point.  At n = 1 and 2 a path is one run or two; ids
+        # without an n are the n = 20 cases.
+        [pytest.param(a, b, d, 20, id=f"{a}-{b}-{d}") for a, b, d in KS_CHAINS]
+        + [
+            pytest.param(a, b, d, n, id=f"{a}-{b}-{d}-n{n}")
+            for n in (1, 2)
+            for a, b, d in KS_CHAINS
+        ],
     )
-    def test_ks_exact_shrinks_with_replications(self, a, b, d):
+    def test_ks_exact_shrinks_with_replications(self, a, b, d, n):
         chain = derive_chain(a, b)
-        small = simulate(chain, d, 20, 1000, 11).ks_exact
-        large = simulate(chain, d, 20, 100_000, 11).ks_exact
+        small = simulate(chain, d, n, 1000, 11).ks_exact
+        large = simulate(chain, d, n, 100_000, 11).ks_exact
         assert large < small
         # DKW: Pr(ks > eps) <= 2*exp(-2*reps*eps^2); failure probability 1e-9.
         assert large <= math.sqrt(math.log(2 / 1e-9) / (2 * 100_000))
@@ -96,28 +106,34 @@ class TestSimulate:
             simulate(moderate, 0.4, 10, 200, 1)
 
     def test_finite_n_standardization_flag(self, moderate):
-        default = simulate(moderate, 0.1, 40, 2000, 5)
+        # Same samples, different scale.  The distances need not differ: at
+        # n = 40 the count n*pi1 = 10 is an atom at z = 0 under either scale.
         finite = simulate(moderate, 0.1, 40, 2000, 5, use_finite_n_variance=True)
-        # Same samples, different scale: distances differ but both are KS-valid.
-        assert default.ks_normal != finite.ks_normal
         assert 0.0 <= finite.ks_normal <= 1.0
 
 
 class TestDistanceReference:
     """The distances against the per-sample formulas, evaluated at every draw."""
 
-    @pytest.mark.parametrize("a, b", [(0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05)])
-    def test_matches_per_sample_formulas(self, a, b):
+    @pytest.mark.parametrize(
+        "a, b, finite_n",
+        [
+            pytest.param(a, b, finite_n, id=f"{a}-{b}" + ("-finite_n" if finite_n else ""))
+            for finite_n in (False, True)
+            for a, b in [(0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05)]
+        ],
+    )
+    def test_matches_per_sample_formulas(self, a, b, finite_n):
         chain = derive_chain(a, b)
         d, n, reps, seed = 0.1, 40, 3000, 21
-        report = simulate(chain, d, n, reps, seed)
+        report = simulate(chain, d, n, reps, seed, use_finite_n_variance=finite_n)
         law = jn_law(chain, d, n)
         sums, histogram = montecarlo._sample_sums(chain, d, law, reps, seed)
         counts = np.repeat(np.arange(n + 1), histogram)
         atoms, cum = law.cdf_points()
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
         # ks_normal standardizes each sample's count, not its rounded atom.
-        scale = math.sqrt(n * tilted_stats(chain, d).v_sl)
+        scale = math.sqrt(variance_exact(chain, n) if finite_n else n * tilted_stats(chain, d).v_sl)
         standardized = np.sort(-chain.ell * (counts - n * chain.pi1) / scale)
         phi = NormalDist().cdf
         ks_exact = ks_normal = 0.0
@@ -178,8 +194,8 @@ class TestCltDistanceSweep:
 
 class TestPathwiseIdentity:
     def test_large_n_still_holds(self, moderate):
-        # The per-letter sum is compensated, so the identity check inside
-        # simulate stays under its 1e-10 budget even at longer blocks.
+        # The per-letter sum groups equal letters, so the identity check
+        # inside simulate stays under its 1e-10 budget at longer blocks.
         report = simulate(moderate, 0.1, 1600, 200, 8)
         assert report.replications == 200
 
