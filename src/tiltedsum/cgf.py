@@ -12,6 +12,9 @@ tilted transition matrix
 
     [[1-a, a*u], [b, (1-b)*u]].
 
+G_n and lambda_plus follow one tilt rule, that of ``exact``: max(1, u) is
+factored out and only weights <= 1 are formed, so no finite tilt overflows.
+
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
 empirical measure.  (Parameterizing the transform by theta rather than by
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _log2_pgf
-from .markov import ChainParams, derive_chain
+from .markov import ChainParams
 from .tilting import LN2
 
 # |theta*| below this leaves the large-deviation regime; the saddlepoint
@@ -74,71 +77,60 @@ class SaddlepointTail:
     near_gaussian: bool
 
 
-def perron_root(chain: ChainParams, u: float) -> float:
-    """Largest eigenvalue of [[1-a, a*u], [b, (1-b)*u]] for u > 0.
+def _tilted(chain: ChainParams, log2_u: float) -> tuple[float, float, float]:
+    """(lambda~, g, c) at u = 2^log2_u for any finite log2_u, by the tilt rule.
 
-    Evaluated as ((1-a) + (1-b)*u + sqrt(((1-a) - (1-b)*u)^2 + 4*a*b*u))/2;
-    every term is nonnegative, so the sum never cancels even when the two
-    diagonal entries are close.
+    lambda~ = lambda_plus(u)/max(1, u) is the Perron root of [[d0, a*w1], [b*w0, d1]]
+    with d0 = (1-a)*w0 and d1 = (1-b)*w1; g = d log lambda_plus / d log u is the
+    tilted occupancy of state 1 and c = u*g'(u).  With gap = d0 - d1 and
+    s = sqrt(gap^2 + 4*a*b*w0*w1), mu = (s - gap)/2 and nu = (s + gap)/2 give the
+    tilted chain's p01 = mu/lambda~ and p10 = nu/lambda~, so lambda~ = d0 + mu,
+    g = mu/s and c = a*b*w0*w1*(d0 + d1)/s^3.  The smaller of mu, nu is
+    a*b*w0*w1 over the larger and near u = 1 gap comes from expm1, so nothing cancels.
+    """
+    if not math.isfinite(log2_u):
+        raise ValueError(f"tilt log2(u)={log2_u!r} must be finite")
+    a, b = chain.a, chain.b
+    log2_w0, log2_w1 = min(0.0, -log2_u), min(0.0, log2_u)
+    w0, w1 = 2.0**log2_w0, 2.0**log2_w1
+    d0, d1 = (1.0 - a) * w0, (1.0 - b) * w1
+    if abs(log2_u) > 1.0:
+        gap = d0 - d1
+    else:  # d0 - d1 with each weight's distance from 1 taken from expm1
+        gap = (b - a) + (1.0 - a) * math.expm1(log2_w0 * LN2)
+        gap -= (1.0 - b) * math.expm1(log2_w1 * LN2)
+    off = a * b * w0 * w1
+    s = math.sqrt(gap * gap + 4.0 * off)
+    larger = 0.5 * (s + abs(gap))
+    mu = off / larger if gap > 0.0 else larger
+    return d0 + mu, mu / s, off * (d0 + d1) / s**3
+
+
+def perron_root(chain: ChainParams, u: float) -> float:
+    """Largest eigenvalue of [[1-a, a*u], [b, (1-b)*u]] for finite u > 0.
+
+    Evaluated as max(1, u) * lambda~ from :func:`_tilted`.
     """
     if not u > 0.0:
         raise ValueError(f"tilt argument u={u!r} must be positive")
-    a, b = chain.a, chain.b
-    diag0 = 1.0 - a
-    diag1 = (1.0 - b) * u
-    gap = diag0 - diag1
-    disc = math.sqrt(gap * gap + 4.0 * a * b * u)
-    return 0.5 * (diag0 + diag1 + disc)
-
-
-def _log2_perron(chain: ChainParams, log2_u: float) -> float:
-    """log2 lambda_plus(2^log2_u), safe for any finite log2_u.
-
-    Relabeling the states shows lambda_plus(u; a, b) = u * lambda_plus(1/u; b, a),
-    so tilts above u = 1 reduce to tilts below it and nothing overflows.
-    """
-    if log2_u > 0.0:
-        return log2_u + _log2_perron(derive_chain(chain.b, chain.a), -log2_u)
-    u = max(2.0**log2_u, 5e-324)  # floor keeps u > 0 after underflow
-    return math.log2(perron_root(chain, u))
-
-
-def _tilted_occupancy(chain: ChainParams, log2_u: float) -> tuple[float, float]:
-    """(g, c) at u = 2^log2_u: occupancy g = d log lambda_plus / d log u and c = u * g'(u).
-
-    The tilted chain has p01 = mu/lambda and p10 = nu/lambda, with mu = lambda - (1-a),
-    nu = mu + gap and gap = (1-a) - (1-b)*u: mu*nu = a*b*u and mu + nu = s.  So
-    g = mu/s and c = g*(1-g)*(p00 + p11)/(p01 + p10) = a*b*u*((1-a) + (1-b)*u)/s^3.
-    gap takes the form with the smaller terms and the smaller of mu, nu is a*b*u over
-    the larger, so nothing cancels; u > 1 is relabeled to 1/u (g -> 1 - g = nu/s).
-    """
-    relabel = log2_u > 0.0
-    a, b, log2_u = (chain.b, chain.a, -log2_u) if relabel else (chain.a, chain.b, log2_u)
-    u = max(2.0**log2_u, 5e-324)
-    if log2_u < -1.0:
-        gap = (1.0 - a) - (1.0 - b) * u
-    else:
-        gap = (b - a) - (1.0 - b) * math.expm1(log2_u * LN2)
-    abu = a * b * u
-    s = math.sqrt(gap * gap + 4.0 * abu)
-    larger = 0.5 * (s + abs(gap))
-    mu, nu = (abu / larger, larger) if gap > 0.0 else (larger, abu / larger)
-    c = abu * ((1.0 - a) + (1.0 - b) * u) / s**3
-    return (nu if relabel else mu) / s, c
+    lam, _, _ = _tilted(chain, math.log2(u))
+    return max(u, 1.0) * lam
 
 
 def cgf_limit(chain: ChainParams, theta: float) -> float:
     """Limiting base-2 CGF of the centered tilted sum, in bits."""
     if chain.symmetric:
         return 0.0
-    return theta * chain.pi1 * chain.ell + _log2_perron(chain, -theta * chain.ell)
+    log2_u = -theta * chain.ell
+    lam, _, _ = _tilted(chain, log2_u)
+    return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + math.log2(lam))
 
 
 def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
     """dL/dtheta, analytic: ell * (pi1 - g(u_theta))."""
     if chain.symmetric:
         return 0.0
-    g, _ = _tilted_occupancy(chain, -theta * chain.ell)
+    _, g, _ = _tilted(chain, -theta * chain.ell)
     return chain.ell * (chain.pi1 - g)
 
 
@@ -146,40 +138,27 @@ def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     """d^2 L / dtheta^2, analytic: ell^2 * ln 2 * u g'(u) at u_theta."""
     if chain.symmetric:
         return 0.0
-    _, c = _tilted_occupancy(chain, -theta * chain.ell)
+    _, _, c = _tilted(chain, -theta * chain.ell)
     return chain.ell**2 * LN2 * c
 
 
 def _cgf_finite_batch(chain: ChainParams, n: int, thetas: np.ndarray) -> np.ndarray:
-    """L_n at every theta of a 1-D array, one batched kernel call per branch.
+    """L_n at every theta of a 1-D array, from one batched kernel call.
 
-    Uses the rescaled transfer-matrix power; for extreme tilts where
-    u_theta itself is not representable, the state-relabeling identity
-    G_n(u; a, b) = u^n * G_n(1/u; b, a) takes over.
+    The kernel validates n and the tilts, also on a symmetric chain, whose
+    L_n is identically 0.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
-    largest = float(np.abs(thetas).max(initial=0.0)) * abs(chain.ell)
-    if not math.isfinite(largest):
-        raise ValueError(f"|theta*ell| must be finite at every theta, got up to {largest!r}")
+    log2_u = -thetas * chain.ell
+    log2_g = _log2_pgf(chain, n, log2_u)  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     if chain.symmetric:
         return np.zeros_like(thetas)
-    log2_u = -thetas * chain.ell
-    swap = log2_u > 512.0
-    per_letter = np.empty_like(log2_u)  # (1/n) log2 G_n(u_theta)
-    if not swap.all():
-        per_letter[~swap] = _log2_pgf(chain, n, np.maximum(2.0 ** log2_u[~swap], 5e-324)) / n
-    if swap.any():
-        swapped = log2_u[swap]
-        relabeled = derive_chain(chain.b, chain.a)
-        per_letter[swap] = swapped + _log2_pgf(relabeled, n, np.maximum(2.0**-swapped, 5e-324)) / n
-    return thetas * chain.pi1 * chain.ell + per_letter
+    return thetas * chain.pi1 * chain.ell + (np.maximum(log2_u, 0.0) + log2_g / n)
 
 
 def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
     """Finite-n base-2 CGF of the centered tilted sum, in bits.
 
-    Costs O(log n) products of 2x2 matrices, at any tilt.
+    Costs O(log n) products of 2x2 matrices, at any finite tilt.
     """
     return float(_cgf_finite_batch(chain, n, np.array([float(theta)]))[0])
 
@@ -187,8 +166,8 @@ def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
 def cgf_curve(chain: ChainParams, n: int, thetas) -> CGFCurve:
     """Sample the finite-n and limiting CGFs on a theta grid.
 
-    The finite-n values come from one batched kernel call per branch; the
-    limit is the closed-form Perron root at each theta.
+    The finite-n values come from one batched kernel call; the limit is the
+    closed-form Perron root at each theta.
     """
     thetas = np.asarray(thetas, dtype=float)
     lam_n = _cgf_finite_batch(chain, n, thetas)

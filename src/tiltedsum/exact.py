@@ -13,7 +13,9 @@ generating function come from one transfer matrix,
 
 raised to the power n-1 by binary powering.  With u a formal variable z the
 entries are polynomials whose coefficients give the PMF of N_n; with u a
-number they are rescaled scalars, batched over many u at once.  The
+number they are rescaled scalars, batched over many u at once, under one
+tilt rule that ``cgf`` shares: D(u) = max(1, u)*diag(w0, w1) with weights
+(w0, w1) = (1, u) for u <= 1 and (1/u, 1) for u > 1, never above 1.  The
 variance comes in both its double-sum and closed forms:
 
     Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
@@ -150,22 +152,29 @@ def _poly_mul(x, y):
     return out
 
 
-def _log2_pgf(chain: ChainParams, n: int, u: np.ndarray) -> np.ndarray:
-    """log2 G_n(u) for every entry of the 1-D array u > 0 in one batched pass.
+def _log2_pgf(chain: ChainParams, n: int, log2_u: np.ndarray) -> np.ndarray:
+    """log2 G_n(u) - n*max(0, log2 u) for every entry of the 1-D array log2_u.
 
-    The row vector pi^T D(u) and the matrices P D(u), one per u, are
-    rescaled before the first product, so u up to 2^512 cannot overflow.
+    One batched pass with weights <= 1 (the tilt rule above), rescaled after
+    every product, so no finite log2 u over- or underflows.  A weight w that
+    underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2 of the sum.
+    Raises ValueError if n < 1 or any log2_u is not finite.
     """
-    step = chain.transition_matrix * np.stack([np.ones_like(u), u], axis=-1)[:, None, :]
-    start = np.stack([np.full_like(u, chain.pi0), chain.pi1 * u], axis=-1)[:, None, :]
-    unscaled = np.zeros(len(u), dtype=np.int64)
+    if n < 1:
+        raise ValueError(f"blocklength n={n} must be >= 1")
+    finite = np.isfinite(log2_u)
+    if not finite.all():
+        raise ValueError(f"tilt log2(u) must be finite, got {float(log2_u[~finite][0])!r}")
+    weights = 2.0 ** np.minimum(0.0, np.stack([-log2_u, log2_u], axis=-1))[:, None, :]
+    start, step = chain.stationary * weights, chain.transition_matrix * weights
+    unscaled = np.zeros(len(log2_u), dtype=np.int64)
     mantissa, log2_scale = _power(
         _rescale(start, unscaled), _rescale(step, unscaled), n - 1, _scaled_mul
     )
     return np.log2(mantissa.sum(axis=(1, 2))) + log2_scale
 
 
-def occupation_pmf(chain: ChainParams, n: int, max_n: int = DP_MAX_N) -> OccupationPMF:
+def occupation_pmf(chain: ChainParams, n: int) -> OccupationPMF:
     """Exact PMF of N_n from the polynomial transfer matrix [[p00, p01 z], [p10, p11 z]].
 
     The coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 is Pr(N_n = m).
@@ -175,13 +184,13 @@ def occupation_pmf(chain: ChainParams, n: int, max_n: int = DP_MAX_N) -> Occupat
     Raises
     ------
     ValueError
-        If n < 1 or n exceeds ``max_n``.
+        If n < 1 or n exceeds ``DP_MAX_N``.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    if n > max_n:
+    if n > DP_MAX_N:
         raise ValueError(
-            f"blocklength n={n} exceeds the DP cap {max_n}; use the "
+            f"blocklength n={n} exceeds the DP cap {DP_MAX_N}; use the "
             f"generating-function routes for large n"
         )
     # Coefficient arrays of equal length in each matrix keep the sums aligned.
@@ -201,11 +210,10 @@ def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
     rescaling after every product, so the result neither overflows nor
     underflows for any finite u > 0 and costs O(log n).
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
     if not u > 0.0:
         raise ValueError(f"generating-function argument u={u!r} must be positive")
-    return float(_log2_pgf(chain, n, np.array([float(u)]))[0])
+    log2_u = math.log2(u)
+    return n * max(log2_u, 0.0) + float(_log2_pgf(chain, n, np.array([log2_u]))[0])
 
 
 def occupation_pgf(chain: ChainParams, n: int, u: float) -> float:
@@ -220,7 +228,7 @@ def occupation_pgf(chain: ChainParams, n: int, u: float) -> float:
     return 2.0**log2_g
 
 
-def jn_law(chain: ChainParams, d: float, n: int, max_n: int = DP_MAX_N) -> JnLaw:
+def jn_law(chain: ChainParams, d: float, n: int) -> JnLaw:
     """Exact law of the tilted block sum at distortion d and blocklength n."""
     require_interior(chain, d)
     if n < 1:
@@ -237,15 +245,13 @@ def jn_law(chain: ChainParams, d: float, n: int, max_n: int = DP_MAX_N) -> JnLaw
             support=np.array([n * mu_d]),
             probs=np.array([1.0]),
         )
-    pmf = occupation_pmf(chain, n, max_n=max_n)
+    pmf = occupation_pmf(chain, n)
     slope = -chain.ell
     support = offset + slope * np.arange(n + 1)
     return JnLaw(n=n, offset=offset, slope=slope, support=support, probs=pmf.probs)
 
 
-def centered_tail_probability(
-    chain: ChainParams, n: int, x: float, max_n: int = DP_MAX_N
-) -> float:
+def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
     """Exact Pr(J_n(D) - n*mu_D >= n*x), computed without any distortion level.
 
     The centered sum equals -ell*(N_n - n*pi1), so the tail is a sum of
@@ -253,7 +259,7 @@ def centered_tail_probability(
     """
     if chain.symmetric:
         return 1.0 if n * x <= 0.0 else 0.0
-    pmf = occupation_pmf(chain, n, max_n=max_n)
+    pmf = occupation_pmf(chain, n)
     atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1)
     return float(pmf.probs[atoms >= n * x].sum())
 
@@ -340,13 +346,7 @@ def variance_correction(chain: ChainParams, n: int) -> VarianceCorrection:
     )
 
 
-def centered_cumulants(
-    chain: ChainParams,
-    d: float,
-    n: int,
-    max_order: int = 6,
-    max_n: int = DP_MAX_N,
-) -> np.ndarray:
+def centered_cumulants(chain: ChainParams, d: float, n: int, max_order: int = 6) -> np.ndarray:
     """Cumulants kappa_2..kappa_max_order of J_n(D) - n*mu_D.
 
     Computed exactly from the count PMF's central moments via the standard
@@ -359,7 +359,7 @@ def centered_cumulants(
         raise ValueError(f"max_order={max_order} must lie in [2, 6]")
     if chain.symmetric:
         return np.zeros(max_order - 1)
-    pmf = occupation_pmf(chain, n, max_n=max_n)
+    pmf = occupation_pmf(chain, n)
     moments = np.concatenate(([1.0], pmf.central_moments(max_order)))  # index by order
     kappa = np.zeros(max_order + 1)  # kappa[1] = 0: moments are central
     for r in range(2, max_order + 1):

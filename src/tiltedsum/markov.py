@@ -107,9 +107,12 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
     The first letter is drawn from pi by inverse CDF; runs then alternate states, with
     Geometric(a) lengths in state 0 and Geometric(b) in state 1 (the first run too: the
     chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  Run ends are clipped
-    at n, so each row's lengths sum to exactly n; k*rows <= ``_CHUNK_ELEMENTS``.
+    at n, so each row's lengths sum to exactly n.  A chunk holds k <= n runs per row, with
+    k*rows <= ``_CHUNK_ELEMENTS`` and k <= E + 4*sqrt(E) for the expected run count
+    E = 1 + (n-1)*2ab/(a+b) of a path, so a short path draws few more runs than it uses.
     """
-    k = min(n, _CHUNK_ELEMENTS // rows)
+    runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
+    k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
     parity = np.arange(k, dtype=np.uint8) & 1
     # 1/ln(1-p) of the j-th run of a chunk that starts in state 0 (row 0) or 1 (row 1).
     inv_log_stay = (1.0 / np.log1p(-np.array([chain.a, chain.b])))[np.array([[0], [1]]) ^ parity]

@@ -24,6 +24,7 @@ MIN_REPLICATIONS = 100
 MAX_SAMPLE_BUDGET = 10**8  # replications * n
 _BLOCK_ROWS = 4096
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -61,13 +62,17 @@ def _sample_sums(
     Paths are drawn block by block as runs (:func:`markov._runs`).  Each
     letter of a state-x run carries jx, so the per-letter sum is
     n0*j0 + n1*j1 with equal letters grouped, free of summation-order error.
-    It must match the atom of ``law`` at m = n1 to ``PATHWISE_TOL``, and
-    n0 + n1 must be n.  Each sample is that atom, so it lands exactly on an
-    atom of the law it is later compared with.
+    It must match the atom of ``law`` at m = n1 to max(``PATHWISE_TOL``,
+    64*eps*n*L) with L = max(1, |log2 a|, |log2 b|, |log2 pi0|, |log2 pi1|),
+    since both forms add terms of up to about n*L bits and round at eps
+    times that; and n0 + n1 must be n.  Each sample is that atom, so it
+    lands exactly on an atom of the law it is later compared with.
     """
     n = law.n
     j0 = -math.log2(chain.pi0) - binary_entropy(d)
     j1 = -math.log2(chain.pi1) - binary_entropy(d)
+    bits = max(1.0, *(abs(math.log2(p)) for p in (chain.a, chain.b, chain.pi0, chain.pi1)))
+    tol = max(PATHWISE_TOL, 64.0 * _EPS * n * bits)
     # A symmetric chain's law is a single atom, shared by every count.
     atoms = np.broadcast_to(law.support, n + 1)
 
@@ -85,10 +90,10 @@ def _sample_sums(
             raise RuntimeError(f"sampled paths do not all have n={n} letters")
         affine = atoms[n1]
         err = np.abs(n0 * j0 + n1 * j1 - affine)
-        if err.max() > PATHWISE_TOL:
+        if err.max() > tol:
             raise RuntimeError(
                 f"pathwise identity violated: per-letter sum and occupation-count "
-                f"form differ by {err.max():.3e} (> {PATHWISE_TOL:g})"
+                f"form differ by {err.max():.3e} (> {tol:g})"
             )
         sums[start : start + rows] = affine
         histogram += np.bincount(n1, minlength=n + 1)
@@ -156,7 +161,6 @@ def simulate(
     replications: int,
     seed: int,
     use_finite_n_variance: bool = False,
-    max_budget: int = MAX_SAMPLE_BUDGET,
 ) -> SimReport:
     """Simulate the tilted block sum and compare with the exact theory.
 
@@ -170,9 +174,9 @@ def simulate(
         raise ValueError(f"replications={replications} must be >= {MIN_REPLICATIONS}")
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    if replications * n > max_budget:
+    if replications * n > MAX_SAMPLE_BUDGET:
         raise ValueError(
-            f"replications*n = {replications * n} exceeds the sample budget {max_budget}"
+            f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"
         )
     law = jn_law(chain, d, n)
     sums, histogram = _sample_sums(chain, d, law, replications, seed)

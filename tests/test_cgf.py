@@ -22,7 +22,7 @@ from tiltedsum import (
     variance_exact,
 )
 
-from tiltedsum.cgf import _tilted_occupancy
+from tiltedsum.cgf import _tilted
 
 from conftest import LN2_DECIMAL, PAIR_GRID, decimal_limit
 
@@ -74,11 +74,12 @@ def decimal_tilt(chain, x):
         return float(-u.ln() / (ell * LN2_DECIMAL))
 
 
-def decimal_occupancy(chain, log2_u):
-    """g = u*lambda'/lambda and c = u*g'(u) at u = 2^log2_u, in 60-digit decimals.
+def decimal_tilted(chain, log2_u):
+    """lambda~ = lambda_plus/max(1, u), g = u*lambda'/lambda and c = u*g'(u) at u = 2^log2_u.
 
-    Differentiates the Perron root formula directly, whose cancellations
-    near u = 1 cost digits that 60 afford.  u > 1 is relabeled to 1/u, which
+    In 60-digit decimals, differentiating the Perron root formula directly,
+    whose cancellations near u = 1 cost digits that 60 afford.  u > 1 is
+    relabeled to 1/u: lambda_plus(u; a, b) = u*lambda_plus(1/u; b, a), which
     maps g to 1 - g and keeps c.
     """
     with localcontext() as ctx:
@@ -95,7 +96,7 @@ def decimal_occupancy(chain, log2_u):
         d2lam = ((1 - b) ** 2 - ddisc * ddisc) / (2 * disc)
         g = u * dlam / lam
         c = u * ((dlam + u * d2lam) / lam - u * (dlam / lam) ** 2)
-        return float(1 - g if log2_u > 0 else g), float(c)
+        return float(lam), float(1 - g if log2_u > 0 else g), float(c)
 
 
 # Fractions of the achievable interval at which the rate is swept; None
@@ -136,6 +137,17 @@ class TestPerronRoot:
     def test_rejects_nonpositive(self, moderate):
         with pytest.raises(ValueError):
             perron_root(moderate, 0.0)
+
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    @pytest.mark.parametrize("u", [1e200, 1e300])
+    def test_huge_u_matches_decimal_root(self, a, b, u):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            a_, b_, u_ = Decimal(a), Decimal(b), Decimal(u)
+            gap = (1 - a_) - (1 - b_) * u_
+            root = ((1 - a_) + (1 - b_) * u_ + (gap * gap + 4 * a_ * b_ * u_).sqrt()) / 2
+            got = Decimal(perron_root(derive_chain(a, b), u))
+            assert abs(got / root - 1) <= Decimal("1e-14")
 
 
 class TestFiniteCGF:
@@ -183,13 +195,15 @@ class TestPoweredKernel:
                 assert abs(cgf_finite(chain, n, theta) - decimal_cgf(chain, n, theta)) <= 1e-13
 
     @pytest.mark.parametrize("a,b", [(0.02, 0.05), (1e-3, 2e-3), (2e-12, 0.3)])
-    def test_tilts_near_the_state_swap(self, a, b):
-        # log2_u up to 511.99 runs the direct branch with u near 2^512, whose
-        # first squaring would overflow unless rescaled; 512.01 runs the
-        # state-swapped branch.
+    def test_extreme_and_near_unit_tilts(self, a, b):
+        # The kernel weights the states by (1, u) or (1/u, 1): near
+        # log2_u = +-512 the small weight's first squaring leaves float range
+        # unless rescaled, at +-1100 the small weight rounds to 0, and +-0.5
+        # and +-1e-9 lie on either side of u = 1, where the rule switches.
         chain = derive_chain(a, b)
+        tilts = (500.0, 511.99, 512.01, -511.99, -1100.0, -0.5, -1e-9, 1e-9, 0.5, 1100.0)
         for n in (2, 1000, 10**6):
-            for log2_u in (500.0, 511.99, 512.01, -511.99):
+            for log2_u in tilts:
                 theta = -log2_u / chain.ell
                 tol = 8 * EPS * (1.0 + abs(log2_u))
                 assert abs(cgf_finite(chain, n, theta) - decimal_cgf(chain, n, theta)) <= tol
@@ -242,6 +256,16 @@ class TestLimitCGF:
         slope0 = (cgf_limit(chain, h) - cgf_limit(chain, -h)) / (2 * h)
         assert abs(slope0) < 1e-8
 
+    def test_nonfinite_tilt_rejected(self, moderate):
+        for theta in (math.inf, -math.inf, math.nan):
+            for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
+                with pytest.raises(ValueError):
+                    func(moderate, theta)
+            with pytest.raises(ValueError):
+                cgf_finite(moderate, 5, theta)
+        with pytest.raises(ValueError):
+            perron_root(moderate, math.inf)
+
     def test_analytic_derivatives_match_differences(self, moderate):
         # Central differences are the cross-check only; the second-difference
         # quotient carries ~eps/h^2 rounding noise, hence the wider band.
@@ -290,7 +314,7 @@ class TestRateFunction:
         # 1,000 log-uniform draws of (a, b) in [2e-12, 1) and their mirrors
         # (1-a, 1-b): slow-mixing, nearly alternating and in-between chains.
         rng = random.Random(20261018)
-        worst_rate = worst_theta = worst_occupancy = (0.0, None)
+        worst_rate = worst_theta = worst_root = worst_occupancy = (0.0, ())
         for _ in range(1000):
             a, b = (math.exp(rng.uniform(math.log(2e-12), 0.0)) for _ in range(2))
             for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
@@ -305,13 +329,18 @@ class TestRateFunction:
                     theta = decimal_tilt(chain, x)
                     dev = abs(point.theta_star - theta) / abs(theta)
                     worst_theta = max(worst_theta, (dev, (chain.a, chain.b, x)))
-                    # The tilted occupancy and its log-slope behind L' and L''.
+                    # The factored Perron root behind L, and the tilted
+                    # occupancy and its log-slope behind L' and L''.
                     log2_u = -point.theta_star * chain.ell
-                    got, want = _tilted_occupancy(chain, log2_u), decimal_occupancy(chain, log2_u)
+                    lam, *got = _tilted(chain, log2_u)
+                    lam_want, *want = decimal_tilted(chain, log2_u)
+                    dev = abs(lam / lam_want - 1.0)
+                    worst_root = max(worst_root, (dev, (chain.a, chain.b, x)))
                     dev = max(abs(g / w - 1.0) for g, w in zip(got, want))
                     worst_occupancy = max(worst_occupancy, (dev, (chain.a, chain.b, x)))
         assert worst_rate[0] <= 1e-13, worst_rate
         assert worst_theta[0] <= 1e-7, worst_theta
+        assert worst_root[0] <= 4 * EPS, worst_root
         assert worst_occupancy[0] <= 1e-7, worst_occupancy
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tiltedsum import (
+    DP_MAX_N,
     binary_entropy,
     centered_cumulants,
     derive_chain,
@@ -134,7 +135,7 @@ class TestOccupationPMF:
 
     def test_cap_enforced(self, moderate):
         with pytest.raises(ValueError):
-            occupation_pmf(moderate, 100, max_n=50)
+            occupation_pmf(moderate, DP_MAX_N + 1)
 
 
 class TestOccupationPGF:
@@ -166,6 +167,13 @@ class TestOccupationPGF:
     def test_rejects_nonpositive_u(self, moderate):
         with pytest.raises(ValueError):
             occupation_pgf(moderate, 5, 0.0)
+
+    def test_rejects_nonfinite_u(self, moderate):
+        from tiltedsum import occupation_log2_pgf
+
+        for u in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                occupation_log2_pgf(moderate, 5, u)
 
     def test_huge_values_saturate(self, moderate):
         # Beyond float range the linear-scale value saturates to inf while

@@ -95,11 +95,18 @@ class TestSimulate:
         with pytest.raises(ValueError, match="DP cap"):
             simulate(moderate, 0.1, DP_MAX_N + 1, 100, 1)
 
+    def test_pathwise_check_scales_with_the_atoms(self):
+        # The atom offset - ell*m is formed from terms near n*|log2 pi0| =
+        # 1.2e6 bits, whose rounding alone passes an absolute 1e-10.
+        chain = derive_chain(0.5, 1.1e-12)
+        report = simulate(chain, 5e-13, 30_000, 200, 5)
+        assert report.ks_exact <= math.sqrt(math.log(2 / 1e-9) / (2 * 200))
+
     def test_input_validation(self, moderate):
         with pytest.raises(ValueError):
             simulate(moderate, 0.1, 10, 50, 1)  # too few replications
         with pytest.raises(ValueError):
-            simulate(moderate, 0.1, 10, 200, 1, max_budget=1000)
+            simulate(moderate, 0.1, 10_000, 10_001, 1)  # replications*n > 10^8
         from tiltedsum import RegimeError
 
         with pytest.raises(RegimeError):

@@ -1,0 +1,152 @@
+"""Record the CLI's stdout and exit code over a fixed matrix of calls.
+
+Usage::
+
+    python3 tools/stdout_matrix.py SRC OUTDIR
+
+runs ``python -m tiltedsum.cli`` with ``SRC`` (a checkout's ``src``
+directory) first on ``PYTHONPATH``, once per call of the matrix and two
+calls at a time, and writes one file per call to ``OUTDIR``: the argument
+list, the exit code and the exact stdout.  Two runs, say of a parent
+checkout and of a change, compare with ``diff -r``; the call list and the
+file names depend on nothing but this script, so the same call lands in
+the same file on both sides.
+
+The matrix runs every chain subcommand in table, csv and json on each chain
+of ``CHAINS``, with arguments inside that chain's valid ranges; then
+``paper-tables``, the ``verify`` variants, every ``--help``, and calls that
+exit 1 (invalid input) and 3 (unwritable output).  Only the standard
+library is used, so the script runs against any checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CHAINS = [
+    (0.1, 0.3),
+    (0.6, 0.7),
+    (0.02, 0.05),
+    (1e-9, 2e-9),
+    (0.3, 0.30000000000000004),
+    (0.5, 0.5),
+]
+FORMATS = ("table", "csv", "json")
+SUBCOMMANDS = (
+    "jtilt", "stats", "pmf", "variance-table", "cgf", "rate", "tail", "simulate", "figure",
+    "paper-tables", "verify",
+)
+# Tilts theta*ell on both sides of u = 1, near it and far from it.
+TILTS = (-1100.0, -600.0, -20.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 20.0, 600.0, 1100.0)
+# Fractions of the achievable interval (lo, hi) at which the rate is taken.
+RATE_FRACTIONS = (1e-8, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-8)
+
+
+def chain_calls(a: float, b: float) -> list[list[str]]:
+    """Argument lists of the chain subcommands for (a, b), without --format."""
+    chain = ["--a", repr(a), "--b", repr(b)]
+    pi0, pi1 = b / (a + b), a / (a + b)
+    d = repr(min(pi0, pi1) / 4)
+    ell = math.log2(a) - math.log2(b)
+    if ell:
+        thetas = ",".join(repr(t / ell) for t in TILTS)
+        lo, hi = sorted((ell * pi1, -ell * pi0))
+        xs = ",".join(repr(lo + f * (hi - lo)) for f in RATE_FRACTIONS)
+        x_tail = repr(0.3 * hi)
+    else:  # symmetric: any grid; rate and tail exit 1
+        thetas, xs, x_tail = "-2,0,2", "0.1", "0.1"
+    return [
+        ["jtilt", *chain, "--distortion", d],
+        ["stats", *chain],
+        ["stats", *chain, "--distortion", d],
+        ["pmf", *chain, "--distortion", d, "--n", "12"],
+        ["variance-table", *chain, "--n-grid", "1,2,5,10,50,1000,100000"],
+        ["cgf", *chain, "--n", "64", f"--theta-grid={thetas}"],
+        ["cgf", *chain, "--n", "1000000", f"--theta-grid={thetas}"],
+        ["rate", *chain, f"--x-grid={xs}"],
+        ["tail", *chain, "--n", "100", "--x", x_tail],
+        ["simulate", *chain, "--distortion", d, "--n", "16", "--reps", "4000", "--seed", "1"],
+        ["simulate", *chain, "--distortion", d, "--n", "300", "--reps", "1000", "--seed", "2"],
+        ["figure", *chain, "--n-grid", "1:40"],
+    ]
+
+
+def matrix(missing_dir: str) -> list[list[str]]:
+    """Every call, in a fixed order."""
+    calls = []
+    for a, b in CHAINS:
+        for call in chain_calls(a, b):
+            calls += [[*call, "--format", fmt] for fmt in FORMATS]
+    calls += [["paper-tables", "--format", fmt] for fmt in FORMATS]
+    calls += [
+        ["verify"],
+        ["verify", "--json"],
+        ["verify", "--format", "csv"],
+        ["verify", "--a", "0.02", "--b", "0.05", "--distortion", "0.05"],
+        ["verify", "--perturb", "1e-6"],  # exits 2
+    ]
+    calls += [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
+    calls += [
+        # Seen failing before: a pathwise bound tighter than the atoms' rounding.
+        ["simulate", "--a", "0.5", "--b", "1.1e-12", "--distortion", "5e-13", "--n", "30000",
+         "--reps", "200", "--seed", "5"],
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=1e307,5e307"],
+        # Exit 1: invalid input.
+        ["stats", "--a", "1.5", "--b", "0.3"],
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta", "inf"],
+        ["cgf", "--a", "0.5", "--b", "0.5", "--n", "10", "--theta", "inf"],
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "0", "--theta", "1"],
+        ["rate", "--a", "0.1", "--b", "0.3", "--x", "1.188721875540867"],
+        ["pmf", "--a", "0.1", "--b", "0.3", "--distortion", "0.1", "--n", "40000"],
+        ["simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.1", "--n", "10000",
+         "--reps", "10001"],
+        ["simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.4", "--n", "10",
+         "--reps", "200"],
+        ["verify", "--a", "0.1"],
+        ["nonsense"],
+        # Exit 3: the output directory does not exist.
+        ["stats", "--a", "0.1", "--b", "0.3", "--out", os.path.join(missing_dir, "out.csv")],
+    ]
+    return calls
+
+
+def run(src: str, argv: list[str]) -> tuple[int, bytes]:
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tiltedsum.cli", *argv], env=env, capture_output=True, timeout=600
+    )
+    return proc.returncode, proc.stdout
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="the src directory of the checkout to run")
+    parser.add_argument("outdir", help="directory for one file per call (created)")
+    args = parser.parse_args()
+    src = os.path.abspath(args.src)
+    out = Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        calls = matrix(os.path.join(scratch, "missing"))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda argv: run(src, argv), calls))
+    for i, (argv, (code, stdout)) in enumerate(zip(calls, results)):
+        # The missing directory's random name would differ between runs.
+        shown = ["<missing>/out.csv" if arg.endswith("out.csv") else arg for arg in argv]
+        name = f"{i:03d}-{argv[0].lstrip('-')}.txt"
+        header = f"$ tiltedsum {' '.join(shown)}\nexit {code}\n---\n".encode()
+        (out / name).write_bytes(header + stdout)
+    print(f"{len(calls)} calls written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
