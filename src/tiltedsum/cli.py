@@ -1,5 +1,10 @@
 """Command-line interface: tables, CSV/JSON emission, and run-time verification.
 
+Each subcommand that requires a chain (``--a``/``--b``) emits one table
+through ``_run_table``: its handler maps the arguments and the chain to
+rows, and the columns are the first row's keys.  ``paper-tables`` and
+``verify`` write their own output.
+
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
@@ -12,6 +17,7 @@ codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,7 +47,6 @@ from . import (
     variance_correction,
     variance_exact,
 )
-from .errors import RegimeError
 
 DEFAULT_SEED = 20250809
 
@@ -69,21 +74,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str, cast=float) -> list:
-    """Parse 'start:stop[:step]' (stop inclusive) or a comma list."""
+    """Parse 'start:stop[:step]' (stop inclusive) or a comma list; either must be non-empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"grid {text!r} must be start:stop[:step]")
         start, stop = cast(parts[0]), cast(parts[1])
         step = cast(parts[2]) if len(parts) == 3 else cast(1)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"grid {text!r} must have a finite start, stop and step")
         if step <= 0:
             raise ValueError(f"grid step must be positive in {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise ValueError(f"empty grid {text!r}")
         values = [start + k * step for k in range(count)]
-        return [cast(round(v)) if cast is int else v for v in values]
-    return [cast(tok) for tok in text.split(",") if tok]
+    else:
+        values = [cast(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"empty grid {text!r}")
+    return values
 
 
 def _format_value(v) -> str:
@@ -117,25 +125,11 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
 
 
 def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
-    return _dump_json({"command": command, "rows": _json_rows(columns, rows)})
+    return _dump_json({"command": command, "rows": [{c: row[c] for c in columns} for row in rows]})
 
 
 def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def _json_rows(columns: list[str], rows: list[dict]) -> list[dict]:
-    return [{c: _json_value(row[c]) for c in columns} for row in rows]
-
-
-def _json_value(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
 
 
 def render_table(columns: list[str], rows: list[dict], decimals: int | None = None) -> str:
@@ -145,7 +139,7 @@ def render_table(columns: list[str], rows: list[dict], decimals: int | None = No
         return _format_value(v)
 
     cells = [[show(row[c]) for c in columns] for row in rows]
-    widths = [max(len(c), *(len(r[i]) for r in cells)) if cells else len(c) for i, c in enumerate(columns)]
+    widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
     for r in cells:
         out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
@@ -161,31 +155,33 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, command: str, columns: list[str], rows: list[dict]) -> None:
+def _run_table(handler, args) -> int:
+    """Run a chain subcommand: its rows for the chain of ``--a``/``--b``, as one table.
+
+    The columns are the first row's keys, and the JSON ``command`` field is
+    the subcommand's name.
+    """
+    rows = handler(args, derive_chain(args.a, args.b))
+    columns = list(rows[0])
     if args.format == "csv":
         text = render_csv(columns, rows)
     elif args.format == "json":
-        text = render_json(command, columns, rows)
+        text = render_json(args.command, columns, rows)
     else:
         text = render_table(columns, rows)
     _write(args, text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_jtilt(args) -> int:
-    chain = derive_chain(args.a, args.b)
-    rows = [
-        {"x": x, "j_value": jtilt(chain, args.distortion, x)} for x in (0, 1)
-    ]
-    _emit(args, "jtilt", ["x", "j_value"], rows)
-    return 0
+def cmd_jtilt(args, chain) -> list[dict]:
+    return [{"x": x, "j_value": jtilt(chain, args.distortion, x)} for x in (0, 1)]
 
 
-def cmd_stats(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_stats(args, chain) -> list[dict]:
     row = {
         "a": chain.a,
         "b": chain.b,
@@ -208,22 +204,18 @@ def cmd_stats(args) -> int:
     if args.distortion is not None:
         point = ba_operating_point(chain, args.distortion)
         row.update(mu_d=stats.mu_d, beta=point.beta, q0=point.q0, q1=point.q1)
-    _emit(args, "stats", list(row), [row])
-    return 0
+    return [row]
 
 
-def cmd_pmf(args) -> int:
-    law = jn_law(derive_chain(args.a, args.b), args.distortion, args.n)
-    rows = [
+def cmd_pmf(args, chain) -> list[dict]:
+    law = jn_law(chain, args.distortion, args.n)
+    return [
         {"m": m, "prob": float(p), "j_value": float(j)}
         for m, (p, j) in enumerate(zip(law.probs, law.support))
     ]
-    _emit(args, "pmf", ["m", "prob", "j_value"], rows)
-    return 0
 
 
-def cmd_variance_table(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_variance_table(args, chain) -> list[dict]:
     grid = _parse_grid(args.n_grid, int) if args.n_grid else [1, 2, 5, 10, 50]
     rows = []
     for n in grid:
@@ -231,27 +223,22 @@ def cmd_variance_table(args) -> int:
         rows.append({"n": n, "var_total": total, "var_per_letter": total / n})
     # "inf" rather than a float: JSON has no literal for infinity.
     rows.append({"n": "inf", "var_total": "inf", "var_per_letter": chain.v_sl})
-    _emit(args, "variance-table", ["n", "var_total", "var_per_letter"], rows)
-    return 0
+    return rows
 
 
-def cmd_cgf(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_cgf(args, chain) -> list[dict]:
     if args.theta is not None:
         thetas = [args.theta]
     else:
         thetas = _parse_grid(args.theta_grid or "-2:2:0.25", float)
     curve = cgf_curve(chain, args.n, thetas)
-    rows = [
+    return [
         {"theta": float(t), "lambda_n": float(ln), "lambda_inf": float(li)}
         for t, ln, li in zip(curve.thetas, curve.lambda_n, curve.lambda_inf)
     ]
-    _emit(args, "cgf", ["theta", "lambda_n", "lambda_inf"], rows)
-    return 0
 
 
-def cmd_rate(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_rate(args, chain) -> list[dict]:
     if args.x is not None:
         xs = [args.x]
     elif args.x_grid:
@@ -262,12 +249,10 @@ def cmd_rate(args) -> int:
     for x in xs:
         point = rate_function(chain, x)
         rows.append({"x": point.x, "theta_star": point.theta_star, "rate": point.rate})
-    _emit(args, "rate", ["x", "theta_star", "rate"], rows)
-    return 0
+    return rows
 
 
-def cmd_tail(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_tail(args, chain) -> list[dict]:
     estimate = saddlepoint_tail(chain, args.n, args.x)
     exact = centered_tail_probability(chain, args.n, args.x)
     row = {
@@ -280,12 +265,10 @@ def cmd_tail(args) -> int:
         "ratio": estimate.probability / exact if exact > 0 else "inf",
         "near_gaussian": estimate.near_gaussian,
     }
-    _emit(args, "tail", list(row), [row])
-    return 0
+    return [row]
 
 
-def cmd_simulate(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_simulate(args, chain) -> list[dict]:
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {
         "n": report.n,
@@ -297,25 +280,20 @@ def cmd_simulate(args) -> int:
         "ks_exact": report.ks_exact,
         "ks_normal": report.ks_normal,
     }
-    _emit(args, "simulate", list(row), [row])
-    return 0
+    return [row]
 
 
-def cmd_figure(args) -> int:
-    chain = derive_chain(args.a, args.b)
+def cmd_figure(args, chain) -> list[dict]:
     grid = _parse_grid(args.n_grid, int) if args.n_grid else list(range(1, 201))
-    stats = tilted_stats(chain, min(chain.pi0, chain.pi1) / 2)
-    rows = [
+    return [
         {
             "n": n,
             "var_per_letter": variance_exact(chain, n) / n,
-            "v_sl": stats.v_sl,
-            "v_iid": stats.v_iid,
+            "v_sl": chain.v_sl,
+            "v_iid": chain.v_iid,
         }
         for n in grid
     ]
-    _emit(args, "figure", ["n", "var_per_letter", "v_sl", "v_iid"], rows)
-    return 0
 
 
 def _status(*checks) -> str:
@@ -358,7 +336,7 @@ def cmd_paper_tables(args) -> int:
     ]
     failures = sum(row["status"] == "FAIL" for _, _, rows in sections for row in rows)
     if args.format == "json":
-        tables = {key: _json_rows(list(rows[0]), rows) for key, _, rows in sections}
+        tables = {key: rows for key, _, rows in sections}
         text = _dump_json({"command": "paper-tables", **tables, "pass": failures == 0})
     elif args.format == "csv":
         text = "".join(render_csv(list(rows[0]), rows) for _, _, rows in sections)
@@ -503,7 +481,10 @@ def _command(sub, func, help, options=None, chain=True) -> None:
 
     Its arguments are ``--a``/``--b`` (required when ``chain`` is true, absent
     when it is None), then ``options`` (flag -> add_argument keywords), then
-    the shared ``--format`` and ``--out``.
+    the shared ``--format`` and ``--out``.  A subcommand that requires a
+    chain emits one table through :func:`_run_table`, which passes the
+    chain to ``func`` for its rows; any other ``func`` takes the parsed
+    arguments, writes its own output and returns the exit code.
     """
     p = sub.add_parser(func.__name__.removeprefix("cmd_").replace("_", "-"), help=help)
     if chain is not None:
@@ -513,7 +494,7 @@ def _command(sub, func, help, options=None, chain=True) -> None:
         p.add_argument(flag, **kwargs)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.set_defaults(func=func)
+    p.set_defaults(func=functools.partial(_run_table, func) if chain else func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,7 +538,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, RegimeError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

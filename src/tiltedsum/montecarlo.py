@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JnLaw, jn_law, occupation_pmf, variance_exact
+from .exact import JnLaw, jn_law, occupation_pmf
 from .markov import ChainParams, _runs
 from .tilting import binary_entropy, require_interior
 
@@ -119,55 +119,36 @@ def _sup_distance(f: np.ndarray, f_left: np.ndarray, g: np.ndarray, g_left: np.n
     return float(max(np.abs(f - g).max(), np.abs(f_left - g_left).max()))
 
 
-def _scale(chain: ChainParams, n: int, use_finite_n_variance: bool) -> float:
-    """Standardization scale sqrt(n*V_sl), or sqrt(Var(J_n)) when asked."""
-    if use_finite_n_variance:
-        return math.sqrt(variance_exact(chain, n))
-    return math.sqrt(n * chain.v_sl)
-
-
-def _normal_distance(chain: ChainParams, n: int, probs: np.ndarray, finite_n: bool) -> float:
+def _normal_distance(chain: ChainParams, n: int, probs: np.ndarray) -> float:
     """Sup-distance from Phi of the standardized sum whose count m has mass probs[m].
 
-    The count m sits at -ell*(m - n*pi1)/sqrt(n*V).  Standardizing the
+    The count m sits at -ell*(m - n*pi1)/sqrt(n*V_sl).  Standardizing the
     count, not the rounded atoms offset - ell*m, keeps the distance
     meaningful on chains a few ulps from symmetric, where ell is tiny.
     """
-    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / _scale(chain, n, finite_n)
+    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / math.sqrt(n * chain.v_sl)
     order = np.argsort(atoms)
     cum = np.cumsum(probs[order])
     phi = _phi(atoms[order])
     return _sup_distance(cum, np.concatenate(([0.0], cum[:-1])), phi, phi)
 
 
-def exact_normal_distance(
-    chain: ChainParams, n: int, use_finite_n_variance: bool = False
-) -> float:
-    """Sup-distance between the standardized exact law and the normal CDF.
+def exact_normal_distance(chain: ChainParams, n: int) -> float:
+    """Sup-distance between the exact law, standardized by n*V_sl, and the normal CDF.
 
     This isolates the CLT approximation error from sampling noise.
-    Standardization uses the limiting variance unless
-    ``use_finite_n_variance`` is set.
     """
     if chain.symmetric:
         raise ValueError("symmetric chain: the centered sum is a point mass")
-    return _normal_distance(chain, n, occupation_pmf(chain, n).probs, use_finite_n_variance)
+    return _normal_distance(chain, n, occupation_pmf(chain, n).probs)
 
 
-def simulate(
-    chain: ChainParams,
-    d: float,
-    n: int,
-    replications: int,
-    seed: int,
-    use_finite_n_variance: bool = False,
-) -> SimReport:
+def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int) -> SimReport:
     """Simulate the tilted block sum and compare with the exact theory.
 
     ``ks_exact`` measures the empirical CDF against the exact finite-n law
     and ``ks_normal`` the standardized empirical CDF against the normal;
-    standardization uses n*V_sl (or the exact finite-n variance when
-    ``use_finite_n_variance`` is set, as a diagnostic).
+    standardization uses n*V_sl.
     """
     require_interior(chain, d)
     if replications < MIN_REPLICATIONS:
@@ -199,7 +180,7 @@ def simulate(
         # of a point mass at 0 from Phi, which is 1/2.
         ks_normal = 0.5
     else:
-        ks_normal = _normal_distance(chain, n, histogram / replications, use_finite_n_variance)
+        ks_normal = _normal_distance(chain, n, histogram / replications)
     return SimReport(
         n=n,
         replications=replications,
@@ -212,12 +193,7 @@ def simulate(
 
 
 def clt_distance_sweep(
-    chain: ChainParams,
-    d: float,
-    n_grid,
-    replications: int,
-    seed: int,
-    use_finite_n_variance: bool = False,
+    chain: ChainParams, d: float, n_grid, replications: int, seed: int
 ) -> list[CltDistance]:
     """Normal-approximation distances along an increasing blocklength grid.
 
@@ -233,16 +209,12 @@ def clt_distance_sweep(
     out = []
     for n in n_grid:
         sub_seed = int(np.random.SeedSequence((seed, n)).generate_state(1, np.uint64)[0])
-        report = simulate(
-            chain, d, n, replications, sub_seed, use_finite_n_variance=use_finite_n_variance
-        )
+        report = simulate(chain, d, n, replications, sub_seed)
         out.append(
             CltDistance(
                 n=n,
                 ks_normal=report.ks_normal,
-                exact_distance=exact_normal_distance(
-                    chain, n, use_finite_n_variance=use_finite_n_variance
-                ),
+                exact_distance=exact_normal_distance(chain, n),
             )
         )
     return out

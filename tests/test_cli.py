@@ -102,6 +102,7 @@ class TestRoundTrip:
         columns, rows = parse_csv(out)
         assert render_csv(columns, rows) == out
 
+    # One call per table subcommand.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -109,12 +110,21 @@ class TestRoundTrip:
             ("variance-table", "--a", "0.1", "--b", "0.3"),
             # The exact tail underflows to 0, so the ratio is infinite.
             ("tail", "--a", "0.7", "--b", "0.6", "--n", "3000", "--x", "0.119"),
+            ("jtilt", "--a", "0.1", "--b", "0.3", "--distortion", "0.1"),
+            ("stats", "--a", "0.1", "--b", "0.3", "--distortion", "0.1"),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "16", "--theta-grid=-1,0,1"),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0.05,0.2"),
+            ("simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.1", "--n", "10",
+             "--reps", "200", "--seed", "3"),
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:3"),
         ],
     )
     def test_json_reemission_is_byte_identical(self, capsys, argv):
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        assert json.dumps(json.loads(out, parse_constant=reject_constant), indent=2) + "\n" == out
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["command"] == argv[0]
+        assert json.dumps(payload, indent=2) + "\n" == out
 
     def test_machine_output_deterministic(self, capsys):
         argv = ("cgf", "--a", "0.2", "--b", "0.5", "--n", "16", "--format", "csv")
@@ -286,6 +296,25 @@ class TestValidation:
     def test_unknown_command_exits_1(self, capsys):
         code, _ = run_cli(capsys, "no-such-command")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", ","),
+            ("variance-table", "--a", "0.1", "--b", "0.3", "--n-grid", ","),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=,"),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid", ","),
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "5:1"),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0:inf:1"),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:inf"),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=nan:1"),
+        ],
+    )
+    def test_empty_or_nonfinite_grid_exits_1(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "grid" in captured.err
 
 
 def test_cli_imports_only_stdlib_and_numpy():

@@ -112,35 +112,28 @@ class TestSimulate:
         with pytest.raises(RegimeError):
             simulate(moderate, 0.4, 10, 200, 1)
 
-    def test_finite_n_standardization_flag(self, moderate):
-        # Same samples, different scale.  The distances need not differ: at
-        # n = 40 the count n*pi1 = 10 is an atom at z = 0 under either scale.
-        finite = simulate(moderate, 0.1, 40, 2000, 5, use_finite_n_variance=True)
-        assert 0.0 <= finite.ks_normal <= 1.0
-
 
 class TestDistanceReference:
     """The distances against the per-sample formulas, evaluated at every draw."""
 
     @pytest.mark.parametrize(
-        "a, b, finite_n",
+        "a, b",
         [
-            pytest.param(a, b, finite_n, id=f"{a}-{b}" + ("-finite_n" if finite_n else ""))
-            for finite_n in (False, True)
+            pytest.param(a, b, id=f"{a}-{b}")
             for a, b in [(0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05)]
         ],
     )
-    def test_matches_per_sample_formulas(self, a, b, finite_n):
+    def test_matches_per_sample_formulas(self, a, b):
         chain = derive_chain(a, b)
         d, n, reps, seed = 0.1, 40, 3000, 21
-        report = simulate(chain, d, n, reps, seed, use_finite_n_variance=finite_n)
+        report = simulate(chain, d, n, reps, seed)
         law = jn_law(chain, d, n)
         sums, histogram = montecarlo._sample_sums(chain, d, law, reps, seed)
         counts = np.repeat(np.arange(n + 1), histogram)
         atoms, cum = law.cdf_points()
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
         # ks_normal standardizes each sample's count, not its rounded atom.
-        scale = math.sqrt(variance_exact(chain, n) if finite_n else n * tilted_stats(chain, d).v_sl)
+        scale = math.sqrt(n * tilted_stats(chain, d).v_sl)
         standardized = np.sort(-chain.ell * (counts - n * chain.pi1) / scale)
         phi = NormalDist().cdf
         ks_exact = ks_normal = 0.0

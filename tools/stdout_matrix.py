@@ -113,6 +113,11 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["nonsense"],
         # Exit 3: the output directory does not exist.
         ["stats", "--a", "0.1", "--b", "0.3", "--out", os.path.join(missing_dir, "out.csv")],
+        # Exit 1: an empty or non-finite grid.
+        ["figure", "--a", "0.1", "--b", "0.3", "--n-grid", ","],
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=,"],
+        ["rate", "--a", "0.1", "--b", "0.3", "--x-grid", ","],
+        ["rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0:inf:1"],
     ]
     return calls
 
