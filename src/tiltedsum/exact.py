@@ -94,10 +94,18 @@ class JnLaw:
         Atoms that coincide in floating point, as on a nearly symmetric
         chain, count as one point of the CDF.
         """
-        order = np.argsort(self.support)
-        atoms, cum = self.support[order], np.cumsum(self.probs[order])
-        last = np.append(atoms[1:] != atoms[:-1], True)
-        return atoms[last], cum[last]
+        return _cumulate(self.support, self.probs)
+
+
+def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct atoms of ``support`` ascending, with the sum of ``masses`` at or below each.
+
+    Atoms that coincide in floating point count as one point.
+    """
+    order = np.argsort(support)
+    atoms, cum = support[order], np.cumsum(masses[order])
+    last = np.append(atoms[1:] != atoms[:-1], True)
+    return atoms[last], cum[last]
 
 
 class VarianceCorrection(NamedTuple):

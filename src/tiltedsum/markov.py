@@ -102,31 +102,41 @@ def indicator_autocov(chain: ChainParams, k: int) -> float:
 
 
 def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
-    """Runs of ``rows`` stationary paths of n letters, as (rows, k) chunks ``(states, lengths)``.
+    """Run ends of ``rows`` stationary paths of n letters, as chunks ``(first, start, ends)``.
 
     The first letter is drawn from pi by inverse CDF; runs then alternate states, with
     Geometric(a) lengths in state 0 and Geometric(b) in state 1 (the first run too: the
-    chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  Run ends are clipped
-    at n, so each row's lengths sum to exactly n.  A chunk holds k <= n runs per row, with
-    k*rows <= ``_CHUNK_ELEMENTS`` and k <= E + 4*sqrt(E) for the expected run count
-    E = 1 + (n-1)*2ab/(a+b) of a path, so a short path draws few more runs than it uses.
+    chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  ``ends`` is one
+    (k, rows) float64 buffer, path r in column r, that is filled with uniforms and turned
+    in place into the path's cumulative letter count at the end of each of its next k
+    runs, clipped at n.  ``start`` is each path's letter count before the chunk and
+    ``first`` its state in the chunk's row 0; row j is in state first ^ (j & 1).  The
+    ``ends`` buffer is overwritten by the next chunk; ``first`` and ``start`` are not.
+    All entries are integers below k*n < 2**53, so they and their sums are exact.  A
+    chunk holds k <= n runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and
+    k <= E + 4*sqrt(E) for the expected run count E = 1 + (n-1)*2ab/(a+b) of a path,
+    so a short path draws few more runs than it uses.
     """
     runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
     k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
-    parity = np.arange(k, dtype=np.uint8) & 1
-    # 1/ln(1-p) of the j-th run of a chunk that starts in state 0 (row 0) or 1 (row 1).
-    inv_log_stay = (1.0 / np.log1p(-np.array([chain.a, chain.b])))[np.array([[0], [1]]) ^ parity]
-    state = (rng.random(rows) >= chain.pi0).astype(np.uint8)  # each row's next run
-    filled = np.zeros((rows, 1))
-    while filled.min() < n:
-        hold = np.floor(np.log(1.0 - rng.random((rows, k))) * inv_log_stay[state]) + 1.0
-        ends = np.minimum(np.cumsum(hold, axis=1) + filled, n)
-        lengths = ends.copy()
-        lengths[:, 1:] -= ends[:, :-1]
-        lengths[:, :1] -= filled
-        yield state[:, None] ^ parity, lengths.astype(np.int64)
-        filled = ends[:, -1:]
-        state ^= k & 1
+    inv_log_stay = 1.0 / np.log1p(-np.array([chain.a, chain.b]))  # 1/ln(1-p) in state 0, 1
+    first = (rng.random(rows) >= chain.pi0).astype(np.uint8)  # each path's next run
+    start = np.zeros(rows)
+    ends = np.empty((k, rows))
+    while start.min() < n:
+        rng.random(out=ends)
+        np.subtract(1.0, ends, out=ends)
+        np.log(ends, out=ends)
+        ends[0::2] *= inv_log_stay[first]
+        ends[1::2] *= inv_log_stay[first ^ 1]
+        np.floor(ends, out=ends)
+        ends += 1.0
+        ends[0] += start
+        np.cumsum(ends, axis=0, out=ends)
+        np.minimum(ends, n, out=ends)
+        yield first, start, ends
+        start = ends[-1].copy()
+        first = first ^ (k & 1)
 
 
 def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
@@ -138,5 +148,11 @@ def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    states, lengths = (np.concatenate(part, axis=1)[0] for part in zip(*_runs(chain, n, 1, rng)))
-    return Trajectory(states=np.repeat(states, lengths), seed=seed, n=n)
+    pieces = [
+        np.repeat(
+            (np.arange(len(ends)) & 1).astype(np.uint8) ^ first[0],
+            np.diff(ends[:, 0], prepend=start[0]).astype(np.int64),
+        )
+        for first, start, ends in _runs(chain, n, 1, rng)
+    ]
+    return Trajectory(states=np.concatenate(pieces), seed=seed, n=n)

@@ -1,11 +1,16 @@
 """Simulation harness: empirical moments and CDF distances against the exact law.
 
-Each replication draws a stationary path as runs and computes the tilted
-block sum twice, as j0*n0 + j1*n1 over the letters n0, n1 its runs spend in
-each state and as the exact law's atom at the count n1, and enforces their
-agreement.  Replications are partitioned into fixed-size blocks whose
-generators are derived from (seed, block-index), so the report is a pure
-function of its inputs no matter how blocks would be scheduled.
+The tilted block sum of a path is an affine image of its occupation count
+n1, so a replication only needs n1.  Paths are drawn block by block as runs
+(:func:`markov._runs`), each chunk one (k, rows) buffer of run ends built in
+place, and each path's letters n0, n1 in state 0 and 1 come from
+alternating-row sums of those ends.  Two checks run on every path: n0 + n1
+must be n, and the per-letter sum j0*n0 + j1*n1 must match the exact law's
+atom at n1.  Only the histogram of n1 is kept; every statistic of the
+report is computed from it, so nothing of the size of the replication count
+is stored or sorted.  Block generators are derived from (seed,
+block-index), so the report is a pure function of its inputs no matter how
+blocks would be scheduled.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JnLaw, jn_law, occupation_pmf
+from .exact import JnLaw, _cumulate, jn_law, occupation_pmf
 from .markov import ChainParams, _runs
 from .tilting import binary_entropy, require_interior
 
@@ -54,19 +59,21 @@ class CltDistance:
     exact_distance: float
 
 
-def _sample_sums(
+def _count_histogram(
     chain: ChainParams, d: float, law: JnLaw, replications: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted block sums for each replication, pathwise-checked, and the count histogram.
+) -> np.ndarray:
+    """Histogram of the occupation count n1 over the replications, pathwise-checked.
 
-    Paths are drawn block by block as runs (:func:`markov._runs`).  Each
-    letter of a state-x run carries jx, so the per-letter sum is
-    n0*j0 + n1*j1 with equal letters grouped, free of summation-order error.
-    It must match the atom of ``law`` at m = n1 to max(``PATHWISE_TOL``,
-    64*eps*n*L) with L = max(1, |log2 a|, |log2 b|, |log2 pi0|, |log2 pi1|),
-    since both forms add terms of up to about n*L bits and round at eps
-    times that; and n0 + n1 must be n.  Each sample is that atom, so it
-    lands exactly on an atom of the law it is later compared with.
+    Within a chunk of run ends e_0..e_{k-1} that starts at f letters, the
+    runs in the chunk's first state hold e_0 - e_1 + e_2 - ... - f letters,
+    plus e_{k-1} when k is even; the other runs hold the rest of
+    e_{k-1} - f.  Each letter of a state-x run carries jx, so the per-letter
+    sum is n0*j0 + n1*j1 with equal letters grouped, free of
+    summation-order error.  It must match the atom of ``law`` at m = n1 to
+    max(``PATHWISE_TOL``, 64*eps*n*L) with
+    L = max(1, |log2 a|, |log2 b|, |log2 pi0|, |log2 pi1|), since both forms
+    add terms of up to about n*L bits and round at eps times that; and
+    n0 + n1 must be n.
     """
     n = law.n
     j0 = -math.log2(chain.pi0) - binary_entropy(d)
@@ -76,28 +83,31 @@ def _sample_sums(
     # A symmetric chain's law is a single atom, shared by every count.
     atoms = np.broadcast_to(law.support, n + 1)
 
-    sums = np.empty(replications)
     histogram = np.zeros(n + 1, dtype=np.int64)  # replications per occupation count
-    streams = np.random.SeedSequence(seed).spawn(-(-replications // _BLOCK_ROWS))
-    for block, stream in enumerate(streams):
-        start = block * _BLOCK_ROWS
-        rows = min(_BLOCK_ROWS, replications - start)
-        n0 = n1 = 0  # letters of each path in state 0 and in state 1
-        for states, lengths in _runs(chain, n, rows, np.random.Generator(np.random.Philox(stream))):
-            ones = (states * lengths).sum(axis=1)
-            n0, n1 = n0 + lengths.sum(axis=1) - ones, n1 + ones
+    for block in range(-(-replications // _BLOCK_ROWS)):
+        rows = min(_BLOCK_ROWS, replications - block * _BLOCK_ROWS)
+        stream = np.random.SeedSequence(seed, spawn_key=(block,))
+        n0 = n1 = 0.0  # each path's letters in state 0 and in state 1
+        rng = np.random.Generator(np.random.Philox(stream))
+        for first, start, ends in _runs(chain, n, rows, rng):
+            last = ends[-1]
+            head = ends[0::2].sum(axis=0) - ends[1::2].sum(axis=0) - start
+            if len(ends) % 2 == 0:
+                head += last
+            rest = last - start - head
+            n0 = n0 + np.where(first, rest, head)
+            n1 = n1 + np.where(first, head, rest)
         if (n0 + n1 != n).any():
             raise RuntimeError(f"sampled paths do not all have n={n} letters")
-        affine = atoms[n1]
-        err = np.abs(n0 * j0 + n1 * j1 - affine)
+        counts = n1.astype(np.int64)
+        err = np.abs(n0 * j0 + n1 * j1 - atoms[counts])
         if err.max() > tol:
             raise RuntimeError(
                 f"pathwise identity violated: per-letter sum and occupation-count "
                 f"form differ by {err.max():.3e} (> {tol:g})"
             )
-        sums[start : start + rows] = affine
-        histogram += np.bincount(n1, minlength=n + 1)
-    return sums, histogram
+        histogram += np.bincount(counts, minlength=n + 1)
+    return histogram
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -160,20 +170,24 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
             f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"
         )
     law = jn_law(chain, d, n)
-    sums, histogram = _sample_sums(chain, d, law, replications, seed)
+    histogram = _count_histogram(chain, d, law, replications, seed)
+    # Replications per atom of the law; a symmetric chain's law is one atom.
+    counts = histogram.sum(keepdims=True) if chain.symmetric else histogram
 
-    # Shifted moments: deviations from the first sample keep the arithmetic
+    # Shifted moments: deviations from an observed atom keep the arithmetic
     # exact for the degenerate (constant) case and well-scaled otherwise.
-    dev = sums - sums[0]
-    emp_mean = sums[0] + float(dev.mean())
-    emp_var = float(np.var(dev, ddof=1))
+    shift = law.support[np.argmax(counts)]
+    dev = law.support - shift
+    dev_mean = float((counts * dev).sum()) / replications
+    emp_mean = shift + dev_mean
+    emp_var = float((counts * (dev - dev_mean) ** 2).sum()) / (replications - 1)
 
     # Every sample sits on an atom of the law, so both distances need the
     # CDFs at the atoms only: Phi is evaluated at most n+1 times.
-    atoms, cum = law.cdf_points()
-    ordered = np.sort(sums)
-    emp = np.searchsorted(ordered, atoms, side="right") / replications
-    emp_left = np.searchsorted(ordered, atoms, side="left") / replications
+    _, cum = law.cdf_points()
+    _, seen = _cumulate(law.support, counts)  # replications at or below each atom
+    emp = seen / replications
+    emp_left = np.concatenate(([0], seen[:-1])) / replications
     ks_exact = _sup_distance(emp, emp_left, cum, np.concatenate(([0.0], cum[:-1])))
     if chain.symmetric:
         # Degenerate law: standardization is undefined; report the distance

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -11,11 +13,12 @@ from tiltedsum import (
     derive_chain,
     exact_normal_distance,
     jn_law,
+    occupation_pmf,
     simulate,
     tilted_stats,
     variance_exact,
 )
-from tiltedsum import montecarlo
+from tiltedsum import markov, montecarlo
 
 
 def variance_standard_error(chain, d, n, replications):
@@ -91,7 +94,7 @@ class TestSimulate:
         def no_sampling(*args):
             raise AssertionError("sampled before checking the DP cap")
 
-        monkeypatch.setattr(montecarlo, "_sample_sums", no_sampling)
+        monkeypatch.setattr(montecarlo, "_count_histogram", no_sampling)
         with pytest.raises(ValueError, match="DP cap"):
             simulate(moderate, 0.1, DP_MAX_N + 1, 100, 1)
 
@@ -113,6 +116,67 @@ class TestSimulate:
             simulate(moderate, 0.4, 10, 200, 1)
 
 
+def dkw_halfwidth(replications, fail_prob=1e-9):
+    """DKW: Pr(sup|F_emp - F| > eps) <= 2*exp(-2*replications*eps^2) = fail_prob."""
+    return math.sqrt(math.log(2 / fail_prob) / (2 * replications))
+
+
+class TestCountHistogram:
+    def test_alternating_sums_match_run_lengths(self):
+        # Reference route: expand each chunk's run ends into run lengths and
+        # their states, and count the letters in state 1 path by path.
+        chain, d, n, reps, seed = derive_chain(0.6, 0.7), 0.2, 300, 5000, 3
+        law = jn_law(chain, d, n)
+        want = np.zeros(n + 1, dtype=np.int64)
+        for block in range(-(-reps // montecarlo._BLOCK_ROWS)):
+            rows = min(montecarlo._BLOCK_ROWS, reps - block * montecarlo._BLOCK_ROWS)
+            stream = np.random.SeedSequence(seed).spawn(block + 1)[block]
+            rng = np.random.Generator(np.random.Philox(stream))
+            ones = np.zeros(rows, dtype=np.int64)
+            for first, start, ends in markov._runs(chain, n, rows, rng):
+                lengths = np.diff(ends, axis=0, prepend=start[None, :]).astype(np.int64)
+                states = first ^ (np.arange(len(ends))[:, None] & 1)
+                ones += (states * lengths).sum(axis=0)
+            want += np.bincount(ones, minlength=n + 1)
+        got = montecarlo._count_histogram(chain, d, law, reps, seed)
+        assert np.array_equal(got, want)
+
+    def test_moved_atom_trips_the_pathwise_check(self, moderate):
+        d, n = 0.1, 40
+        law = jn_law(moderate, d, n)
+        support = law.support.copy()
+        support[np.argmax(law.probs)] += 1e-6  # the most likely count's atom
+        moved = dataclasses.replace(law, support=support)
+        with pytest.raises(RuntimeError, match="pathwise identity violated"):
+            montecarlo._count_histogram(moderate, d, moved, 1000, 5)
+
+    @pytest.mark.parametrize("a, b", [(0.02, 0.05), (0.6, 0.7)])
+    @pytest.mark.parametrize("n", [40, 2000])
+    def test_columns_are_independent_paths(self, a, b, n):
+        # 20,000 paths end in a partial block.  A full block's chunk holds 16
+        # runs per path, fewer than a path expects at n = 2000 (58 and 1293
+        # runs) and on (0.6, 0.7) at n = 40 (26), so those paths span chunks.
+        # The count CDF must still lie within the DKW half-width of the law.
+        chain, reps = derive_chain(a, b), 20_000
+        assert reps % montecarlo._BLOCK_ROWS
+        histogram = montecarlo._count_histogram(chain, 0.01, jn_law(chain, 0.01, n), reps, 17)
+        emp = np.cumsum(histogram) / reps
+        exact = np.cumsum(occupation_pmf(chain, n).probs)
+        assert np.abs(emp - exact).max() <= dkw_halfwidth(reps)
+
+    def test_memory_does_not_grow_with_replications(self, moderate):
+        # The sampler holds one chunk of _CHUNK_ELEMENTS float64 run ends and
+        # per-path vectors of one block, whatever the replication count.
+        bound = 4 * 8 * markov._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            simulate(moderate, 0.1, 16, 400_000, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
 class TestDistanceReference:
     """The distances against the per-sample formulas, evaluated at every draw."""
 
@@ -128,8 +192,9 @@ class TestDistanceReference:
         d, n, reps, seed = 0.1, 40, 3000, 21
         report = simulate(chain, d, n, reps, seed)
         law = jn_law(chain, d, n)
-        sums, histogram = montecarlo._sample_sums(chain, d, law, reps, seed)
+        histogram = montecarlo._count_histogram(chain, d, law, reps, seed)
         counts = np.repeat(np.arange(n + 1), histogram)
+        sums = law.support[counts]
         atoms, cum = law.cdf_points()
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
         # ks_normal standardizes each sample's count, not its rounded atom.
