@@ -246,8 +246,11 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
         Pr ~ 2^(-n*I(x)) / (theta_star * ln2 * sigma_star * sqrt(2*pi*n)),
 
     where sigma_star^2 = L''(theta_star)/ln2 is the natural-log CGF
-    curvature.  This is an approximation, not an exact quantity; the test
-    suite holds it to a factor-two envelope against exact tail sums.
+    curvature.  This is an approximation, not an exact quantity.  The test
+    suite holds it to a factor-two envelope against exact tail sums only on
+    fast- and moderate-mixing chains; on slowly relaxing ones it can be far
+    off (at a = 0.00972356736242579, b = 6.3573332322043285e-12, n = 100,
+    x = 20.65778673353927 it is 5.2e6 times the exact tail).
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")

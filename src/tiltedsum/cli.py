@@ -27,7 +27,6 @@ import numpy as np
 from . import (
     ba_operating_point,
     binary_entropy,
-    centered_cumulants,
     centered_tail_probability,
     cgf_curve,
     cgf_finite,
@@ -49,6 +48,8 @@ from . import (
 )
 
 DEFAULT_SEED = 20250809
+# A colon grid is counted before it is built, so a tiny step cannot exhaust memory.
+MAX_GRID_POINTS = 10**6
 
 # Golden reference values for the paper-tables command, quoted to three
 # decimals; the pass tolerance is half an ULP of that presentation.  The
@@ -74,7 +75,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_grid(text: str, cast=float) -> list:
-    """Parse 'start:stop[:step]' (stop inclusive) or a comma list; either must be non-empty."""
+    """Parse a non-empty 'start:stop[:step]' (stop inclusive, <= MAX_GRID_POINTS) or comma list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -85,7 +86,9 @@ def _parse_grid(text: str, cast=float) -> list:
             raise ValueError(f"grid {text!r} must have a finite start, stop and step")
         if step <= 0:
             raise ValueError(f"grid step must be positive in {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        count = int(math.floor(min((stop - start) / step, MAX_GRID_POINTS) + 1e-9)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         values = [start + k * step for k in range(count)]
     else:
         values = [cast(tok) for tok in text.split(",") if tok]
@@ -413,20 +416,14 @@ def _cgf_expectation(chain, d_grid, perturb):
 
 
 def _d_invariance(chain, d_grid, perturb):
-    """One case per chain: cumulants and atom shifts between two distortions."""
+    """One case per chain: the shift of the atoms between two distortions."""
     d_lo, d_hi = 0.05, 0.2
     if not d_hi < min(chain.pi0, chain.pi1):
         d_lo, d_hi = min(chain.pi0, chain.pi1) / 4, min(chain.pi0, chain.pi1) / 2
     n = 20
-    k_lo = centered_cumulants(chain, d_lo, n)
-    k_hi = centered_cumulants(chain, d_hi, n)
-    scale = np.maximum(np.abs(k_lo), 1.0)
     shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
     atoms = jn_law(chain, d_lo, n).support - jn_law(chain, d_hi, n).support
-    yield max(
-        float(np.max(np.abs(k_lo - k_hi) / scale)),
-        float(np.max(np.abs(atoms - shift))) / n,
-    )
+    yield float(np.max(np.abs(atoms - shift))) / n
 
 
 # (suite name, tolerance on its largest deviation, deviation generator)

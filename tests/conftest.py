@@ -1,8 +1,13 @@
+import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tiltedsum import derive_chain
+from tiltedsum.oracle import _enumerate_paths
+from tiltedsum.tilting import jtilt_generic
 
 
 @pytest.fixture
@@ -58,3 +63,37 @@ def decimal_limit(chain, theta):
         dlam = ((1 - b) + (2 * a * b - (1 - b) * gap) / disc) / 2
         pi1 = a / (a + b)
         return -log2_u * pi1 + lam.ln() / LN2_DECIMAL, ell * (pi1 - u * dlam / lam)
+
+
+def exact_cumulants(weights, values, max_order):
+    """kappa_2..kappa_max_order, as Fractions, of the law with these weights on these values.
+
+    Weights and values are exact rationals and the weights are normalized
+    here.  The raw moments go through the moment-to-cumulant recursion
+    kappa_r = m_r - sum_{j<r} C(r-1, j-1)*kappa_j*m_{r-j}, which cancels in
+    floating point but is exact in Fraction.  Values near 0 keep it fast.
+    """
+    total = sum(weights)
+    terms, moments = list(weights), []
+    for _ in range(max_order + 1):
+        moments.append(sum(terms) / total)
+        terms = [t * x for t, x in zip(terms, values)]
+    kappa = [0] * (max_order + 1)
+    for r in range(1, max_order + 1):
+        kappa[r] = moments[r] - sum(
+            math.comb(r - 1, j - 1) * kappa[j] * moments[r - j] for j in range(1, r)
+        )
+    return kappa[2:]
+
+
+def path_cumulants(chain, d, n):
+    """kappa_2..kappa_6 of J_n(D), the same as of J_n(D) - n*mu_D, from every path's sum.
+
+    The letter values come from the defining sum (jtilt_generic), and each
+    path's sum and the cumulants are formed in exact rationals, so the only
+    rounding is in the letter values and path probabilities.
+    """
+    letters = np.array([Fraction(jtilt_generic(chain, d, x)) for x in (0, 1)], dtype=object)
+    prob, _, path_sum = _enumerate_paths(chain, n, letters)
+    kappa = exact_cumulants([Fraction(p) for p in prob.tolist()], list(path_sum), 6)
+    return np.array([float(k) for k in kappa])

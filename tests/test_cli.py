@@ -328,6 +328,21 @@ class TestValidation:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and "grid" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:1000001"),
+            ("variance-table", "--a", "0.1", "--b", "0.3", "--n-grid", "1:10000000000"),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:1e-300"),
+        ],
+    )
+    def test_oversize_grid_exits_1(self, capsys, argv):
+        # 10**6 + 1 points and more are refused before the list is built.
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and "more than 1000000 points" in captured.err
+
 
 def test_cli_imports_only_stdlib_and_numpy():
     # Only what the import adds counts: .pth files run at interpreter

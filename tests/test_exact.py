@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from tiltedsum import (
     DP_MAX_N,
     binary_entropy,
     centered_cumulants,
+    centered_tail_probability,
     derive_chain,
     enumerate_pmf,
     jn_law,
@@ -20,7 +22,7 @@ from tiltedsum import (
     variance_exact,
 )
 
-from conftest import PAIR_GRID
+from conftest import PAIR_GRID, exact_cumulants, path_cumulants
 
 VAR_PER_LETTER_MODERATE = {
     1: 0.4710198991297989,
@@ -31,6 +33,16 @@ VAR_PER_LETTER_MODERATE = {
 }
 CORRECTION_CONSTANT_MODERATE = 3.532649243473492
 TINY = np.finfo(float).tiny
+# Fast, slow, boundary and anti-correlated chains for the cumulant checks.
+CUMULANT_GRID = [
+    (0.1, 0.3),
+    (0.6, 0.7),
+    (0.02, 0.05),
+    (1e-6, 0.5),
+    (0.5, 1e-6),
+    (0.999, 0.5),
+    (0.9, 0.95),
+]
 
 
 def exact_count_law(chain, n):
@@ -50,6 +62,28 @@ def exact_count_law(chain, n):
         in0, in1 = to0, [0] + to1[:-1]
     total = (a + b) * den ** (n - 1)
     return np.array([(x + y) / total for x, y in zip(in0, in1)])
+
+
+def decimal_cumulants(chain, n, max_order):
+    """kappa_2..kappa_max_order of J_n - n*mu_D from an 80-digit count-law DP.
+
+    The chain's float a, b and ell are taken as exact.  Each entry of the
+    law carries 80 digits, and the cumulant step is exact, taken about the
+    integer nearest n*pi1 so that the rationals stay small.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, b, zero = Decimal(chain.a), Decimal(chain.b), Decimal(0)
+        in0 = [b / (a + b)] + [zero] * n
+        in1 = [zero, a / (a + b)] + [zero] * (n - 1)
+        for _ in range(n - 1):
+            to0 = [(1 - a) * x + b * y for x, y in zip(in0, in1)]
+            to1 = [a * x + (1 - b) * y for x, y in zip(in0, in1)]
+            in0, in1 = to0, [zero] + to1[:-1]
+        law = [Fraction(x + y) for x, y in zip(in0, in1)]
+    center = round(n * chain.pi1)
+    kappa = exact_cumulants(law, range(-center, n + 1 - center), max_order)
+    return np.array([float(k * Fraction(-chain.ell) ** r) for r, k in enumerate(kappa, start=2)])
 
 
 def _dyadic(x):
@@ -111,7 +145,7 @@ class TestOccupationPMF:
             pmf = occupation_pmf(chain, n)
             assert np.all(pmf.probs >= 0)
             assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert pmf.mean() == pytest.approx(n * chain.pi1, abs=1e-9)
+            assert np.arange(n + 1) @ pmf.probs == pytest.approx(n * chain.pi1, abs=1e-9)
 
     @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.6, 0.7), (0.02, 0.05), (2e-12, 0.3)])
     def test_matches_exact_rational_law(self, a, b):
@@ -221,6 +255,15 @@ class TestJnLaw:
             jn_law(moderate, 0.3, 5)
 
 
+class TestCenteredTailProbability:
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.1, 0.3)])
+    @pytest.mark.parametrize("n,x", [(0, 0.1), (-5, 0.1), (10, math.nan), (10, math.inf)])
+    def test_invalid_input_rejected(self, a, b, n, x):
+        # The symmetric chain's point-mass shortcut must not skip the checks.
+        with pytest.raises(ValueError):
+            centered_tail_probability(derive_chain(a, b), n, x)
+
+
 class TestVarianceExact:
     def test_reference_table_values(self, moderate):
         for n, want in VAR_PER_LETTER_MODERATE.items():
@@ -309,16 +352,26 @@ class TestVarianceCorrection:
 class TestCenteredCumulants:
     def test_second_cumulant_is_variance(self, moderate):
         for n in (1, 2, 5, 10, 50):
-            kappa = centered_cumulants(moderate, 0.1, n)
+            kappa = centered_cumulants(moderate, n)
             assert kappa[0] == pytest.approx(variance_exact(moderate, n), rel=1e-10)
 
+    @pytest.mark.parametrize("a,b", CUMULANT_GRID)
+    def test_second_cumulant_at_large_n(self, a, b):
+        # Far beyond DP_MAX_N: the kernel costs O(log n).
+        chain = derive_chain(a, b)
+        for n in (10**6, 10**12):
+            kappa = centered_cumulants(chain, n, max_order=2)
+            assert kappa[0] == pytest.approx(variance_exact(chain, n), rel=1e-12, abs=0)
+
     def test_distortion_invariance(self, moderate):
-        lo = centered_cumulants(moderate, 0.05, 20)
-        hi = centered_cumulants(moderate, 0.2, 20)
-        assert np.max(np.abs(lo - hi)) < 1e-12
+        # Path sums at each D against each other and the distortion-free kernel.
+        lo = path_cumulants(moderate, 0.05, 10)
+        hi = path_cumulants(moderate, 0.2, 10)
+        assert lo == pytest.approx(hi, rel=1e-12, abs=0)
+        assert lo == pytest.approx(centered_cumulants(moderate, 10), rel=1e-12, abs=0)
 
     def test_symmetric_all_zero(self, symmetric):
-        assert np.all(centered_cumulants(symmetric, 0.2, 15) == 0.0)
+        assert np.all(centered_cumulants(symmetric, 15) == 0.0)
 
     def test_small_n_against_enumeration(self, moderate):
         # kappa_2 and kappa_3 for n = 2 from the three-atom law directly.
@@ -327,11 +380,30 @@ class TestCenteredCumulants:
         mean = pmf @ m
         m2 = pmf @ (m - mean) ** 2
         m3 = pmf @ (m - mean) ** 3
-        kappa = centered_cumulants(moderate, 0.1, 2, max_order=3)
+        kappa = centered_cumulants(moderate, 2, max_order=3)
         assert kappa[0] == pytest.approx(moderate.ell**2 * m2, rel=1e-12)
         assert kappa[1] == pytest.approx((-moderate.ell) ** 3 * m3, rel=1e-12)
 
-    @pytest.mark.parametrize("order", [0, 1, 7])
+    @pytest.mark.parametrize("a,b", CUMULANT_GRID)
+    def test_matches_decimal_count_law(self, a, b):
+        # Orders 7..10 keep fewer digits on strongly anti-correlated chains,
+        # where the per-product normalizations are far larger than the
+        # cumulants they sum to: kappa_10 at (0.9, 0.95), n = 300, was
+        # 1.8e-11 off.
+        chain = derive_chain(a, b)
+        high_order_rel = 1e-10 if chain.lambda2 < -0.4 else 1e-12
+        for n in (2, 20, 300):
+            want = decimal_cumulants(chain, n, 10)
+            got = centered_cumulants(chain, n, max_order=10)
+            assert got[:5] == pytest.approx(want[:5], rel=1e-12, abs=0)
+            assert got[5:] == pytest.approx(want[5:], rel=high_order_rel, abs=0)
+
+    @pytest.mark.parametrize("order", [0, 1, 11])
     def test_order_validated(self, moderate, order):
         with pytest.raises(ValueError):
-            centered_cumulants(moderate, 0.1, 5, max_order=order)
+            centered_cumulants(moderate, 5, max_order=order)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_blocklength_validated(self, moderate, n):
+        with pytest.raises(ValueError):
+            centered_cumulants(moderate, n)

@@ -21,9 +21,9 @@ from tiltedsum import (
 from tiltedsum import markov, montecarlo
 
 
-def variance_standard_error(chain, d, n, replications):
+def variance_standard_error(chain, n, replications):
     """Exact standard error of the sample variance, from exact moments."""
-    kappa = centered_cumulants(chain, d, n, max_order=4)
+    kappa = centered_cumulants(chain, n, max_order=4)
     sigma2 = variance_exact(chain, n)
     mu4 = kappa[2] + 3 * sigma2**2
     return math.sqrt((mu4 - (replications - 3) / (replications - 1) * sigma2**2) / replications)
@@ -45,7 +45,7 @@ class TestSimulate:
         mu = n * tilted_stats(moderate, 0.1).mu_d
         se_mean = math.sqrt(exact_var / reps)
         assert abs(report.emp_mean - mu) < 4 * se_mean
-        se_var = variance_standard_error(moderate, 0.1, n, reps)
+        se_var = variance_standard_error(moderate, n, reps)
         assert abs(report.emp_var - exact_var) < 3 * se_var
         assert 0.0 <= report.ks_exact <= 1.0
         assert 0.0 <= report.ks_normal <= 1.0
@@ -268,5 +268,5 @@ class TestPathwiseIdentity:
         chain = derive_chain(0.7, 0.6)
         report = simulate(chain, 0.2, 100, 1000, 13)
         exact_var = variance_exact(chain, 100)
-        se = variance_standard_error(chain, 0.2, 100, 1000)
+        se = variance_standard_error(chain, 100, 1000)
         assert abs(report.emp_var - exact_var) < 4 * se

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,10 @@ from tiltedsum import (
     enumerate_pmf,
     occupation_pmf,
     oracle_variance,
-    tilted_stats,
     variance_exact,
 )
-from tiltedsum.oracle import _enumerate_paths
-from tiltedsum.tilting import jtilt_generic
 
-from conftest import PAIR_GRID
+from conftest import PAIR_GRID, path_cumulants
 
 
 class TestEnumeratePMF:
@@ -39,9 +34,10 @@ class TestEnumeratePMF:
 
     def test_moments(self, moderate):
         result = enumerate_pmf(moderate, 6)
-        pmf = occupation_pmf(moderate, 6)
-        assert result.mean == pytest.approx(pmf.mean(), abs=1e-13)
-        assert result.var == pytest.approx(pmf.variance(), abs=1e-12)
+        probs, m = occupation_pmf(moderate, 6).probs, np.arange(7)
+        mean = m @ probs
+        assert result.mean == pytest.approx(mean, abs=1e-13)
+        assert result.var == pytest.approx((m - mean) ** 2 @ probs, abs=1e-12)
 
     @pytest.mark.parametrize("n", [0, 21, 64])
     def test_size_limited(self, moderate, n):
@@ -73,22 +69,6 @@ class TestOracleVariance:
                 assert per_path == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
 
-def path_cumulants(chain, d, n):
-    """kappa_2..kappa_4 of J_n(D) - n*mu_D from the per-letter sum along every path.
-
-    The letter values come from the defining sum (jtilt_generic), and each
-    path's sum and the moments are accumulated in exact rationals, so the
-    only rounding is in the letter values and path probabilities.
-    """
-    letters = np.array([Fraction(jtilt_generic(chain, d, x)) for x in (0, 1)], dtype=object)
-    prob, _, path_sum = _enumerate_paths(chain, n, letters)
-    weights = [Fraction(p) for p in prob.tolist()]
-    centered = [s - n * Fraction(tilted_stats(chain, d).mu_d) for s in path_sum]
-    mean = sum(w * x for w, x in zip(weights, centered)) / sum(weights)
-    m2, m3, m4 = (sum(w * (x - mean) ** r for w, x in zip(weights, centered)) for r in (2, 3, 4))
-    return np.array([float(m2), float(m3), float(m4 - 3 * m2 * m2)])
-
-
 class TestDistortionInvariance:
     @pytest.mark.parametrize(
         "a, b, distortions",
@@ -101,9 +81,9 @@ class TestDistortionInvariance:
     def test_path_cumulants_do_not_depend_on_d(self, a, b, distortions):
         # Each distortion gives other letter values and so other path sums;
         # only their centered cumulants must agree, across D and with the
-        # count-law route, to criterion 06's 1e-12.
+        # transfer-matrix kernel, to criterion 06's 1e-12.
         chain, n = derive_chain(a, b), 10
-        reference = centered_cumulants(chain, distortions[0], n, max_order=4)
+        reference = centered_cumulants(chain, n)
         kappas = [path_cumulants(chain, d, n) for d in distortions]
         for kappa in kappas:
             assert kappa == pytest.approx(kappas[0], rel=1e-12, abs=0)
