@@ -27,8 +27,6 @@ from .errors import ConvergenceError, RegimeError
 from .exact import (
     DP_MAX_N,
     JnLaw,
-    OccupationPMF,
-    VarianceCorrection,
     centered_cumulants,
     centered_tail_probability,
     jn_law,
@@ -38,7 +36,14 @@ from .exact import (
     variance_correction,
     variance_exact,
 )
-from .markov import ChainParams, Trajectory, derive_chain, indicator_autocov, sample_trajectory
+from .markov import (
+    ChainParams,
+    Trajectory,
+    binary_entropy,
+    derive_chain,
+    indicator_autocov,
+    sample_trajectory,
+)
 from .montecarlo import (
     CltDistance,
     SimReport,
@@ -46,16 +51,14 @@ from .montecarlo import (
     exact_normal_distance,
     simulate,
 )
-from .oracle import ENUM_MAX_N, OracleResult, enumerate_pmf, oracle_variance
+from .oracle import ENUM_MAX_N, enumerate_pmf, oracle_variance
 from .tilting import (
     BAOperatingPoint,
-    TiltedStats,
     ba_fixed_point_iterate,
     ba_operating_point,
-    binary_entropy,
     jtilt,
     jtilt_generic,
-    tilted_stats,
+    tilted_mean,
 )
 
 __all__ = [
@@ -67,15 +70,11 @@ __all__ = [
     "DP_MAX_N",
     "ENUM_MAX_N",
     "JnLaw",
-    "OccupationPMF",
-    "OracleResult",
     "RatePoint",
     "RegimeError",
     "SaddlepointTail",
     "SimReport",
-    "TiltedStats",
     "Trajectory",
-    "VarianceCorrection",
     "achievable_interval",
     "ba_fixed_point_iterate",
     "ba_operating_point",
@@ -104,7 +103,7 @@ __all__ = [
     "saddlepoint_tail",
     "sample_trajectory",
     "simulate",
-    "tilted_stats",
+    "tilted_mean",
     "variance_correction",
     "variance_exact",
 ]

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _log2_pgf
-from .markov import ChainParams
-from .tilting import LN2
+from .markov import LN2, ChainParams
 
 # |theta*| below this leaves the large-deviation regime; the saddlepoint
 # estimate degrades toward the Gaussian bulk and is flagged.

@@ -42,10 +42,10 @@ from . import (
     rate_function,
     saddlepoint_tail,
     simulate,
-    tilted_stats,
-    variance_correction,
+    tilted_mean,
     variance_exact,
 )
+from .tilting import require_interior
 
 DEFAULT_SEED = 20250809
 # A colon grid is counted before it is built, so a tiny step cannot exhaust memory.
@@ -63,6 +63,10 @@ GOLDEN_SOURCES = [
     ("strong-memory", 0.01, 0.03, 0.96, 0.702, 23.08, 49.0),
 ]
 AMPLIFICATION_TOL = 1e-9
+# Chain properties in the columns of stats and of the paper-tables sources table.
+STATS_FIELDS = ("a", "b", "pi0", "pi1", "lambda2", "ell", "h_rate", "gap", "v_iid", "v_sl",
+                "amplification")
+SOURCE_FIELDS = ("lambda2", "gap", "v_sl", "amplification")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,28 +189,11 @@ def cmd_jtilt(args, chain) -> list[dict]:
 
 
 def cmd_stats(args, chain) -> list[dict]:
-    row = {
-        "a": chain.a,
-        "b": chain.b,
-        "pi0": chain.pi0,
-        "pi1": chain.pi1,
-        "lambda2": chain.lambda2,
-        "ell": chain.ell,
-    }
-    # The per-letter summary needs a distortion only for mu_d and beta; the
-    # gap and the variances are distortion-free.
-    probe_d = args.distortion if args.distortion is not None else min(chain.pi0, chain.pi1) / 2
-    stats = tilted_stats(chain, probe_d)
-    row.update(
-        h_rate=stats.h_rate,
-        gap=stats.gap,
-        v_iid=stats.v_iid,
-        v_sl=stats.v_sl,
-        amplification=stats.amplification,
-    )
-    if args.distortion is not None:
-        point = ba_operating_point(chain, args.distortion)
-        row.update(mu_d=stats.mu_d, beta=point.beta, q0=point.q0, q1=point.q1)
+    row = {name: getattr(chain, name) for name in STATS_FIELDS}
+    d = args.distortion
+    if d is not None:
+        point = ba_operating_point(chain, d)
+        row.update(mu_d=tilted_mean(chain, d), beta=point.beta, q0=point.q0, q1=point.q1)
     return [row]
 
 
@@ -318,18 +305,16 @@ def cmd_paper_tables(args) -> int:
     tolerances = (GOLDEN_TOL, GOLDEN_TOL, GOLDEN_TOL, AMPLIFICATION_TOL)
     for label, a, b, *goldens in GOLDEN_SOURCES:
         ch = derive_chain(a, b)
-        stats = tilted_stats(ch, min(ch.pi0, ch.pi1) / 2)
-        values = (ch.lambda2, stats.gap, stats.v_sl, stats.amplification)
+        values = [getattr(ch, name) for name in SOURCE_FIELDS]
         source_rows.append(
-            {"source": label, "a": a, "b": b,
-             **dict(zip(("lambda2", "gap", "v_sl", "amplification"), values)),
+            {"source": label, "a": a, "b": b, **dict(zip(SOURCE_FIELDS, values)),
              "status": _status(*zip(values, goldens, tolerances))}
         )
 
-    correction = variance_correction(chain, 1).constant
+    constant = chain.deficit_constant
     constant_rows = [
-        {"quantity": "variance_deficit_constant", "value": correction, "golden": 3.53,
-         "status": _status((correction, 3.53, 5e-3))}
+        {"quantity": "variance_deficit_constant", "value": constant, "golden": 3.53,
+         "status": _status((constant, 3.53, 5e-3))}
     ]
 
     sections = [
@@ -362,9 +347,7 @@ VERIFY_D_GRID = (0.05, 0.1, 0.2)
 
 def _oracle_pmf_tv(chain, d_grid, perturb):
     for n in range(1, 13):
-        yield 0.5 * float(
-            np.abs(enumerate_pmf(chain, n, u_values=()).pmf - occupation_pmf(chain, n).probs).sum()
-        )
+        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum())
 
 
 def _variance_forms(chain, d_grid, perturb):
@@ -379,7 +362,7 @@ def _oracle_variance(chain, d_grid, perturb):
         return
     for d in d_grid:
         if not 0.0 < d < min(chain.pi0, chain.pi1):
-            continue
+            continue  # only the default grid: a given --distortion was checked up front
         for n in range(1, 11):
             per_path = oracle_variance(chain, d, n)
             closed = variance_exact(chain, n) * (1.0 + perturb)
@@ -391,7 +374,7 @@ def _pgf_pmf(chain, d_grid, perturb):
         pmf = occupation_pmf(chain, n)
         powers = np.arange(n + 1)
         for u in (0.5, 1.0, 2.0):
-            direct = float(pmf.probs @ (u**powers))
+            direct = float(pmf @ (u**powers))
             yield abs(occupation_pgf(chain, n, u) - direct) / direct
 
 
@@ -406,7 +389,7 @@ def _cgf_expectation(chain, d_grid, perturb):
     if chain.a == chain.b:
         return
     d = min(chain.pi0, chain.pi1) / 2
-    mu = tilted_stats(chain, d).mu_d
+    mu = tilted_mean(chain, d)
     for n in (1, 4, 16):
         law = jn_law(chain, d, n)
         centered = law.support - n * mu
@@ -442,13 +425,20 @@ def cmd_verify(args) -> int:
     if (args.a is None) != (args.b is None):
         raise ValueError("verify needs both --a and --b, or neither")
     pairs = [(args.a, args.b)] if args.a is not None else VERIFY_PAIRS
-    d_grid = (args.distortion,) if args.distortion is not None else VERIFY_D_GRID
+    chains = [derive_chain(a, b) for a, b in pairs]
+    if args.distortion is not None:
+        # A given distortion must hold for every chain, not be skipped where it does not.
+        for chain in chains:
+            require_interior(chain, args.distortion)
+        d_grid = (args.distortion,)
+    else:
+        d_grid = VERIFY_D_GRID
     perturb = args.perturb or 0.0
     suites = []
     for name, tolerance, deviations in CHECKS:
         worst, cases = 0.0, 0
-        for a, b in pairs:
-            for deviation in deviations(derive_chain(a, b), d_grid, perturb):
+        for chain in chains:
+            for deviation in deviations(chain, d_grid, perturb):
                 worst = max(worst, deviation)
                 cases += 1
         suites.append({"name": name, "cases": cases, "max_deviation": worst,

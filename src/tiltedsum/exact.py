@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import Literal
 
 import numpy as np
 
 from .markov import ChainParams
-from .tilting import binary_entropy, require_interior
+from .tilting import jtilt, require_interior, tilted_mean
 
 # The count law costs O(n^2) flops in its polynomial products, so it is
 # capped; larger blocklengths must go through the generating-function / CGF
@@ -48,14 +48,6 @@ _TINY = np.finfo(float).tiny
 # Below this n*(a+b) the closed-form variance bracket cancels; its power
 # series in a+b is used instead.
 _SERIES_MAX_NS = 0.5
-
-
-@dataclass(frozen=True)
-class OccupationPMF:
-    """Exact law of the occupation count N_n on {0, ..., n}."""
-
-    n: int
-    probs: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -94,13 +86,6 @@ def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     atoms, cum = support[order], np.cumsum(masses[order])
     last = np.append(atoms[1:] != atoms[:-1], True)
     return atoms[last], cum[last]
-
-
-class VarianceCorrection(NamedTuple):
-    """n*V_sl - Var(J_n) and its n -> infinity limit."""
-
-    correction: float
-    constant: float
 
 
 def _power(acc, step, e: int, mul):
@@ -195,10 +180,11 @@ def _log2_pgf(chain: ChainParams, n: int, log2_u: np.ndarray) -> np.ndarray:
     return np.log2(coeffs[:, 0].sum(axis=(1, 2))) + log2_scale[:, 0]
 
 
-def occupation_pmf(chain: ChainParams, n: int) -> OccupationPMF:
+def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
     """Exact PMF of N_n from the polynomial transfer matrix [[p00, p01 z], [p10, p11 z]].
 
-    The coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 is Pr(N_n = m).
+    Entry m of the returned array, the coefficient of z^m in
+    pi^T D(z) (P D(z))^{n-1} 1, is Pr(N_n = m), for m = 0..n.
     Every entry is either a normal float or exactly 0; probabilities below
     the smallest normal float (about 2.2e-308) are flushed to 0.
 
@@ -221,7 +207,7 @@ def occupation_pmf(chain: ChainParams, n: int) -> OccupationPMF:
     ]
     start = [[np.array([chain.pi0, 0.0]), np.array([0.0, chain.pi1])]]
     ((in_state0, in_state1),) = _power(start, step, n - 1, _poly_mul)
-    return OccupationPMF(n=n, probs=in_state0 + in_state1)
+    return in_state0 + in_state1
 
 
 def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
@@ -254,22 +240,20 @@ def jn_law(chain: ChainParams, d: float, n: int) -> JnLaw:
     require_interior(chain, d)
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    offset = n * (-math.log2(chain.pi0) - binary_entropy(d))
+    offset = n * jtilt(chain, d, 0)
     if chain.symmetric:
         # Slope -ell vanishes: the affine map is constant and the law is a
         # point mass (the count law is irrelevant).
-        mu_d = binary_entropy(chain.pi1) - binary_entropy(d)
         return JnLaw(
             n=n,
             offset=offset,
             slope=0.0,
-            support=np.array([n * mu_d]),
+            support=np.array([n * tilted_mean(chain, d)]),
             probs=np.array([1.0]),
         )
-    pmf = occupation_pmf(chain, n)
     slope = -chain.ell
     support = offset + slope * np.arange(n + 1)
-    return JnLaw(n=n, offset=offset, slope=slope, support=support, probs=pmf.probs)
+    return JnLaw(n=n, offset=offset, slope=slope, support=support, probs=occupation_pmf(chain, n))
 
 
 def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
@@ -285,9 +269,8 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
         raise ValueError(f"threshold x={x!r} must be finite")
     if chain.symmetric:
         return 1.0 if n * x <= 0.0 else 0.0
-    pmf = occupation_pmf(chain, n)
     atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1)
-    return float(pmf.probs[atoms >= n * x].sum())
+    return float(occupation_pmf(chain, n)[atoms >= n * x].sum())
 
 
 def _one_minus_power(chain: ChainParams, n: int) -> float:
@@ -355,21 +338,16 @@ def variance_exact(
     return amp * bracket
 
 
-def variance_correction(chain: ChainParams, n: int) -> VarianceCorrection:
-    """Finite-n variance deficit n*V_sl - Var(J_n) and its limiting constant.
+def variance_correction(chain: ChainParams, n: int) -> float:
+    """Finite-n variance deficit n*V_sl - Var(J_n), in bits^2.
 
     The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/s^2 with
-    s = a + b = 1 - lambda2, which increases to the returned constant as n
-    grows (positive for positively correlated chains, negative for
-    anti-correlated ones).
+    s = a + b = 1 - lambda2, which tends to ``chain.deficit_constant`` as n
+    grows.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    s = chain.a + chain.b
-    constant = 2.0 * chain.ell**2 * chain.pi0 * chain.pi1 * chain.lambda2 / (s * s)
-    return VarianceCorrection(
-        correction=constant * _one_minus_power(chain, n), constant=constant
-    )
+    return chain.deficit_constant * _one_minus_power(chain, n)
 
 
 def centered_cumulants(chain: ChainParams, n: int, max_order: int = 6) -> np.ndarray:

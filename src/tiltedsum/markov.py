@@ -7,7 +7,8 @@ The chain lives on {0, 1} with transition matrix
 
 stationary distribution pi = (b/(a+b), a/(a+b)), second eigenvalue
 lambda2 = 1 - a - b, and log-ratio ell = log2(a/b).  All logarithms
-exposed by this package are base 2.
+exposed by this package are base 2.  Every per-letter quantity that does
+not depend on the distortion level is a property of :class:`ChainParams`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 # Parameters this close to {0, 1} are rejected: the closed forms divide by
 # a, b, a+b and 1-lambda2, so clamping would silently destroy precision.
 BOUNDARY_MARGIN = 1e-12
+LN2 = math.log(2.0)
 _CHUNK_ELEMENTS = 2**16  # runs per sampler chunk, across all of its rows
 
 
@@ -62,6 +64,38 @@ class ChainParams:
         """Asymptotic variance per letter, v_iid*(1+lambda2)/(1-lambda2)."""
         return self.v_iid * (1.0 + self.lambda2) / (1.0 - self.lambda2)
 
+    @property
+    def amplification(self) -> float:
+        """Memory amplification v_sl/v_iid = (1+lambda2)/(1-lambda2).
+
+        Taken from the closed form, so it is defined when a == b too.
+        """
+        return (1.0 + self.lambda2) / (1.0 - self.lambda2)
+
+    @property
+    def h_rate(self) -> float:
+        """Entropy rate pi0*h2(a) + pi1*h2(b), in bits per letter."""
+        return self.pi0 * binary_entropy(self.a) + self.pi1 * binary_entropy(self.b)
+
+    @property
+    def gap(self) -> float:
+        """Excess h2(pi1) - h_rate of the mean tilted information over the entropy rate.
+
+        The mean is h2(pi1) - h2(D) and the memory-aware rate at the same D is
+        h_rate - h2(D), so the gap does not depend on D.  In bits per letter.
+        """
+        return binary_entropy(self.pi1) - self.h_rate
+
+    @property
+    def deficit_constant(self) -> float:
+        """Limit as n -> infinity of the variance deficit n*v_sl - Var(J_n).
+
+        Equal to 2*v_iid*lambda2/s^2 with s = a + b: positive for positively
+        correlated chains, negative for anti-correlated ones.  In bits^2.
+        """
+        s = self.a + self.b
+        return 2.0 * self.v_iid * self.lambda2 / (s * s)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -70,6 +104,16 @@ class Trajectory:
     states: np.ndarray = field(repr=False)
     seed: int
     n: int
+
+
+def binary_entropy(p: float) -> float:
+    """Binary entropy -p*log2(p) - (1-p)*log2(1-p) in bits, with h2(0)=h2(1)=0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    # log1p keeps the (1-p) term accurate near the boundary.
+    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / LN2)
 
 
 def derive_chain(a: float, b: float) -> ChainParams:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exact import JnLaw, _cumulate, jn_law, occupation_pmf
 from .markov import ChainParams, _runs
-from .tilting import binary_entropy, require_interior
+from .tilting import jtilt, require_interior
 
 PATHWISE_TOL = 1e-10
 MIN_REPLICATIONS = 100
@@ -76,8 +76,7 @@ def _count_histogram(
     n0 + n1 must be n.
     """
     n = law.n
-    j0 = -math.log2(chain.pi0) - binary_entropy(d)
-    j1 = -math.log2(chain.pi1) - binary_entropy(d)
+    j0, j1 = jtilt(chain, d, 0), jtilt(chain, d, 1)
     bits = max(1.0, *(abs(math.log2(p)) for p in (chain.a, chain.b, chain.pi0, chain.pi1)))
     tol = max(PATHWISE_TOL, 64.0 * _EPS * n * bits)
     # A symmetric chain's law is a single atom, shared by every count.
@@ -150,7 +149,7 @@ def exact_normal_distance(chain: ChainParams, n: int) -> float:
     """
     if chain.symmetric:
         raise ValueError("symmetric chain: the centered sum is a point mass")
-    return _normal_distance(chain, n, occupation_pmf(chain, n).probs)
+    return _normal_distance(chain, n, occupation_pmf(chain, n))
 
 
 def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int) -> SimReport:

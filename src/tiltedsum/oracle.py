@@ -10,8 +10,6 @@ run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .markov import ChainParams
@@ -22,17 +20,6 @@ ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
 # The two variance routes inside oracle_variance share the exact same path
 # weights, so any disagreement beyond accumulated rounding is a logic error.
 _INTERNAL_AGREEMENT = 1e-9
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Exact count law and generating-function samples from 2^n path terms."""
-
-    n: int
-    pmf: np.ndarray = field(repr=False)
-    mean: float
-    var: float
-    mgf_samples: dict[float, float]
 
 
 def _enumerate_paths(chain: ChainParams, n: int, letter_values: np.ndarray | None = None):
@@ -60,22 +47,15 @@ def _enumerate_paths(chain: ChainParams, n: int, letter_values: np.ndarray | Non
     return prob, counts, path_sum
 
 
-def enumerate_pmf(
-    chain: ChainParams, n: int, u_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-) -> OracleResult:
-    """Occupation-count PMF by summing all 2^n path probabilities.
+def enumerate_pmf(chain: ChainParams, n: int) -> np.ndarray:
+    """Occupation-count PMF, entry m for m = 0..n, by summing all 2^n path probabilities.
 
-    Also evaluates G_n(u) = sum_paths prob * u^count directly for each
-    requested u.  Refuses n > 20.
+    Refuses n > 20.
     """
     prob, counts, _ = _enumerate_paths(chain, n)
     # Pairwise sums per bin keep the total within ~1e-14 of 1 even at n = 20;
     # bincount's sequential accumulation drifts past 1e-13 there.
-    pmf = np.array([prob[counts == m].sum() for m in range(n + 1)])
-    mean = float(prob @ counts)
-    var = float(prob @ (counts - mean) ** 2)
-    mgf = {float(u): float(prob @ np.power(float(u), counts)) for u in u_values}
-    return OracleResult(n=n, pmf=pmf, mean=mean, var=var, mgf_samples=mgf)
+    return np.array([prob[counts == m].sum() for m in range(n + 1)])
 
 
 def oracle_variance(chain: ChainParams, d: float, n: int) -> float:

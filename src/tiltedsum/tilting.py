@@ -11,7 +11,9 @@ state x collapses to
 
     jtilt(x, D) = -log2(pi_x) - h2(D),
 
-so the distortion level enters only through the additive constant h2(D).
+so the distortion level enters only through the additive constant h2(D),
+and so does the mean mu_D = h2(pi1) - h2(D) (:func:`tilted_mean`).  The
+per-letter statistics free of D are properties of ``ChainParams``.
 Both the closed form and the defining sum over reproduction letters are
 implemented; they agree to rounding and the test suite holds them to it.
 """
@@ -22,9 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, RegimeError
-from .markov import ChainParams
-
-LN2 = math.log(2.0)
+from .markov import ChainParams, binary_entropy
 
 BA_DEFAULT_TOL = 1e-12
 BA_DEFAULT_MAX_ITER = 100_000
@@ -41,39 +41,6 @@ class BAOperatingPoint:
     z1: float
 
 
-@dataclass(frozen=True)
-class TiltedStats:
-    """Per-letter summary statistics of the tilted information.
-
-    mu_d    expected tilted information h2(pi1) - h2(D)      [bits/letter]
-    h_rate  entropy rate pi0*h2(a) + pi1*h2(b)               [bits/letter]
-    gap     excess of mu_d over the memory-aware rate at the
-            same D: h2(pi1) - h_rate, independent of D       [bits/letter]
-    v_iid   single-letter variance ell^2*pi0*pi1             [bits^2]
-    v_sl    asymptotic variance v_iid*(1+lambda2)/(1-lambda2) [bits^2]
-    amplification
-            memory amplification v_sl / v_iid = (1+lambda2)/(1-lambda2),
-            from the closed form, so it is defined when a == b
-    """
-
-    mu_d: float
-    h_rate: float
-    gap: float
-    v_iid: float
-    v_sl: float
-    amplification: float
-
-
-def binary_entropy(p: float) -> float:
-    """Binary entropy -p*log2(p) - (1-p)*log2(1-p) in bits, with h2(0)=h2(1)=0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    # log1p keeps the (1-p) term accurate near the boundary.
-    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / LN2)
-
-
 def require_interior(chain: ChainParams, d: float) -> None:
     """Reject distortion levels outside the open interval (0, min(pi0, pi1))."""
     bound = min(chain.pi0, chain.pi1)
@@ -87,10 +54,6 @@ def require_interior(chain: ChainParams, d: float) -> None:
 def ba_operating_point(chain: ChainParams, d: float) -> BAOperatingPoint:
     """Closed-form operating point at distortion d."""
     require_interior(chain, d)
-    if d == 0.5:
-        # Unreachable in the interior regime (min(pi0, pi1) <= 1/2), kept as
-        # an explicit guard against the 1-2D division degenerating.
-        raise RegimeError("D = 1/2 degenerates the output marginal")
     beta = math.log((1.0 - d) / d)
     q0 = (chain.pi0 - d) / (1.0 - 2.0 * d)
     q1 = (chain.pi1 - d) / (1.0 - 2.0 * d)
@@ -183,17 +146,7 @@ def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
     return -math.log2(total)
 
 
-def tilted_stats(chain: ChainParams, d: float) -> TiltedStats:
-    """Per-letter mean, entropy rate, redundancy gap, and variances."""
+def tilted_mean(chain: ChainParams, d: float) -> float:
+    """Mean tilted information mu_D = h2(pi1) - h2(d) at distortion d, in bits per letter."""
     require_interior(chain, d)
-    mu_d = binary_entropy(chain.pi1) - binary_entropy(d)
-    h_rate = chain.pi0 * binary_entropy(chain.a) + chain.pi1 * binary_entropy(chain.b)
-    gap = binary_entropy(chain.pi1) - h_rate
-    return TiltedStats(
-        mu_d=mu_d,
-        h_rate=h_rate,
-        gap=gap,
-        v_iid=chain.v_iid,
-        v_sl=chain.v_sl,
-        amplification=(1.0 + chain.lambda2) / (1.0 - chain.lambda2),
-    )
+    return binary_entropy(chain.pi1) - binary_entropy(d)

@@ -18,7 +18,7 @@ from tiltedsum import (
     perron_root,
     rate_function,
     saddlepoint_tail,
-    tilted_stats,
+    tilted_mean,
     variance_exact,
 )
 
@@ -158,7 +158,7 @@ class TestFiniteCGF:
             assert abs(cgf_finite(chain, n, 0.0)) < 1e-12
 
     def test_matches_exact_expectation(self, moderate):
-        mu = tilted_stats(moderate, 0.1).mu_d
+        mu = tilted_mean(moderate, 0.1)
         for n in (1, 2, 7, 16):
             law = jn_law(moderate, 0.1, n)
             centered = law.support - n * mu
@@ -238,7 +238,7 @@ class TestLimitCGF:
     def test_curvature_at_origin_is_v_sl(self, moderate):
         h = 1e-4
         num = (cgf_limit(moderate, h) - 2 * cgf_limit(moderate, 0.0) + cgf_limit(moderate, -h)) / h**2
-        v_sl = tilted_stats(moderate, 0.1).v_sl
+        v_sl = moderate.v_sl
         assert v_sl == pytest.approx(1.884, abs=5e-4)
         assert num == pytest.approx(LN2 * v_sl, rel=1e-6)
 

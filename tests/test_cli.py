@@ -169,6 +169,23 @@ class TestSchemas:
         _, rows = parse_csv(out)
         assert rows[0]["amplification"] == pytest.approx(7.0 / 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("a,b,d_grid", [(0.1, 0.3, (0.01, 0.1, 0.24)),
+                                            (0.5, 0.5, (0.05, 0.2, 0.45))])
+    def test_stats_distortion_free_cells(self, capsys, a, b, d_grid):
+        # The chain's cells are the same text with and without a distortion,
+        # which only appends mu_d and the operating point.
+        chain = ("stats", "--a", repr(a), "--b", repr(b), "--format", "csv")
+        code, bare = run_cli(capsys, *chain)
+        assert code == 0
+        header, row = bare.splitlines()
+        for d in d_grid:
+            code, out = run_cli(capsys, *chain, "--distortion", repr(d))
+            assert code == 0
+            header_d, row_d = out.splitlines()
+            assert header_d == header + ",mu_d,beta,q0,q1"
+            assert row_d.startswith(row + ",")
+            assert row_d.count(",") == row.count(",") + 4
+
     def test_tail_below_float_range_is_zero(self, capsys):
         # The exact tail is near 1e-879: it must print 0.0, not a subnormal
         # the count law got stuck at.
@@ -238,6 +255,15 @@ class TestVerifyCommand:
             capsys, "verify", "--a", "0.2", "--b", "0.4", "--distortion", "0.15"
         )
         assert code == 0 and "ALL PASS" in out
+
+    def test_out_of_regime_distortion_exits_1(self, capsys):
+        # 0.3 lies inside the regime of some default chains but not of
+        # (0.1, 0.3), whose bound is 0.25: no chain may be skipped.
+        for d in ("5", "nan", "0.3"):
+            code = main(["verify", "--distortion", d])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error:") and "interior regime" in captured.err
 
 
 class TestRateDomain:

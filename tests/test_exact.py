@@ -17,7 +17,7 @@ from tiltedsum import (
     jtilt,
     occupation_pgf,
     occupation_pmf,
-    tilted_stats,
+    tilted_mean,
     variance_correction,
     variance_exact,
 )
@@ -121,12 +121,12 @@ def exact_closed_form_brackets(chain, n):
 
 class TestOccupationPMF:
     def test_n1_is_marginal(self, moderate):
-        assert np.allclose(occupation_pmf(moderate, 1).probs, [0.75, 0.25], atol=1e-15)
+        assert np.allclose(occupation_pmf(moderate, 1), [0.75, 0.25], atol=1e-15)
 
     def test_n2_paths(self, moderate):
         # Four paths enumerated by hand: 00, 01/10, 11.
         assert np.allclose(
-            occupation_pmf(moderate, 2).probs, [0.675, 0.15, 0.175], atol=1e-15
+            occupation_pmf(moderate, 2), [0.675, 0.15, 0.175], atol=1e-15
         )
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
@@ -134,7 +134,7 @@ class TestOccupationPMF:
         chain = derive_chain(a, b)
         for n in (1, 2, 3, 5, 8, 12, 16):
             tv = 0.5 * np.abs(
-                occupation_pmf(chain, n).probs - enumerate_pmf(chain, n, u_values=()).pmf
+                occupation_pmf(chain, n) - enumerate_pmf(chain, n)
             ).sum()
             assert tv < 1e-12
 
@@ -143,16 +143,16 @@ class TestOccupationPMF:
         chain = derive_chain(a, b)
         for n in (1, 7, 64, 300):
             pmf = occupation_pmf(chain, n)
-            assert np.all(pmf.probs >= 0)
-            assert pmf.probs.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.arange(n + 1) @ pmf.probs == pytest.approx(n * chain.pi1, abs=1e-9)
+            assert np.all(pmf >= 0)
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.arange(n + 1) @ pmf == pytest.approx(n * chain.pi1, abs=1e-9)
 
     @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.6, 0.7), (0.02, 0.05), (2e-12, 0.3)])
     def test_matches_exact_rational_law(self, a, b):
         chain = derive_chain(a, b)
         for n in (33, 200):
             exact = exact_count_law(chain, n)
-            probs = occupation_pmf(chain, n).probs
+            probs = occupation_pmf(chain, n)
             kept = exact >= 1e-250
             assert np.all(np.abs(probs[kept] - exact[kept]) <= 1e-12 * exact[kept])
 
@@ -160,12 +160,12 @@ class TestOccupationPMF:
         "a,b,n", [(0.1, 0.3, 6000), (0.6, 0.7, 4000), (0.02, 0.05, 2048), (2e-12, 0.3, 300)]
     )
     def test_no_subnormal_entries(self, a, b, n):
-        probs = occupation_pmf(derive_chain(a, b), n).probs
+        probs = occupation_pmf(derive_chain(a, b), n)
         assert not np.any((probs > 0.0) & (probs < TINY))
 
     def test_deep_tail_is_zero_not_stuck_at_subnormal(self, moderate):
         # The true last entry is about 1e-930, far below float range.
-        assert occupation_pmf(moderate, 6000).probs[-1] == 0.0
+        assert occupation_pmf(moderate, 6000)[-1] == 0.0
 
     def test_cap_enforced(self, moderate):
         with pytest.raises(ValueError):
@@ -195,7 +195,7 @@ class TestOccupationPGF:
             pmf = occupation_pmf(chain, n)
             powers = np.arange(n + 1)
             for u in (0.5, 1.0, 2.0):
-                direct = float(pmf.probs @ (u**powers))
+                direct = float(pmf @ (u**powers))
                 assert occupation_pgf(chain, n, u) == pytest.approx(direct, rel=1e-10)
 
     def test_rejects_nonpositive_u(self, moderate):
@@ -238,7 +238,7 @@ class TestJnLaw:
 
     def test_mean(self, moderate):
         law = jn_law(moderate, 0.1, 50)
-        assert law.mean() == pytest.approx(50 * tilted_stats(moderate, 0.1).mu_d, abs=1e-9)
+        assert law.mean() == pytest.approx(50 * tilted_mean(moderate, 0.1), abs=1e-9)
 
     def test_support_shift_between_distortions(self, moderate):
         n = 20
@@ -301,7 +301,7 @@ class TestVarianceExact:
                     assert variance_exact(chain, n) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_per_letter_monotone_below_limit(self, moderate):
-        v_sl = tilted_stats(moderate, 0.1).v_sl
+        v_sl = moderate.v_sl
         values = [variance_exact(moderate, n) / n for n in range(1, 200)]
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(v <= v_sl for v in values)
@@ -313,24 +313,22 @@ class TestVarianceExact:
 
 class TestVarianceCorrection:
     def test_constant(self, moderate):
-        assert variance_correction(moderate, 1).constant == pytest.approx(
+        assert moderate.deficit_constant == pytest.approx(
             CORRECTION_CONSTANT_MODERATE, rel=1e-12
         )
 
     def test_iid_no_correction(self, iid_quarter):
         for n in (1, 10, 1000):
-            assert variance_correction(iid_quarter, n).correction == 0.0
+            assert variance_correction(iid_quarter, n) == 0.0
 
     def test_geometric_approach(self, moderate):
-        result = variance_correction(moderate, 200)
-        want = result.constant * (1.0 - 0.6**200)
-        assert abs(result.correction - want) < 1e-6
+        want = moderate.deficit_constant * (1.0 - 0.6**200)
+        assert abs(variance_correction(moderate, 200) - want) < 1e-6
 
     def test_consistent_with_variance(self, moderate):
-        v_sl = tilted_stats(moderate, 0.1).v_sl
         for n in (1, 7, 40):
-            deficit = n * v_sl - variance_exact(moderate, n)
-            assert variance_correction(moderate, n).correction == pytest.approx(
+            deficit = n * moderate.v_sl - variance_exact(moderate, n)
+            assert variance_correction(moderate, n) == pytest.approx(
                 deficit, rel=1e-10
             )
 
@@ -341,12 +339,13 @@ class TestVarianceCorrection:
             for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
                 for n in (1, 2, 10, 1000, 10_000):
                     want = chain.v_iid * exact_closed_form_brackets(chain, n)[1]
-                    got = variance_correction(chain, n).correction
+                    got = variance_correction(chain, n)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_negative_for_anticorrelated(self):
         chain = derive_chain(0.7, 0.6)  # a + b > 1, lambda2 < 0
-        assert variance_correction(chain, 10).correction < 0.0
+        assert variance_correction(chain, 10) < 0.0
+        assert chain.deficit_constant < 0.0
 
 
 class TestCenteredCumulants:
@@ -375,7 +374,7 @@ class TestCenteredCumulants:
 
     def test_small_n_against_enumeration(self, moderate):
         # kappa_2 and kappa_3 for n = 2 from the three-atom law directly.
-        pmf = enumerate_pmf(moderate, 2, u_values=()).pmf
+        pmf = enumerate_pmf(moderate, 2)
         m = np.arange(3)
         mean = pmf @ m
         m2 = pmf @ (m - mean) ** 2

@@ -15,7 +15,7 @@ from tiltedsum import (
     jn_law,
     occupation_pmf,
     simulate,
-    tilted_stats,
+    tilted_mean,
     variance_exact,
 )
 from tiltedsum import markov, montecarlo
@@ -42,7 +42,7 @@ class TestSimulate:
         n, reps = 50, 20_000
         report = simulate(moderate, 0.1, n, reps, 1)
         exact_var = variance_exact(moderate, n)
-        mu = n * tilted_stats(moderate, 0.1).mu_d
+        mu = n * tilted_mean(moderate, 0.1)
         se_mean = math.sqrt(exact_var / reps)
         assert abs(report.emp_mean - mu) < 4 * se_mean
         se_var = variance_standard_error(moderate, n, reps)
@@ -161,7 +161,7 @@ class TestCountHistogram:
         assert reps % montecarlo._BLOCK_ROWS
         histogram = montecarlo._count_histogram(chain, 0.01, jn_law(chain, 0.01, n), reps, 17)
         emp = np.cumsum(histogram) / reps
-        exact = np.cumsum(occupation_pmf(chain, n).probs)
+        exact = np.cumsum(occupation_pmf(chain, n))
         assert np.abs(emp - exact).max() <= dkw_halfwidth(reps)
 
     def test_memory_does_not_grow_with_replications(self, moderate):
@@ -198,7 +198,7 @@ class TestDistanceReference:
         atoms, cum = law.cdf_points()
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
         # ks_normal standardizes each sample's count, not its rounded atom.
-        scale = math.sqrt(n * tilted_stats(chain, d).v_sl)
+        scale = math.sqrt(n * chain.v_sl)
         standardized = np.sort(-chain.ell * (counts - n * chain.pi1) / scale)
         phi = NormalDist().cdf
         ks_exact = ks_normal = 0.0

@@ -12,7 +12,7 @@ from tiltedsum import (
     derive_chain,
     jtilt,
     jtilt_generic,
-    tilted_stats,
+    tilted_mean,
 )
 from tiltedsum.tilting import _alternating_updates
 
@@ -150,9 +150,8 @@ class TestJtilt:
             )
 
     def test_expectation_is_mu(self, moderate):
-        stats = tilted_stats(moderate, 0.1)
         mean = moderate.pi0 * jtilt(moderate, 0.1, 0) + moderate.pi1 * jtilt(moderate, 0.1, 1)
-        assert mean == pytest.approx(stats.mu_d, abs=1e-14)
+        assert mean == pytest.approx(tilted_mean(moderate, 0.1), abs=1e-14)
 
     def test_bad_state(self, moderate):
         with pytest.raises(ValueError):
@@ -160,43 +159,40 @@ class TestJtilt:
 
 
 class TestTiltedStats:
+    # The distortion-free statistics are chain properties; only mu_D takes a D.
     def test_moderate_memory(self, moderate):
-        stats = tilted_stats(moderate, 0.1)
-        assert stats.mu_d == pytest.approx(MU_D_MODERATE, rel=1e-12)
-        assert stats.gap == pytest.approx(GAP_MODERATE, rel=1e-12)
-        assert stats.v_iid == pytest.approx(V_IID_SHARED, rel=1e-12)
-        assert stats.v_sl == pytest.approx(V_SL_MODERATE, rel=1e-12)
-        assert stats.amplification == pytest.approx(4.0, abs=1e-9)
+        assert tilted_mean(moderate, 0.1) == pytest.approx(MU_D_MODERATE, rel=1e-12)
+        assert moderate.gap == pytest.approx(GAP_MODERATE, rel=1e-12)
+        assert moderate.v_iid == pytest.approx(V_IID_SHARED, rel=1e-12)
+        assert moderate.v_sl == pytest.approx(V_SL_MODERATE, rel=1e-12)
+        assert moderate.amplification == pytest.approx(4.0, abs=1e-9)
 
     def test_strong_memory(self):
         chain = derive_chain(0.01, 0.03)
-        stats = tilted_stats(chain, 0.1)
-        assert stats.gap == pytest.approx(GAP_STRONG, rel=1e-12)
-        assert stats.v_sl == pytest.approx(V_SL_STRONG, rel=1e-12)
-        assert stats.v_iid == pytest.approx(V_IID_SHARED, rel=1e-12)
-        assert stats.amplification == pytest.approx(49.0, abs=1e-9)
+        assert chain.gap == pytest.approx(GAP_STRONG, rel=1e-12)
+        assert chain.v_sl == pytest.approx(V_SL_STRONG, rel=1e-12)
+        assert chain.v_iid == pytest.approx(V_IID_SHARED, rel=1e-12)
+        assert chain.amplification == pytest.approx(49.0, abs=1e-9)
 
     def test_iid(self, iid_quarter):
-        stats = tilted_stats(iid_quarter, 0.1)
-        assert stats.gap == pytest.approx(0.0, abs=1e-14)
-        assert stats.v_sl == pytest.approx(V_IID_SHARED, rel=1e-12)
+        assert iid_quarter.gap == pytest.approx(0.0, abs=1e-14)
+        assert iid_quarter.v_sl == pytest.approx(V_IID_SHARED, rel=1e-12)
 
     @pytest.mark.parametrize("a, amplification", [(0.5, 1.0), (0.3, 7.0 / 3.0)])
     def test_symmetric_chain(self, a, amplification):
         # Both variances vanish, so the factor comes from (1+lambda2)/(1-lambda2).
-        stats = tilted_stats(derive_chain(a, a), 0.2)
-        assert stats.v_iid == 0.0 and stats.v_sl == 0.0
-        assert stats.amplification == pytest.approx(amplification, rel=1e-15)
+        chain = derive_chain(a, a)
+        assert chain.v_iid == 0.0 and chain.v_sl == 0.0
+        assert chain.amplification == pytest.approx(amplification, rel=1e-15)
 
-    def test_gap_independent_of_distortion(self, moderate):
-        assert tilted_stats(moderate, 0.05).gap == pytest.approx(
-            tilted_stats(moderate, 0.2).gap, abs=1e-14
-        )
+    def test_mean_regime_checked(self, moderate):
+        for d in (0.0, 0.25, math.nan):
+            with pytest.raises(RegimeError):
+                tilted_mean(moderate, d)
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_v_sl_closed_form(self, a, b):
         # Spectral form vs the explicit rational expression in (a, b).
         chain = derive_chain(a, b)
-        stats = tilted_stats(chain, min(chain.pi0, chain.pi1) / 2)
         direct = a * b * (2 - a - b) / (a + b) ** 3 * math.log2(a / b) ** 2
-        assert stats.v_sl == pytest.approx(direct, abs=1e-12, rel=1e-12)
+        assert chain.v_sl == pytest.approx(direct, abs=1e-12, rel=1e-12)

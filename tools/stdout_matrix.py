@@ -121,6 +121,9 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # Exit 1: a colon grid of more than 10**6 points, refused before it is built.
         ["variance-table", "--a", "0.1", "--b", "0.3", "--n-grid", "1:10000000000"],
         ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:1e-300"],
+        # Exit 1: a --distortion outside the interior regime of a chain to verify.
+        ["verify", "--distortion", "5"],
+        ["verify", "--a", "0.1", "--b", "0.3", "--distortion", "nan"],
     ]
     return calls
 
