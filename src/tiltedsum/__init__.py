@@ -10,11 +10,8 @@ exhaustive-enumeration oracle that certifies the closed forms.
 """
 
 from .cgf import (
-    CGFCurve,
-    RatePoint,
     SaddlepointTail,
     achievable_interval,
-    cgf_curve,
     cgf_finite,
     cgf_limit,
     cgf_limit_derivative,
@@ -26,19 +23,16 @@ from .cgf import (
 from .errors import ConvergenceError, RegimeError
 from .exact import (
     DP_MAX_N,
-    JnLaw,
     centered_cumulants,
     centered_tail_probability,
     jn_law,
     occupation_log2_pgf,
-    occupation_pgf,
     occupation_pmf,
     variance_correction,
     variance_exact,
 )
 from .markov import (
     ChainParams,
-    Trajectory,
     binary_entropy,
     derive_chain,
     indicator_autocov,
@@ -63,25 +57,20 @@ from .tilting import (
 
 __all__ = [
     "BAOperatingPoint",
-    "CGFCurve",
     "ChainParams",
     "CltDistance",
     "ConvergenceError",
     "DP_MAX_N",
     "ENUM_MAX_N",
-    "JnLaw",
-    "RatePoint",
     "RegimeError",
     "SaddlepointTail",
     "SimReport",
-    "Trajectory",
     "achievable_interval",
     "ba_fixed_point_iterate",
     "ba_operating_point",
     "binary_entropy",
     "centered_cumulants",
     "centered_tail_probability",
-    "cgf_curve",
     "cgf_finite",
     "cgf_limit",
     "cgf_limit_derivative",
@@ -95,7 +84,6 @@ __all__ = [
     "jtilt",
     "jtilt_generic",
     "occupation_log2_pgf",
-    "occupation_pgf",
     "occupation_pmf",
     "oracle_variance",
     "perron_root",

@@ -14,6 +14,7 @@ tilted transition matrix
 
 G_n and lambda_plus follow one tilt rule, that of ``exact``: max(1, u) is
 factored out and only weights <= 1 are formed, so no finite tilt overflows.
+L_n at a whole array of theta costs one batched call of the ``exact`` kernel.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -36,25 +37,6 @@ from .markov import LN2, ChainParams
 # |theta*| below this leaves the large-deviation regime; the saddlepoint
 # estimate degrades toward the Gaussian bulk and is flagged.
 GAUSSIAN_REGIME_THETA = 0.05
-
-
-@dataclass(frozen=True)
-class CGFCurve:
-    """Finite-n and limiting CGF values sampled on a theta grid."""
-
-    thetas: np.ndarray
-    lambda_n: np.ndarray
-    lambda_inf: np.ndarray
-    n: int
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """A point of the rate function: I(x) with its optimal tilt."""
-
-    x: float
-    theta_star: float
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -141,37 +123,21 @@ def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     return chain.ell**2 * LN2 * c
 
 
-def _cgf_finite_batch(chain: ChainParams, n: int, thetas: np.ndarray) -> np.ndarray:
-    """L_n at every theta of a 1-D array, from one batched kernel call.
+def cgf_finite(chain: ChainParams, n: int, theta):
+    """Finite-n base-2 CGF of the centered tilted sum, in bits, at a float or a 1-D array of theta.
 
-    The kernel validates n and the tilts, also on a symmetric chain, whose
-    L_n is identically 0.
+    One batched kernel call, of O(log n) products of 2x2 matrices at any finite tilt; a float
+    theta gives a float.  The kernel validates n and the tilts, also on a symmetric chain,
+    whose L_n is identically 0.
     """
+    thetas = np.array(theta, dtype=float, ndmin=1)
     log2_u = -thetas * chain.ell
     log2_g = _log2_pgf(chain, n, log2_u)  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     if chain.symmetric:
-        return np.zeros_like(thetas)
-    return thetas * chain.pi1 * chain.ell + (np.maximum(log2_u, 0.0) + log2_g / n)
-
-
-def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
-    """Finite-n base-2 CGF of the centered tilted sum, in bits.
-
-    Costs O(log n) products of 2x2 matrices, at any finite tilt.
-    """
-    return float(_cgf_finite_batch(chain, n, np.array([float(theta)]))[0])
-
-
-def cgf_curve(chain: ChainParams, n: int, thetas) -> CGFCurve:
-    """Sample the finite-n and limiting CGFs on a theta grid.
-
-    The finite-n values come from one batched kernel call; the limit is the
-    closed-form Perron root at each theta.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    lam_n = _cgf_finite_batch(chain, n, thetas)
-    lam_inf = np.array([cgf_limit(chain, float(t)) for t in thetas])
-    return CGFCurve(thetas=thetas, lambda_n=lam_n, lambda_inf=lam_inf, n=n)
+        values = np.zeros_like(thetas)
+    else:
+        values = thetas * chain.pi1 * chain.ell + (np.maximum(log2_u, 0.0) + log2_g / n)
+    return values if np.ndim(theta) else float(values[0])
 
 
 def achievable_interval(chain: ChainParams) -> tuple[float, float]:
@@ -191,8 +157,8 @@ def _log_share(share: float, r: float, total: float) -> float:
     return math.log1p(-r / total) if 2.0 * r < total else math.log(share / total)
 
 
-def rate_function(chain: ChainParams, x: float) -> RatePoint:
-    """Legendre-Fenchel rate I(x) = theta*x - L(theta*) with L'(theta*) = x.
+def rate_function(chain: ChainParams, x: float) -> tuple[float, float]:
+    """(theta*, I(x)): the Legendre-Fenchel rate I(x) = theta*x - L(theta*) with L'(theta*) = x.
 
     Closed form by contraction of the pair empirical measure (Dembo and
     Zeitouni, Large Deviations Techniques and Applications, sec. 3.1).  The
@@ -225,7 +191,7 @@ def rate_function(chain: ChainParams, x: float) -> RatePoint:
     if not (q > 0.0 and p > 0.0):
         raise ValueError(f"x={x!r} outside the achievable open interval ({lo_x!r}, {hi_x!r})")
     if x == 0.0:
-        return RatePoint(x=0.0, theta_star=0.0, rate=0.0)
+        return 0.0, 0.0
     kappa = a * b / ((1.0 - a) * (1.0 - b))
     gap = (b - a) / (a + b) + 2.0 * y  # p - q
     r = 2.0 * kappa * q * p / (kappa + math.sqrt((kappa * gap) ** 2 + 4.0 * kappa * q * p))
@@ -234,7 +200,7 @@ def rate_function(chain: ChainParams, x: float) -> RatePoint:
     stay1, stay0 = (larger, product / larger) if gap < 0.0 else (product / larger, larger)
     log_u = _log_share(stay1, r, q) - _log_share(stay0, r, p) + math.log1p(-a) - math.log1p(-b)
     theta = -log_u / (chain.ell * LN2)
-    return RatePoint(x=x, theta_star=theta, rate=max(theta * x - cgf_limit(chain, theta), 0.0))
+    return theta, max(theta * x - cgf_limit(chain, theta), 0.0)
 
 
 def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
@@ -255,15 +221,13 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
         raise ValueError(f"blocklength n={n} must be >= 1")
     if not x > 0.0:
         raise ValueError(f"upper-tail estimate requires x > 0, got x={x!r}")
-    point = rate_function(chain, x)
-    sigma_star = math.sqrt(cgf_limit_second_derivative(chain, point.theta_star) / LN2)
-    prob = 2.0 ** (-n * point.rate) / (
-        point.theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n)
-    )
+    theta_star, rate = rate_function(chain, x)
+    sigma_star = math.sqrt(cgf_limit_second_derivative(chain, theta_star) / LN2)
+    prob = 2.0 ** (-n * rate) / (theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n))
     return SaddlepointTail(
         probability=prob,
-        theta_star=point.theta_star,
-        rate=point.rate,
+        theta_star=theta_star,
+        rate=rate,
         sigma_star=sigma_star,
-        near_gaussian=abs(point.theta_star) < GAUSSIAN_REGIME_THETA,
+        near_gaussian=abs(theta_star) < GAUSSIAN_REGIME_THETA,
     )

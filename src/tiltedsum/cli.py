@@ -8,10 +8,11 @@ rows, and the columns are the first row's keys.  ``paper-tables`` and
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
-byte.  Infinite values are written as the string ``inf``, which keeps the
-JSON valid: the limit row's ``n`` and ``var_total`` in ``variance-table``,
-and ``tail``'s ``ratio`` when the exact tail is 0.  Exit
-codes: 0 success, 1 validation error, 2 verification failure, 3 I/O error.
+byte.  Non-finite values are written as the string ``inf`` or ``nan``,
+which keeps the JSON valid: the limit row's ``n`` and ``var_total`` in
+``variance-table``, ``tail``'s ``ratio`` when the exact tail is 0, and a
+``verify`` suite's ``max_deviation``.  Exit codes: 0 success, 1 validation
+error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from . import (
     ba_operating_point,
     binary_entropy,
     centered_tail_probability,
-    cgf_curve,
     cgf_finite,
     cgf_limit,
     derive_chain,
     enumerate_pmf,
     jn_law,
     jtilt,
-    occupation_pgf,
+    occupation_log2_pgf,
     occupation_pmf,
     oracle_variance,
     perron_root,
@@ -86,11 +86,17 @@ def _parse_grid(text: str, cast=float) -> list:
             raise ValueError(f"grid {text!r} must be start:stop[:step]")
         start, stop = cast(parts[0]), cast(parts[1])
         step = cast(parts[2]) if len(parts) == 3 else cast(1)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ValueError(f"grid {text!r} must have a finite start, stop and step")
-        if step <= 0:
-            raise ValueError(f"grid step must be positive in {text!r}")
-        count = int(math.floor(min((stop - start) / step, MAX_GRID_POINTS) + 1e-9)) + 1
+        try:  # ints beyond float range overflow in isfinite or in the division
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise ValueError(f"grid {text!r} must have a finite start, stop and step")
+            if step <= 0:
+                raise ValueError(f"grid step must be positive in {text!r}")
+            span = (stop - start) / step
+        except OverflowError:
+            raise ValueError(f"grid {text!r} lies beyond float range") from None
+        # Clamped to [-1, MAX_GRID_POINTS]: a float span of +-inf never reaches math.floor,
+        # and a negative span leaves the grid empty.
+        count = int(math.floor(min(max(span, -1.0), MAX_GRID_POINTS) + 1e-9)) + 1
         if count > MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         values = [start + k * step for k in range(count)]
@@ -198,10 +204,10 @@ def cmd_stats(args, chain) -> list[dict]:
 
 
 def cmd_pmf(args, chain) -> list[dict]:
-    law = jn_law(chain, args.distortion, args.n)
+    support, probs = jn_law(chain, args.distortion, args.n)
     return [
         {"m": m, "prob": float(p), "j_value": float(j)}
-        for m, (p, j) in enumerate(zip(law.probs, law.support))
+        for m, (p, j) in enumerate(zip(probs, support))
     ]
 
 
@@ -221,10 +227,10 @@ def cmd_cgf(args, chain) -> list[dict]:
         thetas = [args.theta]
     else:
         thetas = _parse_grid(args.theta_grid or "-2:2:0.25", float)
-    curve = cgf_curve(chain, args.n, thetas)
+    lambda_n = cgf_finite(chain, args.n, np.array(thetas))
     return [
-        {"theta": float(t), "lambda_n": float(ln), "lambda_inf": float(li)}
-        for t, ln, li in zip(curve.thetas, curve.lambda_n, curve.lambda_inf)
+        {"theta": t, "lambda_n": float(ln), "lambda_inf": cgf_limit(chain, t)}
+        for t, ln in zip(thetas, lambda_n)
     ]
 
 
@@ -237,8 +243,8 @@ def cmd_rate(args, chain) -> list[dict]:
         raise ValueError("rate requires --x or --x-grid")
     rows = []
     for x in xs:
-        point = rate_function(chain, x)
-        rows.append({"x": point.x, "theta_star": point.theta_star, "rate": point.rate})
+        theta_star, rate = rate_function(chain, x)
+        rows.append({"x": x, "theta_star": theta_star, "rate": rate})
     return rows
 
 
@@ -338,29 +344,30 @@ def cmd_paper_tables(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: each check yields one deviation per case for one chain
+# verify: each check yields one deviation per case for one chain, at the
+# given --distortion, or at its own default levels when that is None
 
 
 VERIFY_PAIRS = [(0.1, 0.3), (0.3, 0.1), (0.25, 0.75), (0.6, 0.7), (0.45, 0.35), (0.5, 0.5)]
 VERIFY_D_GRID = (0.05, 0.1, 0.2)
 
 
-def _oracle_pmf_tv(chain, d_grid, perturb):
+def _oracle_pmf_tv(chain, distortion, perturb):
     for n in range(1, 13):
         yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum())
 
 
-def _variance_forms(chain, d_grid, perturb):
+def _variance_forms(chain, distortion, perturb):
     for n in (1, 2, 10, 100, 10_000):
         double = variance_exact(chain, n, "double_sum")
         closed = variance_exact(chain, n, "closed_form") * (1.0 + perturb)
         yield abs(double - closed) / max(abs(double), 1e-30)
 
 
-def _oracle_variance(chain, d_grid, perturb):
+def _oracle_variance(chain, distortion, perturb):
     if chain.a == chain.b:
         return
-    for d in d_grid:
+    for d in VERIFY_D_GRID if distortion is None else (distortion,):
         if not 0.0 < d < min(chain.pi0, chain.pi1):
             continue  # only the default grid: a given --distortion was checked up front
         for n in range(1, 11):
@@ -369,43 +376,48 @@ def _oracle_variance(chain, d_grid, perturb):
             yield abs(per_path - closed) / max(abs(closed), 1e-30)
 
 
-def _pgf_pmf(chain, d_grid, perturb):
+def _pgf_pmf(chain, distortion, perturb):
     for n in (1, 2, 10, 50, 200):
         pmf = occupation_pmf(chain, n)
         powers = np.arange(n + 1)
         for u in (0.5, 1.0, 2.0):
             direct = float(pmf @ (u**powers))
-            yield abs(occupation_pgf(chain, n, u) - direct) / direct
+            yield abs(2.0 ** occupation_log2_pgf(chain, n, u) - direct) / direct
 
 
-def _cgf_zeros(chain, d_grid, perturb):
+def _cgf_zeros(chain, distortion, perturb):
     yield abs(perron_root(chain, 1.0) - 1.0)
     yield abs(cgf_limit(chain, 0.0))
     for n in (1, 4, 16, 200):
         yield abs(cgf_finite(chain, n, 0.0))
 
 
-def _cgf_expectation(chain, d_grid, perturb):
+def _cgf_expectation(chain, distortion, perturb):
     if chain.a == chain.b:
         return
-    d = min(chain.pi0, chain.pi1) / 2
+    d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
     mu = tilted_mean(chain, d)
     for n in (1, 4, 16):
-        law = jn_law(chain, d, n)
-        centered = law.support - n * mu
+        support, probs = jn_law(chain, d, n)
+        centered = support - n * mu
         for theta in (-1.0, -0.3, 0.3, 1.0):
-            direct = math.log2(float(law.probs @ np.exp2(theta * centered))) / n
+            direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
             yield abs(cgf_finite(chain, n, theta) - direct)
 
 
-def _d_invariance(chain, d_grid, perturb):
-    """One case per chain: the shift of the atoms between two distortions."""
+def _d_invariance(chain, distortion, perturb):
+    """One case per chain: the shift of the atoms between two distortions.
+
+    They are two default levels, or the given distortion and the upper one.
+    """
     d_lo, d_hi = 0.05, 0.2
     if not d_hi < min(chain.pi0, chain.pi1):
         d_lo, d_hi = min(chain.pi0, chain.pi1) / 4, min(chain.pi0, chain.pi1) / 2
+    if distortion is not None:
+        d_lo = distortion
     n = 20
     shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
-    atoms = jn_law(chain, d_lo, n).support - jn_law(chain, d_hi, n).support
+    atoms = jn_law(chain, d_lo, n)[0] - jn_law(chain, d_hi, n)[0]
     yield float(np.max(np.abs(atoms - shift))) / n
 
 
@@ -424,24 +436,22 @@ CHECKS = [
 def cmd_verify(args) -> int:
     if (args.a is None) != (args.b is None):
         raise ValueError("verify needs both --a and --b, or neither")
+    perturb = args.perturb or 0.0
+    if not math.isfinite(perturb):
+        raise ValueError(f"--perturb {perturb!r} must be finite")
     pairs = [(args.a, args.b)] if args.a is not None else VERIFY_PAIRS
     chains = [derive_chain(a, b) for a, b in pairs]
     if args.distortion is not None:
         # A given distortion must hold for every chain, not be skipped where it does not.
         for chain in chains:
             require_interior(chain, args.distortion)
-        d_grid = (args.distortion,)
-    else:
-        d_grid = VERIFY_D_GRID
-    perturb = args.perturb or 0.0
     suites = []
     for name, tolerance, deviations in CHECKS:
-        worst, cases = 0.0, 0
-        for chain in chains:
-            for deviation in deviations(chain, d_grid, perturb):
-                worst = max(worst, deviation)
-                cases += 1
-        suites.append({"name": name, "cases": cases, "max_deviation": worst,
+        found = [dev for chain in chains for dev in deviations(chain, args.distortion, perturb)]
+        # max() would pass over a NaN; a NaN deviation is the worst case and fails the suite.
+        worst = math.nan if any(map(math.isnan, found)) else max(found, default=0.0)
+        suites.append({"name": name, "cases": len(found),
+                       "max_deviation": worst if math.isfinite(worst) else str(worst),
                        "tolerance": tolerance, "pass": worst <= tolerance})
     all_pass = all(s["pass"] for s in suites)
 
@@ -449,7 +459,7 @@ def cmd_verify(args) -> int:
         text = _dump_json({"command": "verify", "perturb": perturb, "suites": suites, "pass": all_pass})
     else:
         lines = [
-            f"{s['name']}: max deviation {s['max_deviation']:.3e} over {s['cases']} cases "
+            f"{s['name']}: max deviation {float(s['max_deviation']):.3e} over {s['cases']} cases "
             f"(tol {s['tolerance']:.0e}): {'PASS' if s['pass'] else 'FAIL'}"
             for s in suites
         ]

@@ -5,9 +5,11 @@ block sum is an affine image of the occupation count,
 
     J_n(D) = n*(-log2(pi0) - h2(D)) - ell*N_n,
 
-so its centered law J_n(D) - n*mu_D = -ell*(N_n - n*pi1) does not depend on
-the distortion level at all.  Both the law of N_n and its probability
-generating function come from one transfer matrix,
+so its law is two arrays, the atoms n*jtilt(D, 0) - ell*m and the count
+probabilities Pr(N_n = m), and its centered law J_n(D) - n*mu_D =
+-ell*(N_n - n*pi1) does not depend on the distortion level at all.  Both
+the law of N_n and its probability generating function come from one
+transfer matrix,
 
     G_n(u) = pi^T D(u) (P D(u))^{n-1} 1,    D(u) = diag(1, u),
 
@@ -28,7 +30,6 @@ any n.  The variance comes in both its double-sum and closed forms:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -48,33 +49,6 @@ _TINY = np.finfo(float).tiny
 # Below this n*(a+b) the closed-form variance bracket cancels; its power
 # series in a+b is used instead.
 _SERIES_MAX_NS = 0.5
-
-
-@dataclass(frozen=True)
-class JnLaw:
-    """Law of the tilted block sum: atoms offset + slope*m with the count PMF.
-
-    For a symmetric chain (a == b) the slope vanishes and the law is a
-    single point mass at n*mu_D; ``support`` and ``probs`` then have
-    length one.
-    """
-
-    n: int
-    offset: float
-    slope: float
-    support: np.ndarray = field(repr=False)
-    probs: np.ndarray = field(repr=False)
-
-    def mean(self) -> float:
-        return float(self.support @ self.probs)
-
-    def cdf_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct atoms ascending with their cumulative probabilities.
-
-        Atoms that coincide in floating point, as on a nearly symmetric
-        chain, count as one point of the CDF.
-        """
-        return _cumulate(self.support, self.probs)
 
 
 def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,37 +197,19 @@ def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
     return n * max(log2_u, 0.0) + float(_log2_pgf(chain, n, np.array([log2_u]))[0])
 
 
-def occupation_pgf(chain: ChainParams, n: int, u: float) -> float:
-    """G_n(u) = E[u^{N_n}] as a real number (2**occupation_log2_pgf).
+def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of the tilted block sum at distortion d and blocklength n, as (support, probs).
 
-    Values beyond float range come back as inf; use
-    :func:`occupation_log2_pgf` when the magnitude itself is the point.
+    Atom m of ``support`` is n*jtilt(d, 0) - ell*m and carries probs[m] = Pr(N_n = m), for
+    m = 0..n.  For a symmetric chain (a == b) the slope -ell vanishes and the law is a single
+    point mass at n*mu_D: both arrays then have length one.
     """
-    log2_g = occupation_log2_pgf(chain, n, u)
-    if log2_g >= 1024.0:
-        return math.inf
-    return 2.0**log2_g
-
-
-def jn_law(chain: ChainParams, d: float, n: int) -> JnLaw:
-    """Exact law of the tilted block sum at distortion d and blocklength n."""
     require_interior(chain, d)
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    offset = n * jtilt(chain, d, 0)
     if chain.symmetric:
-        # Slope -ell vanishes: the affine map is constant and the law is a
-        # point mass (the count law is irrelevant).
-        return JnLaw(
-            n=n,
-            offset=offset,
-            slope=0.0,
-            support=np.array([n * tilted_mean(chain, d)]),
-            probs=np.array([1.0]),
-        )
-    slope = -chain.ell
-    support = offset + slope * np.arange(n + 1)
-    return JnLaw(n=n, offset=offset, slope=slope, support=support, probs=occupation_pmf(chain, n))
+        return np.array([n * tilted_mean(chain, d)]), np.array([1.0])
+    return n * jtilt(chain, d, 0) - chain.ell * np.arange(n + 1), occupation_pmf(chain, n)
 
 
 def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:

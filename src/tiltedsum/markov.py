@@ -14,7 +14,7 @@ not depend on the distortion level is a property of :class:`ChainParams`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,15 +97,6 @@ class ChainParams:
         return 2.0 * self.v_iid * self.lambda2 / (s * s)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled state sequence, reproducible from (seed, n)."""
-
-    states: np.ndarray = field(repr=False)
-    seed: int
-    n: int
-
-
 def binary_entropy(p: float) -> float:
     """Binary entropy -p*log2(p) - (1-p)*log2(1-p) in bits, with h2(0)=h2(1)=0."""
     if not 0.0 <= p <= 1.0:
@@ -183,8 +174,8 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
         first = first ^ (k & 1)
 
 
-def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
-    """Sample n letters of the stationary chain, run by run (see :func:`_runs`).
+def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
+    """The states of n letters of the stationary chain, sampled run by run (see :func:`_runs`).
 
     Uniforms come from a Philox counter-based generator, so the sequence is
     a pure function of (seed, n) and regenerating it is bit-identical.
@@ -199,4 +190,4 @@ def sample_trajectory(chain: ChainParams, n: int, seed: int) -> Trajectory:
         )
         for first, start, ends in _runs(chain, n, 1, rng)
     ]
-    return Trajectory(states=np.concatenate(pieces), seed=seed, n=n)
+    return np.concatenate(pieces)

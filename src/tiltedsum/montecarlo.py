@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import JnLaw, _cumulate, jn_law, occupation_pmf
+from .exact import _cumulate, jn_law, occupation_pmf
 from .markov import ChainParams, _runs
 from .tilting import jtilt, require_interior
 
@@ -60,7 +60,7 @@ class CltDistance:
 
 
 def _count_histogram(
-    chain: ChainParams, d: float, law: JnLaw, replications: int, seed: int
+    chain: ChainParams, d: float, n: int, support: np.ndarray, replications: int, seed: int
 ) -> np.ndarray:
     """Histogram of the occupation count n1 over the replications, pathwise-checked.
 
@@ -69,18 +69,18 @@ def _count_histogram(
     plus e_{k-1} when k is even; the other runs hold the rest of
     e_{k-1} - f.  Each letter of a state-x run carries jx, so the per-letter
     sum is n0*j0 + n1*j1 with equal letters grouped, free of
-    summation-order error.  It must match the atom of ``law`` at m = n1 to
+    summation-order error.  It must match the exact law's atom at m = n1,
+    ``support[n1]`` (the one atom on a symmetric chain), to
     max(``PATHWISE_TOL``, 64*eps*n*L) with
     L = max(1, |log2 a|, |log2 b|, |log2 pi0|, |log2 pi1|), since both forms
     add terms of up to about n*L bits and round at eps times that; and
     n0 + n1 must be n.
     """
-    n = law.n
     j0, j1 = jtilt(chain, d, 0), jtilt(chain, d, 1)
     bits = max(1.0, *(abs(math.log2(p)) for p in (chain.a, chain.b, chain.pi0, chain.pi1)))
     tol = max(PATHWISE_TOL, 64.0 * _EPS * n * bits)
     # A symmetric chain's law is a single atom, shared by every count.
-    atoms = np.broadcast_to(law.support, n + 1)
+    atoms = np.broadcast_to(support, n + 1)
 
     histogram = np.zeros(n + 1, dtype=np.int64)  # replications per occupation count
     for block in range(-(-replications // _BLOCK_ROWS)):
@@ -168,23 +168,23 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         raise ValueError(
             f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"
         )
-    law = jn_law(chain, d, n)
-    histogram = _count_histogram(chain, d, law, replications, seed)
+    support, probs = jn_law(chain, d, n)
+    histogram = _count_histogram(chain, d, n, support, replications, seed)
     # Replications per atom of the law; a symmetric chain's law is one atom.
     counts = histogram.sum(keepdims=True) if chain.symmetric else histogram
 
     # Shifted moments: deviations from an observed atom keep the arithmetic
     # exact for the degenerate (constant) case and well-scaled otherwise.
-    shift = law.support[np.argmax(counts)]
-    dev = law.support - shift
+    shift = support[np.argmax(counts)]
+    dev = support - shift
     dev_mean = float((counts * dev).sum()) / replications
     emp_mean = shift + dev_mean
     emp_var = float((counts * (dev - dev_mean) ** 2).sum()) / (replications - 1)
 
     # Every sample sits on an atom of the law, so both distances need the
     # CDFs at the atoms only: Phi is evaluated at most n+1 times.
-    _, cum = law.cdf_points()
-    _, seen = _cumulate(law.support, counts)  # replications at or below each atom
+    _, cum = _cumulate(support, probs)
+    _, seen = _cumulate(support, counts)  # replications at or below each atom
     emp = seen / replications
     emp_left = np.concatenate(([0], seen[:-1])) / replications
     ks_exact = _sup_distance(emp, emp_left, cum, np.concatenate(([0.0], cum[:-1])))

@@ -8,7 +8,6 @@ import pytest
 from tiltedsum import (
     achievable_interval,
     centered_tail_probability,
-    cgf_curve,
     cgf_finite,
     cgf_limit,
     cgf_limit_derivative,
@@ -160,10 +159,10 @@ class TestFiniteCGF:
     def test_matches_exact_expectation(self, moderate):
         mu = tilted_mean(moderate, 0.1)
         for n in (1, 2, 7, 16):
-            law = jn_law(moderate, 0.1, n)
-            centered = law.support - n * mu
+            support, probs = jn_law(moderate, 0.1, n)
+            centered = support - n * mu
             for theta in (-1.0, -0.3, 0.3, 1.0):
-                direct = math.log2(float(law.probs @ np.exp2(theta * centered))) / n
+                direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
                 assert cgf_finite(moderate, n, theta) == pytest.approx(direct, abs=1e-10)
 
     def test_second_derivative_is_variance(self, moderate):
@@ -214,13 +213,16 @@ class TestPoweredKernel:
         for theta in (-1.0, 0.5, 2.0):
             assert abs(cgf_finite(moderate, 10**9, theta) - cgf_limit(moderate, theta)) <= 1e-6
 
-    @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.02, 0.05), (0.6, 0.7)])
-    def test_curve_is_cgf_finite_on_each_theta(self, a, b):
+    @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.02, 0.05), (0.6, 0.7), (0.5, 0.5)])
+    def test_array_is_cgf_finite_on_each_theta(self, a, b):
         chain = derive_chain(a, b)
-        thetas = np.array([-900.0, -3.0, 0.0, 0.5, 7.0, 900.0]) / chain.ell
-        curve = cgf_curve(chain, 10_000, thetas)
-        for theta, value in zip(thetas, curve.lambda_n):
-            assert value == pytest.approx(cgf_finite(chain, 10_000, theta), rel=1e-15, abs=1e-15)
+        tilts = np.array([-900.0, -3.0, 0.0, 0.5, 7.0, 900.0])
+        thetas = tilts / chain.ell if chain.ell else tilts
+        for n in (1, 7, 10_000):
+            batch = cgf_finite(chain, n, thetas)
+            singles = [cgf_finite(chain, n, float(theta)) for theta in thetas]
+            assert all(type(value) is float for value in singles)
+            assert batch.tobytes() == np.array(singles).tobytes()
 
 
 class TestLimitCGF:
@@ -248,8 +250,8 @@ class TestLimitCGF:
         if chain.a == chain.b:
             return
         thetas = np.linspace(-2, 2, 41)
-        curve = cgf_curve(chain, 64, thetas)
-        for values in (curve.lambda_n, curve.lambda_inf):
+        limit = np.array([cgf_limit(chain, float(theta)) for theta in thetas])
+        for values in (cgf_finite(chain, 64, thetas), limit):
             second = values[:-2] - 2 * values[1:-1] + values[2:]
             assert np.min(second) > -1e-9
         h = 1e-5
@@ -285,14 +287,12 @@ class TestLimitCGF:
 
 class TestRateFunction:
     def test_zero_at_center(self, moderate):
-        point = rate_function(moderate, 0.0)
-        assert point.theta_star == 0.0
-        assert point.rate == 0.0
+        assert rate_function(moderate, 0.0) == (0.0, 0.0)
 
     def test_positive_and_convex(self, moderate):
         lo, hi = achievable_interval(moderate)
         xs = np.linspace(0.8 * lo, 0.8 * hi, 33)
-        rates = np.array([rate_function(moderate, float(x)).rate for x in xs])
+        rates = np.array([rate_function(moderate, float(x))[1] for x in xs])
         assert all(r > 0 for x, r in zip(xs, rates) if abs(x) > 1e-9)
         second = rates[:-2] - 2 * rates[1:-1] + rates[2:]
         assert np.min(second) > -1e-9
@@ -303,10 +303,10 @@ class TestRateFunction:
             if theta == 0.0:
                 continue
             x = cgf_limit_derivative(moderate, float(theta))
-            point = rate_function(moderate, x)
-            resid = abs(point.rate + cgf_limit(moderate, float(theta)) - float(theta) * x)
+            theta_star, rate = rate_function(moderate, x)
+            resid = abs(rate + cgf_limit(moderate, float(theta)) - float(theta) * x)
             assert resid < 1e-8
-            assert cgf_limit_derivative(moderate, point.theta_star) == pytest.approx(
+            assert cgf_limit_derivative(moderate, theta_star) == pytest.approx(
                 x, abs=1e-10
             )
 
@@ -319,19 +319,19 @@ class TestRateFunction:
             a, b = (math.exp(rng.uniform(math.log(2e-12), 0.0)) for _ in range(2))
             for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
                 for x in sweep_points(chain, rng):
-                    point = rate_function(chain, x)
+                    theta_star, rate = rate_function(chain, x)
                     if x == 0.0:
                         continue
-                    legendre, _ = decimal_limit(chain, point.theta_star)
-                    legendre = Decimal(point.theta_star) * Decimal(x) - legendre
-                    dev = abs(point.rate - float(legendre)) / max(1.0, abs(point.theta_star * x))
+                    legendre, _ = decimal_limit(chain, theta_star)
+                    legendre = Decimal(theta_star) * Decimal(x) - legendre
+                    dev = abs(rate - float(legendre)) / max(1.0, abs(theta_star * x))
                     worst_rate = max(worst_rate, (dev, (chain.a, chain.b, x)))
                     theta = decimal_tilt(chain, x)
-                    dev = abs(point.theta_star - theta) / abs(theta)
+                    dev = abs(theta_star - theta) / abs(theta)
                     worst_theta = max(worst_theta, (dev, (chain.a, chain.b, x)))
                     # The factored Perron root behind L, and the tilted
                     # occupancy and its log-slope behind L' and L''.
-                    log2_u = -point.theta_star * chain.ell
+                    log2_u = -theta_star * chain.ell
                     lam, *got = _tilted(chain, log2_u)
                     lam_want, *want = decimal_tilted(chain, log2_u)
                     dev = abs(lam / lam_want - 1.0)
@@ -347,8 +347,8 @@ class TestRateFunction:
     def test_slope_at_optimal_tilt(self, a, b):
         chain = derive_chain(a, b)
         for x in sweep_points(chain, random.Random(3)):
-            point = rate_function(chain, x)
-            assert abs(cgf_limit_derivative(chain, point.theta_star) - x) <= 1e-10
+            theta_star, _ = rate_function(chain, x)
+            assert abs(cgf_limit_derivative(chain, theta_star) - x) <= 1e-10
 
     def test_interval_is_exact(self, moderate):
         # q = pi1 - x/ell runs over (0, 1): x in (ell*pi1, -ell*pi0).
@@ -368,7 +368,7 @@ class TestRateFunction:
 
     def test_chernoff_exponent_converges(self, moderate):
         # Exact tail exponents decrease monotonically toward I(x).
-        rate = rate_function(moderate, 0.2).rate
+        _, rate = rate_function(moderate, 0.2)
         exponents = [
             -math.log2(centered_tail_probability(moderate, n, 0.2)) / n
             for n in (500, 1000, 2000)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import tiltedsum
+from tiltedsum import cli
 from tiltedsum.cli import main, parse_cell, render_csv
 
 from conftest import decimal_limit
@@ -265,6 +267,65 @@ class TestVerifyCommand:
             assert code == 1 and captured.out == ""
             assert captured.err.startswith("error:") and "interior regime" in captured.err
 
+    def test_nonfinite_perturb_exits_1(self, capsys):
+        for perturb in ("nan", "inf", "-inf"):
+            code = main(["verify", f"--perturb={perturb}"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error:") and "--perturb" in captured.err
+
+    def test_nan_deviation_fails_its_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "perron_root", lambda chain, u: math.nan)
+        code, out = run_cli(capsys, "verify", "--a", "0.1", "--b", "0.3")
+        assert code == 2
+        assert "cgf-zeros: max deviation nan over 6 cases (tol 1e-13): FAIL" in out
+        code, out = run_cli(capsys, "verify", "--a", "0.1", "--b", "0.3", "--json")
+        suites = json.loads(out, parse_constant=reject_constant)["suites"]
+        assert code == 2
+        assert [s["max_deviation"] for s in suites if not s["pass"]] == ["nan"]
+
+    @pytest.mark.parametrize("perturb", ["1e308", "-1e308"])
+    def test_huge_perturb_json_is_strict(self, capsys, perturb):
+        # The perturbed closed form overflows: its deviations are inf, and
+        # inf/inf gives nan in oracle-variance.
+        code, out = run_cli(capsys, "verify", f"--perturb={perturb}", "--json")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert code == 2 and payload["pass"] is False
+        worst = {s["name"]: s["max_deviation"] for s in payload["suites"]}
+        assert worst["variance-forms"] == "inf" and worst["oracle-variance"] == "nan"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            ((), {"oracle-variance": {0.05, 0.1, 0.2}, "cgf-expectation": {0.125},
+                  "d-invariance": {0.05, 0.2}}),
+            (("--distortion", "0.01"), {"oracle-variance": {0.01}, "cgf-expectation": {0.01},
+                                        "d-invariance": {0.01, 0.2}}),
+        ],
+    )
+    def test_distortion_reaches_every_suite(self, capsys, monkeypatch, argv, want):
+        # Record the distortion of every exact law and oracle variance, per suite.
+        seen, suite = {}, [None]
+
+        def recording(fn):
+            def wrapped(chain, d, n):
+                seen.setdefault(suite[0], set()).add(d)
+                return fn(chain, d, n)
+            return wrapped
+
+        def named(name, deviations):
+            def run(*args):
+                suite[0] = name
+                yield from deviations(*args)
+            return run
+
+        monkeypatch.setattr(cli, "jn_law", recording(cli.jn_law))
+        monkeypatch.setattr(cli, "oracle_variance", recording(cli.oracle_variance))
+        monkeypatch.setattr(cli, "CHECKS", [(name, tol, named(name, deviations))
+                                            for name, tol, deviations in cli.CHECKS])
+        code, _ = run_cli(capsys, "verify", "--a", "0.1", "--b", "0.3", *argv)
+        assert code == 0 and seen == want
+
 
 class TestRateDomain:
     # Chains near the ends of the accepted domain: slow mixing, a sticky
@@ -346,6 +407,11 @@ class TestValidation:
             ("rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0:inf:1"),
             ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:inf"),
             ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=nan:1"),
+            # A span or an int bound beyond float range.
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=1e308:-1e308"),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid=1e308:-1e308"),
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:" + "9" * 400),
+            ("figure", "--a", "0.1", "--b", "0.3", f"--n-grid=-{'9' * 308}:{'9' * 308}"),
         ],
     )
     def test_empty_or_nonfinite_grid_exits_1(self, capsys, argv):

@@ -15,7 +15,7 @@ from tiltedsum import (
     enumerate_pmf,
     jn_law,
     jtilt,
-    occupation_pgf,
+    occupation_log2_pgf,
     occupation_pmf,
     tilted_mean,
     variance_correction,
@@ -177,16 +177,16 @@ class TestOccupationPGF:
     def test_unit_argument(self, a, b):
         chain = derive_chain(a, b)
         for n in (1, 10, 100, 512):
-            assert occupation_pgf(chain, n, 1.0) == pytest.approx(1.0, abs=1e-13)
+            assert 2.0 ** occupation_log2_pgf(chain, n, 1.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_n2_value(self, moderate):
-        assert occupation_pgf(moderate, 2, 2.0) == pytest.approx(1.675, rel=1e-13)
+        assert 2.0 ** occupation_log2_pgf(moderate, 2, 2.0) == pytest.approx(1.675, rel=1e-13)
 
     def test_small_u_limit(self, moderate):
         # Only the all-zeros path survives as u -> 0+.
         n = 6
         want = moderate.pi0 * (1 - moderate.a) ** (n - 1)
-        assert occupation_pgf(moderate, n, 1e-8) == pytest.approx(want, rel=1e-6)
+        assert 2.0 ** occupation_log2_pgf(moderate, n, 1e-8) == pytest.approx(want, rel=1e-6)
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_matches_pmf_sum(self, a, b):
@@ -196,57 +196,52 @@ class TestOccupationPGF:
             powers = np.arange(n + 1)
             for u in (0.5, 1.0, 2.0):
                 direct = float(pmf @ (u**powers))
-                assert occupation_pgf(chain, n, u) == pytest.approx(direct, rel=1e-10)
+                got = 2.0 ** occupation_log2_pgf(chain, n, u)
+                assert got == pytest.approx(direct, rel=1e-10)
 
     def test_rejects_nonpositive_u(self, moderate):
         with pytest.raises(ValueError):
-            occupation_pgf(moderate, 5, 0.0)
+            occupation_log2_pgf(moderate, 5, 0.0)
 
     def test_rejects_nonfinite_u(self, moderate):
-        from tiltedsum import occupation_log2_pgf
-
         for u in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 occupation_log2_pgf(moderate, 5, u)
 
-    def test_huge_values_saturate(self, moderate):
-        # Beyond float range the linear-scale value saturates to inf while
-        # the log-scale route stays finite.
-        from tiltedsum import occupation_log2_pgf
-
-        assert occupation_pgf(moderate, 5000, 4.0) == math.inf
-        assert math.isfinite(occupation_log2_pgf(moderate, 5000, 4.0))
+    def test_huge_values_stay_finite_in_log2(self, moderate):
+        # G_5000(4) lies beyond float range, and its log2 stays finite.
+        log2_g = occupation_log2_pgf(moderate, 5000, 4.0)
+        assert math.isfinite(log2_g) and log2_g > 1024.0
 
 
 class TestJnLaw:
     def test_symmetric_point_mass(self, symmetric):
-        law = jn_law(symmetric, 0.2, 10)
-        assert law.slope == 0.0
-        assert law.support.tolist() == [10 * (1.0 - binary_entropy(0.2))]
-        assert law.probs.tolist() == [1.0]
+        support, probs = jn_law(symmetric, 0.2, 10)
+        assert support.tolist() == [10 * (1.0 - binary_entropy(0.2))]
+        assert probs.tolist() == [1.0]
 
     def test_n1_atoms(self, moderate):
-        law = jn_law(moderate, 0.1, 1)
-        assert np.allclose(law.probs, [0.75, 0.25], atol=1e-15)
-        assert law.support[0] == pytest.approx(jtilt(moderate, 0.1, 0), abs=1e-14)
-        assert law.support[1] == pytest.approx(jtilt(moderate, 0.1, 1), abs=1e-14)
+        support, probs = jn_law(moderate, 0.1, 1)
+        assert np.allclose(probs, [0.75, 0.25], atol=1e-15)
+        assert support[0] == pytest.approx(jtilt(moderate, 0.1, 0), abs=1e-14)
+        assert support[1] == pytest.approx(jtilt(moderate, 0.1, 1), abs=1e-14)
 
     def test_uniform_spacing(self, moderate):
-        law = jn_law(moderate, 0.1, 20)
-        gaps = law.support[:-1] - law.support[1:]
+        support, _ = jn_law(moderate, 0.1, 20)
+        gaps = support[:-1] - support[1:]
         assert np.allclose(gaps, moderate.ell, atol=1e-12)
 
     def test_mean(self, moderate):
-        law = jn_law(moderate, 0.1, 50)
-        assert law.mean() == pytest.approx(50 * tilted_mean(moderate, 0.1), abs=1e-9)
+        support, probs = jn_law(moderate, 0.1, 50)
+        assert support @ probs == pytest.approx(50 * tilted_mean(moderate, 0.1), abs=1e-9)
 
     def test_support_shift_between_distortions(self, moderate):
         n = 20
-        lo = jn_law(moderate, 0.05, n)
-        hi = jn_law(moderate, 0.2, n)
+        support_lo, probs_lo = jn_law(moderate, 0.05, n)
+        support_hi, probs_hi = jn_law(moderate, 0.2, n)
         shift = n * (binary_entropy(0.2) - binary_entropy(0.05))
-        assert np.allclose(lo.support - hi.support, shift, atol=1e-12)
-        assert np.array_equal(lo.probs, hi.probs)
+        assert np.allclose(support_lo - support_hi, shift, atol=1e-12)
+        assert np.array_equal(probs_lo, probs_hi)
 
     def test_regime_checked(self, moderate):
         from tiltedsum import RegimeError

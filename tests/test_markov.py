@@ -62,8 +62,7 @@ class TestIndicatorAutocov:
     def test_matches_simulation(self, moderate):
         # 1e6-step empirical autocovariances; the standard error of the mean
         # is inflated by the chain's integrated autocorrelation factor.
-        traj = sample_trajectory(moderate, 1_000_000, 20250809)
-        x = traj.states.astype(float)
+        x = sample_trajectory(moderate, 1_000_000, 20250809).astype(float)
         inflation = math.sqrt((1 + moderate.lambda2) / (1 - moderate.lambda2))
         for k in (0, 1, 2, 5):
             y = (x[: len(x) - k] - moderate.pi1) * (x[k:] - moderate.pi1)
@@ -75,28 +74,26 @@ class TestSampleTrajectory:
     def test_deterministic(self, moderate):
         t1 = sample_trajectory(moderate, 10, 42)
         t2 = sample_trajectory(moderate, 10, 42)
-        assert np.array_equal(t1.states, t2.states)
-        assert t1.n == 10 and t1.seed == 42
+        assert np.array_equal(t1, t2)
 
     def test_frozen_sequences(self, moderate):
         # Golden sequences pin the generator convention: Philox, the first
         # letter by inverse CDF on pi, then Geometric holding times by
         # inverse CDF.
-        assert sample_trajectory(moderate, 10, 42).states.tolist() == [
+        assert sample_trajectory(moderate, 10, 42).tolist() == [
             0, 0, 1, 0, 0, 0, 0, 0, 0, 0,
         ]
-        assert sample_trajectory(moderate, 10, 7).states.tolist() == [
+        assert sample_trajectory(moderate, 10, 7).tolist() == [
             0, 0, 0, 0, 0, 0, 1, 1, 0, 0,
         ]
 
     def test_states_binary(self, moderate):
-        states = sample_trajectory(moderate, 500, 1).states
+        states = sample_trajectory(moderate, 500, 1)
         assert set(np.unique(states)) <= {0, 1}
         assert len(states) == 500
 
     def test_marginal_frequency(self, moderate):
-        traj = sample_trajectory(moderate, 1_000_000, 20250809)
-        frac = traj.states.mean()
+        frac = sample_trajectory(moderate, 1_000_000, 20250809).mean()
         bound = (
             3
             * math.sqrt(moderate.pi0 * moderate.pi1 / 1e6)
@@ -105,7 +102,7 @@ class TestSampleTrajectory:
         assert abs(frac - moderate.pi1) < bound
 
     def test_symmetric_pairs_uniform(self, symmetric):
-        s = sample_trajectory(symmetric, 400_000, 99).states
+        s = sample_trajectory(symmetric, 400_000, 99)
         pairs = s[:-1] * 2 + s[1:]
         freq = np.bincount(pairs, minlength=4) / (len(s) - 1)
         assert np.abs(freq - 0.25).max() < 4 * math.sqrt(0.25 * 0.75 / len(s))
@@ -114,7 +111,7 @@ class TestSampleTrajectory:
         # Completed runs (neither the first nor the clipped last) are
         # Geometric(a) in state 0 and Geometric(b) in state 1.
         chain = derive_chain(0.02, 0.05)
-        states = sample_trajectory(chain, 2_000_000, 31).states
+        states = sample_trajectory(chain, 2_000_000, 31)
         starts = np.flatnonzero(np.diff(states)) + 1
         lengths = np.diff(starts)
         run_states = states[starts[:-1]]

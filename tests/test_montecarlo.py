@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 from statistics import NormalDist
@@ -53,8 +52,8 @@ class TestSimulate:
     def test_symmetric_chain_degenerate(self, symmetric):
         report = simulate(symmetric, 0.2, 10, 500, 3)
         assert report.emp_var == 0.0
-        law = jn_law(symmetric, 0.2, 10)
-        assert report.emp_mean == law.support[0]
+        support, _ = jn_law(symmetric, 0.2, 10)
+        assert report.emp_mean == support[0]
         assert report.ks_exact == 0.0
 
     @pytest.mark.parametrize(
@@ -126,7 +125,7 @@ class TestCountHistogram:
         # Reference route: expand each chunk's run ends into run lengths and
         # their states, and count the letters in state 1 path by path.
         chain, d, n, reps, seed = derive_chain(0.6, 0.7), 0.2, 300, 5000, 3
-        law = jn_law(chain, d, n)
+        support, _ = jn_law(chain, d, n)
         want = np.zeros(n + 1, dtype=np.int64)
         for block in range(-(-reps // montecarlo._BLOCK_ROWS)):
             rows = min(montecarlo._BLOCK_ROWS, reps - block * montecarlo._BLOCK_ROWS)
@@ -138,17 +137,15 @@ class TestCountHistogram:
                 states = first ^ (np.arange(len(ends))[:, None] & 1)
                 ones += (states * lengths).sum(axis=0)
             want += np.bincount(ones, minlength=n + 1)
-        got = montecarlo._count_histogram(chain, d, law, reps, seed)
+        got = montecarlo._count_histogram(chain, d, n, support, reps, seed)
         assert np.array_equal(got, want)
 
     def test_moved_atom_trips_the_pathwise_check(self, moderate):
         d, n = 0.1, 40
-        law = jn_law(moderate, d, n)
-        support = law.support.copy()
-        support[np.argmax(law.probs)] += 1e-6  # the most likely count's atom
-        moved = dataclasses.replace(law, support=support)
+        support, probs = jn_law(moderate, d, n)
+        support[np.argmax(probs)] += 1e-6  # the most likely count's atom
         with pytest.raises(RuntimeError, match="pathwise identity violated"):
-            montecarlo._count_histogram(moderate, d, moved, 1000, 5)
+            montecarlo._count_histogram(moderate, d, n, support, 1000, 5)
 
     @pytest.mark.parametrize("a, b", [(0.02, 0.05), (0.6, 0.7)])
     @pytest.mark.parametrize("n", [40, 2000])
@@ -159,7 +156,8 @@ class TestCountHistogram:
         # The count CDF must still lie within the DKW half-width of the law.
         chain, reps = derive_chain(a, b), 20_000
         assert reps % montecarlo._BLOCK_ROWS
-        histogram = montecarlo._count_histogram(chain, 0.01, jn_law(chain, 0.01, n), reps, 17)
+        support, _ = jn_law(chain, 0.01, n)
+        histogram = montecarlo._count_histogram(chain, 0.01, n, support, reps, 17)
         emp = np.cumsum(histogram) / reps
         exact = np.cumsum(occupation_pmf(chain, n))
         assert np.abs(emp - exact).max() <= dkw_halfwidth(reps)
@@ -191,11 +189,11 @@ class TestDistanceReference:
         chain = derive_chain(a, b)
         d, n, reps, seed = 0.1, 40, 3000, 21
         report = simulate(chain, d, n, reps, seed)
-        law = jn_law(chain, d, n)
-        histogram = montecarlo._count_histogram(chain, d, law, reps, seed)
+        support, probs = jn_law(chain, d, n)
+        histogram = montecarlo._count_histogram(chain, d, n, support, reps, seed)
         counts = np.repeat(np.arange(n + 1), histogram)
-        sums = law.support[counts]
-        atoms, cum = law.cdf_points()
+        sums = support[counts]
+        atoms, cum = montecarlo._cumulate(support, probs)
         cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
         # ks_normal standardizes each sample's count, not its rounded atom.
         scale = math.sqrt(n * chain.v_sl)

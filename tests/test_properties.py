@@ -13,7 +13,7 @@ from tiltedsum import (
     enumerate_pmf,
     jtilt,
     jtilt_generic,
-    occupation_pgf,
+    occupation_log2_pgf,
     occupation_pmf,
     perron_root,
     variance_exact,
@@ -66,7 +66,7 @@ def test_pgf_positive_and_consistent(a, b, n, u):
     chain = derive_chain(a, b)
     pmf = occupation_pmf(chain, n)
     direct = float(pmf @ (u ** np.arange(n + 1)))
-    assert math.isclose(occupation_pgf(chain, n, u), direct, rel_tol=1e-9)
+    assert math.isclose(2.0 ** occupation_log2_pgf(chain, n, u), direct, rel_tol=1e-9)
 
 
 @given(a=probabilities, b=probabilities, u=tilts)

@@ -124,6 +124,13 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # Exit 1: a --distortion outside the interior regime of a chain to verify.
         ["verify", "--distortion", "5"],
         ["verify", "--a", "0.1", "--b", "0.3", "--distortion", "nan"],
+        # Exit 1: a non-finite --perturb.  Exit 2: deviations beyond float range, as strict JSON.
+        ["verify", "--perturb", "nan"],
+        ["verify", "--perturb", "1e308", "--json"],
+        # Exit 1: a grid whose span is beyond float range.
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=1e308:-1e308"],
+        # Every suite at the given distortion.
+        ["verify", "--a", "0.1", "--b", "0.3", "--distortion", "0.01"],
     ]
     return calls
 
