@@ -20,7 +20,6 @@ from .cgf import (
     rate_function,
     saddlepoint_tail,
 )
-from .errors import ConvergenceError, RegimeError
 from .exact import (
     DP_MAX_N,
     centered_cumulants,
@@ -38,16 +37,12 @@ from .markov import (
     indicator_autocov,
     sample_trajectory,
 )
-from .montecarlo import (
-    CltDistance,
-    SimReport,
-    clt_distance_sweep,
-    exact_normal_distance,
-    simulate,
-)
+from .montecarlo import SimReport, exact_normal_distance, simulate
 from .oracle import ENUM_MAX_N, enumerate_pmf, oracle_variance
 from .tilting import (
     BAOperatingPoint,
+    ConvergenceError,
+    RegimeError,
     ba_fixed_point_iterate,
     ba_operating_point,
     jtilt,
@@ -58,7 +53,6 @@ from .tilting import (
 __all__ = [
     "BAOperatingPoint",
     "ChainParams",
-    "CltDistance",
     "ConvergenceError",
     "DP_MAX_N",
     "ENUM_MAX_N",
@@ -75,7 +69,6 @@ __all__ = [
     "cgf_limit",
     "cgf_limit_derivative",
     "cgf_limit_second_derivative",
-    "clt_distance_sweep",
     "derive_chain",
     "enumerate_pmf",
     "exact_normal_distance",

@@ -43,18 +43,16 @@ GAUSSIAN_REGIME_THETA = 0.05
 class SaddlepointTail:
     """First-order saddlepoint estimate of an upper tail probability.
 
-    ``probability`` approximates Pr(J_n - n*mu_D >= n*x).  ``sigma_star``
-    is the standard deviation of the tilted per-letter increment (the
-    square root of the natural-log CGF curvature at theta_star).  The
-    estimate ignores the lattice structure of the sum (span |ell|) and
-    carries no continuity correction; ``near_gaussian`` flags tilts
-    |theta_star| < 0.05 where the formula leaves its regime of strength.
+    ``probability`` approximates Pr(J_n - n*mu_D >= n*x) from the optimal
+    tilt ``theta_star`` and the ``rate`` I(x).  The estimate ignores the
+    lattice structure of the sum (span |ell|) and carries no continuity
+    correction; ``near_gaussian`` flags tilts |theta_star| < 0.05 where the
+    formula leaves its regime of strength.
     """
 
     probability: float
     theta_star: float
     rate: float
-    sigma_star: float
     near_gaussian: bool
 
 
@@ -100,8 +98,6 @@ def perron_root(chain: ChainParams, u: float) -> float:
 
 def cgf_limit(chain: ChainParams, theta: float) -> float:
     """Limiting base-2 CGF of the centered tilted sum, in bits."""
-    if chain.symmetric:
-        return 0.0
     log2_u = -theta * chain.ell
     lam, _, _ = _tilted(chain, log2_u)
     return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + math.log2(lam))
@@ -109,16 +105,12 @@ def cgf_limit(chain: ChainParams, theta: float) -> float:
 
 def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
     """dL/dtheta, analytic: ell * (pi1 - g(u_theta))."""
-    if chain.symmetric:
-        return 0.0
     _, g, _ = _tilted(chain, -theta * chain.ell)
     return chain.ell * (chain.pi1 - g)
 
 
 def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     """d^2 L / dtheta^2, analytic: ell^2 * ln 2 * u g'(u) at u_theta."""
-    if chain.symmetric:
-        return 0.0
     _, _, c = _tilted(chain, -theta * chain.ell)
     return chain.ell**2 * LN2 * c
 
@@ -228,6 +220,5 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
         probability=prob,
         theta_star=theta_star,
         rate=rate,
-        sigma_star=sigma_star,
         near_gaussian=abs(theta_star) < GAUSSIAN_REGIME_THETA,
     )

@@ -267,12 +267,12 @@ def cmd_tail(args, chain) -> list[dict]:
 def cmd_simulate(args, chain) -> list[dict]:
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {
-        "n": report.n,
-        "replications": report.replications,
-        "seed": report.seed,
+        "n": args.n,
+        "replications": args.reps,
+        "seed": args.seed,
         "emp_mean": report.emp_mean,
         "emp_var": report.emp_var,
-        "emp_var_per_letter": report.emp_var / report.n,
+        "emp_var_per_letter": report.emp_var / args.n,
         "ks_exact": report.ks_exact,
         "ks_normal": report.ks_normal,
     }
@@ -373,7 +373,9 @@ def _oracle_variance(chain, distortion, perturb):
         for n in range(1, 11):
             per_path = oracle_variance(chain, d, n)
             closed = variance_exact(chain, n) * (1.0 + perturb)
-            yield abs(per_path - closed) / max(abs(closed), 1e-30)
+            deviation = abs(per_path - closed) / max(abs(closed), 1e-30)
+            # An overflowed closed form is off by inf, where inf/inf would read nan.
+            yield deviation if math.isfinite(closed) else math.inf
 
 
 def _pgf_pmf(chain, distortion, perturb):
@@ -457,6 +459,8 @@ def cmd_verify(args) -> int:
 
     if args.json or args.format == "json":
         text = _dump_json({"command": "verify", "perturb": perturb, "suites": suites, "pass": all_pass})
+    elif args.format == "csv":
+        text = render_csv(list(suites[0]), suites)
     else:
         lines = [
             f"{s['name']}: max deviation {float(s['max_deviation']):.3e} over {s['cases']} cases "

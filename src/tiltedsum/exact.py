@@ -51,17 +51,6 @@ _TINY = np.finfo(float).tiny
 _SERIES_MAX_NS = 0.5
 
 
-def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct atoms of ``support`` ascending, with the sum of ``masses`` at or below each.
-
-    Atoms that coincide in floating point count as one point.
-    """
-    order = np.argsort(support)
-    atoms, cum = support[order], np.cumsum(masses[order])
-    last = np.append(atoms[1:] != atoms[:-1], True)
-    return atoms[last], cum[last]
-
-
 def _power(acc, step, e: int, mul):
     """acc * step**e by binary powering under the associative product ``mul``.
 

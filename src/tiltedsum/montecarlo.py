@@ -10,7 +10,9 @@ atom at n1.  Only the histogram of n1 is kept; every statistic of the
 report is computed from it, so nothing of the size of the replication count
 is stored or sorted.  Block generators are derived from (seed,
 block-index), so the report is a pure function of its inputs no matter how
-blocks would be scheduled.
+blocks would be scheduled.  :func:`exact_normal_distance` gives the normal
+approximation's error at one n free of sampling noise; a sweep over n is a
+loop over it and :func:`simulate`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _cumulate, jn_law, occupation_pmf
+from .exact import jn_law, occupation_pmf
 from .markov import ChainParams, _runs
 from .tilting import jtilt, require_interior
 
@@ -36,27 +38,10 @@ _EPS = float(np.finfo(float).eps)
 class SimReport:
     """Empirical summary of one simulation run."""
 
-    n: int
-    replications: int
-    seed: int
     emp_mean: float
     emp_var: float
     ks_exact: float
     ks_normal: float
-
-
-@dataclass(frozen=True)
-class CltDistance:
-    """Normal-approximation distances at one blocklength.
-
-    ``ks_normal`` is the empirical sup-distance of the standardized
-    simulated sums from the standard normal CDF; ``exact_distance`` is the
-    same sup-distance for the exact law, with no sampling noise in it.
-    """
-
-    n: int
-    ks_normal: float
-    exact_distance: float
 
 
 def _count_histogram(
@@ -107,6 +92,17 @@ def _count_histogram(
             )
         histogram += np.bincount(counts, minlength=n + 1)
     return histogram
+
+
+def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct atoms of ``support`` ascending, with the sum of ``masses`` at or below each.
+
+    Atoms that coincide in floating point count as one point.
+    """
+    order = np.argsort(support)
+    atoms, cum = support[order], np.cumsum(masses[order])
+    last = np.append(atoms[1:] != atoms[:-1], True)
+    return atoms[last], cum[last]
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -194,40 +190,5 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         ks_normal = 0.5
     else:
         ks_normal = _normal_distance(chain, n, histogram / replications)
-    return SimReport(
-        n=n,
-        replications=replications,
-        seed=seed,
-        emp_mean=emp_mean,
-        emp_var=emp_var,
-        ks_exact=ks_exact,
-        ks_normal=ks_normal,
-    )
+    return SimReport(emp_mean=emp_mean, emp_var=emp_var, ks_exact=ks_exact, ks_normal=ks_normal)
 
-
-def clt_distance_sweep(
-    chain: ChainParams, d: float, n_grid, replications: int, seed: int
-) -> list[CltDistance]:
-    """Normal-approximation distances along an increasing blocklength grid.
-
-    Each blocklength gets its own derived seed stream, so the sweep is
-    deterministic and insensitive to grid slicing.
-    """
-    require_interior(chain, d)
-    if chain.symmetric:
-        raise ValueError("symmetric chain: standardized law is degenerate")
-    n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError(f"n_grid {n_grid} must be strictly increasing")
-    out = []
-    for n in n_grid:
-        sub_seed = int(np.random.SeedSequence((seed, n)).generate_state(1, np.uint64)[0])
-        report = simulate(chain, d, n, replications, sub_seed)
-        out.append(
-            CltDistance(
-                n=n,
-                ks_normal=report.ks_normal,
-                exact_distance=exact_normal_distance(chain, n),
-            )
-        )
-    return out

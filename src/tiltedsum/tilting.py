@@ -16,6 +16,8 @@ and so does the mean mu_D = h2(pi1) - h2(D) (:func:`tilted_mean`).  The
 per-letter statistics free of D are properties of ``ChainParams``.
 Both the closed form and the defining sum over reproduction letters are
 implemented; they agree to rounding and the test suite holds them to it.
+The alternating update runs to the fixed ``BA_TOL`` within ``BA_MAX_ITER``
+steps.  Both exception types of the package are defined here.
 """
 
 from __future__ import annotations
@@ -23,11 +25,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, RegimeError
 from .markov import ChainParams, binary_entropy
 
-BA_DEFAULT_TOL = 1e-12
-BA_DEFAULT_MAX_ITER = 100_000
+BA_TOL = 1e-12
+BA_MAX_ITER = 100_000
+
+
+class RegimeError(ValueError):
+    """Distortion level outside the interior regime 0 < D < min(pi0, pi1)."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver exhausted its iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -85,39 +94,32 @@ def _alternating_updates(chain: ChainParams, d: float):
         yield q0, q1
 
 
-def ba_fixed_point_iterate(
-    chain: ChainParams,
-    d: float,
-    tol: float = BA_DEFAULT_TOL,
-    max_iter: int = BA_DEFAULT_MAX_ITER,
-) -> BAOperatingPoint:
+def ba_fixed_point_iterate(chain: ChainParams, d: float) -> BAOperatingPoint:
     """Operating point via the generic alternating update at fixed slope.
 
     Iterates until the sup-norm change in the output marginal drops below
-    ``tol``.  Agrees with :func:`ba_operating_point` at the fixed point;
+    ``BA_TOL``.  Agrees with :func:`ba_operating_point` at the fixed point;
     the closed form is never consulted here, which is what makes the
     agreement a meaningful check.
 
     Raises
     ------
     ConvergenceError
-        If ``max_iter`` updates do not reach ``tol``.
+        If ``BA_MAX_ITER`` updates do not reach ``BA_TOL``.
     """
     require_interior(chain, d)
-    if tol <= 0.0:
-        raise ValueError(f"tol={tol!r} must be positive")
     beta = math.log((1.0 - d) / d)
     prev0, prev1 = 0.5, 0.5
     updates = _alternating_updates(chain, d)
-    for _ in range(max_iter):
+    for _ in range(BA_MAX_ITER):
         q0, q1 = next(updates)
-        if max(abs(q0 - prev0), abs(q1 - prev1)) < tol:
+        if max(abs(q0 - prev0), abs(q1 - prev1)) < BA_TOL:
             return BAOperatingPoint(
                 beta=beta, q0=q0, q1=q1, z0=q0 + q1 * d / (1.0 - d), z1=q1 + q0 * d / (1.0 - d)
             )
         prev0, prev1 = q0, q1
     raise ConvergenceError(
-        f"alternating update did not reach tol={tol:g} within {max_iter} "
+        f"alternating update did not reach tol={BA_TOL:g} within {BA_MAX_ITER} "
         f"iterations (D={d!r} may be too close to the regime boundary)"
     )
 

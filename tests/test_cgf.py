@@ -179,6 +179,15 @@ class TestFiniteCGF:
         for theta in (-2.0, 0.0, 3.0):
             assert cgf_finite(symmetric, 20, theta) == 0.0
 
+    @pytest.mark.parametrize("a", [2e-12, 0.1, 0.5, 1 - 2e-12])
+    def test_symmetric_limit_identically_zero(self, a):
+        # ell = 0 makes the general path exact: the Perron root is (1 - a) + a = 1.
+        # repr tells +0.0, which the CLI writes, from -0.0.
+        chain = derive_chain(a, a)
+        for theta in (-1e308, -2.0, -1e-9, 0.0, 1e-9, 2.0, 1e308):
+            for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
+                assert repr(func(chain, theta)) == "0.0"
+
     def test_extreme_tilt_finite(self, moderate):
         for theta in (1e6, -1e6, 1e300):
             assert math.isfinite(cgf_finite(moderate, 30, theta))
@@ -258,11 +267,12 @@ class TestLimitCGF:
         slope0 = (cgf_limit(chain, h) - cgf_limit(chain, -h)) / (2 * h)
         assert abs(slope0) < 1e-8
 
-    def test_nonfinite_tilt_rejected(self, moderate):
+    def test_nonfinite_tilt_rejected(self, moderate, symmetric):
         for theta in (math.inf, -math.inf, math.nan):
             for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
-                with pytest.raises(ValueError):
-                    func(moderate, theta)
+                for chain in (moderate, symmetric):
+                    with pytest.raises(ValueError):
+                        func(chain, theta)
             with pytest.raises(ValueError):
                 cgf_finite(moderate, 5, theta)
         with pytest.raises(ValueError):

@@ -96,6 +96,7 @@ class TestRoundTrip:
             ("rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0.05:0.25:0.05"),
             ("variance-table", "--a", "0.45", "--b", "0.55", "--n-grid", "1,2,5"),
             ("tail", "--a", "0.1", "--b", "0.3", "--n", "100", "--x", "0.2"),
+            ("verify", "--a", "0.1", "--b", "0.3"),
         ],
     )
     def test_csv_reemission_is_byte_identical(self, capsys, argv):
@@ -286,13 +287,24 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("perturb", ["1e308", "-1e308"])
     def test_huge_perturb_json_is_strict(self, capsys, perturb):
-        # The perturbed closed form overflows: its deviations are inf, and
-        # inf/inf gives nan in oracle-variance.
+        # The perturbed closed form overflows, so its deviations are inf.
         code, out = run_cli(capsys, "verify", f"--perturb={perturb}", "--json")
         payload = json.loads(out, parse_constant=reject_constant)
         assert code == 2 and payload["pass"] is False
         worst = {s["name"]: s["max_deviation"] for s in payload["suites"]}
-        assert worst["variance-forms"] == "inf" and worst["oracle-variance"] == "nan"
+        assert worst["variance-forms"] == "inf" and worst["oracle-variance"] == "inf"
+        code, out = run_cli(capsys, "verify", f"--perturb={perturb}")
+        assert code == 2 and "oracle-variance: max deviation inf over" in out
+
+    def test_csv_has_one_row_per_suite(self, capsys):
+        code, out = run_cli(capsys, "verify", "--perturb", "1e308", "--format", "csv")
+        columns, rows = parse_csv(out)
+        assert code == 2
+        assert columns == ["name", "cases", "max_deviation", "tolerance", "pass"]
+        suites = {row["name"]: row for row in rows}
+        assert list(suites) == [name for name, _, _ in cli.CHECKS]
+        assert suites["oracle-variance"]["max_deviation"] == math.inf
+        assert suites["oracle-variance"]["pass"] == 0
 
     @pytest.mark.parametrize(
         "argv, want",

@@ -14,6 +14,7 @@ from tiltedsum import (
     jtilt_generic,
     tilted_mean,
 )
+from tiltedsum import tilting
 from tiltedsum.tilting import _alternating_updates
 
 from conftest import PAIR_GRID
@@ -80,18 +81,20 @@ class TestOperatingPoint:
 class TestFixedPointIteration:
     def test_reaches_closed_form(self, moderate):
         closed = ba_operating_point(moderate, 0.1)
-        iterated = ba_fixed_point_iterate(moderate, 0.1, tol=1e-12)
+        iterated = ba_fixed_point_iterate(moderate, 0.1)
         assert iterated.q0 == pytest.approx(closed.q0, abs=1e-10)
         assert iterated.q1 == pytest.approx(closed.q1, abs=1e-10)
 
-    def test_symmetric_one_iteration(self, symmetric):
-        # The start point is already the fixed point, so max_iter=1 suffices.
-        point = ba_fixed_point_iterate(symmetric, 0.2, tol=1e-12, max_iter=1)
+    def test_symmetric_one_iteration(self, symmetric, monkeypatch):
+        # The start point is already the fixed point, so one update suffices.
+        monkeypatch.setattr(tilting, "BA_MAX_ITER", 1)
+        point = ba_fixed_point_iterate(symmetric, 0.2)
         assert point.q0 == point.q1 == 0.5
 
-    def test_nonconvergence_raises(self, moderate):
+    def test_nonconvergence_raises(self, moderate, monkeypatch):
+        monkeypatch.setattr(tilting, "BA_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            ba_fixed_point_iterate(moderate, 0.1, tol=1e-12, max_iter=1)
+            ba_fixed_point_iterate(moderate, 0.1)
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_update_preserves_normalization(self, a, b):

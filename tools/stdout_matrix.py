@@ -131,6 +131,12 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=1e308:-1e308"],
         # Every suite at the given distortion.
         ["verify", "--a", "0.1", "--b", "0.3", "--distortion", "0.01"],
+        # Exit 2: the overflowing suites as CSV.
+        ["verify", "--perturb", "1e308", "--format", "csv"],
+        # Symmetric chains near both ends of the domain, at tilts up to +-1e308.
+        ["cgf", "--a", "1e-9", "--b", "1e-9", "--n", "64", "--theta-grid=-1e308,-2,0,2,1e308"],
+        ["cgf", "--a", "0.999999999", "--b", "0.999999999", "--n", "64",
+         "--theta-grid=-1e308,-2,0,2,1e308"],
     ]
     return calls
 
