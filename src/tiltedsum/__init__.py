@@ -6,7 +6,8 @@ operating point, the exact finite-n law of its block sum (an affine image
 of the chain's occupation count), closed-form variances, cumulants, both
 finite-n and limiting cumulant generating functions, large-deviation rate
 functions, saddlepoint tail estimates, a Monte Carlo harness, and an
-exhaustive-enumeration oracle that certifies the closed forms.
+exhaustive-enumeration oracle that, with the other independent check
+routes of ``oracle``, certifies the closed forms.
 """
 
 from .cgf import (
@@ -30,25 +31,19 @@ from .exact import (
     variance_correction,
     variance_exact,
 )
-from .markov import (
-    ChainParams,
-    binary_entropy,
-    derive_chain,
-    indicator_autocov,
-    sample_trajectory,
-)
+from .markov import ChainParams, binary_entropy, derive_chain, sample_trajectory
 from .montecarlo import SimReport, exact_normal_distance, simulate
-from .oracle import ENUM_MAX_N, enumerate_pmf, oracle_variance
-from .tilting import (
-    BAOperatingPoint,
+from .oracle import (
+    ENUM_MAX_N,
     ConvergenceError,
-    RegimeError,
     ba_fixed_point_iterate,
-    ba_operating_point,
-    jtilt,
+    enumerate_pmf,
     jtilt_generic,
-    tilted_mean,
+    oracle_variance,
+    variance_double_sum,
+    verify_suites,
 )
+from .tilting import BAOperatingPoint, RegimeError, ba_operating_point, jtilt, tilted_mean
 
 __all__ = [
     "BAOperatingPoint",
@@ -72,7 +67,6 @@ __all__ = [
     "derive_chain",
     "enumerate_pmf",
     "exact_normal_distance",
-    "indicator_autocov",
     "jn_law",
     "jtilt",
     "jtilt_generic",
@@ -86,7 +80,9 @@ __all__ = [
     "simulate",
     "tilted_mean",
     "variance_correction",
+    "variance_double_sum",
     "variance_exact",
+    "verify_suites",
 ]
 
 __version__ = "0.1.0"

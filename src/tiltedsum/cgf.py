@@ -96,22 +96,29 @@ def perron_root(chain: ChainParams, u: float) -> float:
     return max(u, 1.0) * lam
 
 
+def _log2_tilt(chain: ChainParams, theta: float) -> float:
+    """log2 u_theta = -theta*ell; raises ValueError unless theta is finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"tilt theta={theta!r} must be finite")
+    return -theta * chain.ell
+
+
 def cgf_limit(chain: ChainParams, theta: float) -> float:
     """Limiting base-2 CGF of the centered tilted sum, in bits."""
-    log2_u = -theta * chain.ell
+    log2_u = _log2_tilt(chain, theta)
     lam, _, _ = _tilted(chain, log2_u)
     return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + math.log2(lam))
 
 
 def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
     """dL/dtheta, analytic: ell * (pi1 - g(u_theta))."""
-    _, g, _ = _tilted(chain, -theta * chain.ell)
+    _, g, _ = _tilted(chain, _log2_tilt(chain, theta))
     return chain.ell * (chain.pi1 - g)
 
 
 def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     """d^2 L / dtheta^2, analytic: ell^2 * ln 2 * u g'(u) at u_theta."""
-    _, _, c = _tilted(chain, -theta * chain.ell)
+    _, _, c = _tilted(chain, _log2_tilt(chain, theta))
     return chain.ell**2 * LN2 * c
 
 
@@ -119,10 +126,13 @@ def cgf_finite(chain: ChainParams, n: int, theta):
     """Finite-n base-2 CGF of the centered tilted sum, in bits, at a float or a 1-D array of theta.
 
     One batched kernel call, of O(log n) products of 2x2 matrices at any finite tilt; a float
-    theta gives a float.  The kernel validates n and the tilts, also on a symmetric chain,
-    whose L_n is identically 0.
+    theta gives a float.  Every theta must be finite, also on a symmetric chain, whose L_n is
+    identically 0; the kernel validates n and the tilts.
     """
     thetas = np.array(theta, dtype=float, ndmin=1)
+    finite = np.isfinite(thetas)
+    if not finite.all():
+        raise ValueError(f"tilt theta={float(thetas[~finite][0])!r} must be finite")
     log2_u = -thetas * chain.ell
     log2_g = _log2_pgf(chain, n, log2_u)  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     if chain.symmetric:

@@ -3,7 +3,8 @@
 Each subcommand that requires a chain (``--a``/``--b``) emits one table
 through ``_run_table``: its handler maps the arguments and the chain to
 rows, and the columns are the first row's keys.  ``paper-tables`` and
-``verify`` write their own output.
+``verify`` write their own output; ``verify`` renders the suite rows of
+``oracle.verify_suites``.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -27,25 +28,20 @@ import numpy as np
 
 from . import (
     ba_operating_point,
-    binary_entropy,
     centered_tail_probability,
     cgf_finite,
     cgf_limit,
     derive_chain,
-    enumerate_pmf,
     jn_law,
     jtilt,
-    occupation_log2_pgf,
-    occupation_pmf,
-    oracle_variance,
-    perron_root,
     rate_function,
     saddlepoint_tail,
     simulate,
     tilted_mean,
     variance_exact,
+    verify_suites,
 )
-from .tilting import require_interior
+from .oracle import VERIFY_PAIRS
 
 DEFAULT_SEED = 20250809
 # A colon grid is counted before it is built, so a tiny step cannot exhaust memory.
@@ -343,98 +339,6 @@ def cmd_paper_tables(args) -> int:
     return 2 if failures else 0
 
 
-# ---------------------------------------------------------------------------
-# verify: each check yields one deviation per case for one chain, at the
-# given --distortion, or at its own default levels when that is None
-
-
-VERIFY_PAIRS = [(0.1, 0.3), (0.3, 0.1), (0.25, 0.75), (0.6, 0.7), (0.45, 0.35), (0.5, 0.5)]
-VERIFY_D_GRID = (0.05, 0.1, 0.2)
-
-
-def _oracle_pmf_tv(chain, distortion, perturb):
-    for n in range(1, 13):
-        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum())
-
-
-def _variance_forms(chain, distortion, perturb):
-    for n in (1, 2, 10, 100, 10_000):
-        double = variance_exact(chain, n, "double_sum")
-        closed = variance_exact(chain, n, "closed_form") * (1.0 + perturb)
-        yield abs(double - closed) / max(abs(double), 1e-30)
-
-
-def _oracle_variance(chain, distortion, perturb):
-    if chain.a == chain.b:
-        return
-    for d in VERIFY_D_GRID if distortion is None else (distortion,):
-        if not 0.0 < d < min(chain.pi0, chain.pi1):
-            continue  # only the default grid: a given --distortion was checked up front
-        for n in range(1, 11):
-            per_path = oracle_variance(chain, d, n)
-            closed = variance_exact(chain, n) * (1.0 + perturb)
-            deviation = abs(per_path - closed) / max(abs(closed), 1e-30)
-            # An overflowed closed form is off by inf, where inf/inf would read nan.
-            yield deviation if math.isfinite(closed) else math.inf
-
-
-def _pgf_pmf(chain, distortion, perturb):
-    for n in (1, 2, 10, 50, 200):
-        pmf = occupation_pmf(chain, n)
-        powers = np.arange(n + 1)
-        for u in (0.5, 1.0, 2.0):
-            direct = float(pmf @ (u**powers))
-            yield abs(2.0 ** occupation_log2_pgf(chain, n, u) - direct) / direct
-
-
-def _cgf_zeros(chain, distortion, perturb):
-    yield abs(perron_root(chain, 1.0) - 1.0)
-    yield abs(cgf_limit(chain, 0.0))
-    for n in (1, 4, 16, 200):
-        yield abs(cgf_finite(chain, n, 0.0))
-
-
-def _cgf_expectation(chain, distortion, perturb):
-    if chain.a == chain.b:
-        return
-    d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
-    mu = tilted_mean(chain, d)
-    for n in (1, 4, 16):
-        support, probs = jn_law(chain, d, n)
-        centered = support - n * mu
-        for theta in (-1.0, -0.3, 0.3, 1.0):
-            direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
-            yield abs(cgf_finite(chain, n, theta) - direct)
-
-
-def _d_invariance(chain, distortion, perturb):
-    """One case per chain: the shift of the atoms between two distortions.
-
-    They are two default levels, or the given distortion and the upper one.
-    """
-    d_lo, d_hi = 0.05, 0.2
-    if not d_hi < min(chain.pi0, chain.pi1):
-        d_lo, d_hi = min(chain.pi0, chain.pi1) / 4, min(chain.pi0, chain.pi1) / 2
-    if distortion is not None:
-        d_lo = distortion
-    n = 20
-    shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
-    atoms = jn_law(chain, d_lo, n)[0] - jn_law(chain, d_hi, n)[0]
-    yield float(np.max(np.abs(atoms - shift))) / n
-
-
-# (suite name, tolerance on its largest deviation, deviation generator)
-CHECKS = [
-    ("oracle-pmf-tv", 1e-12, _oracle_pmf_tv),
-    ("variance-forms", 1e-10, _variance_forms),
-    ("oracle-variance", 1e-10, _oracle_variance),
-    ("pgf-pmf", 1e-10, _pgf_pmf),
-    ("cgf-zeros", 1e-13, _cgf_zeros),
-    ("cgf-expectation", 1e-10, _cgf_expectation),
-    ("d-invariance", 1e-12, _d_invariance),
-]
-
-
 def cmd_verify(args) -> int:
     if (args.a is None) != (args.b is None):
         raise ValueError("verify needs both --a and --b, or neither")
@@ -442,19 +346,7 @@ def cmd_verify(args) -> int:
     if not math.isfinite(perturb):
         raise ValueError(f"--perturb {perturb!r} must be finite")
     pairs = [(args.a, args.b)] if args.a is not None else VERIFY_PAIRS
-    chains = [derive_chain(a, b) for a, b in pairs]
-    if args.distortion is not None:
-        # A given distortion must hold for every chain, not be skipped where it does not.
-        for chain in chains:
-            require_interior(chain, args.distortion)
-    suites = []
-    for name, tolerance, deviations in CHECKS:
-        found = [dev for chain in chains for dev in deviations(chain, args.distortion, perturb)]
-        # max() would pass over a NaN; a NaN deviation is the worst case and fails the suite.
-        worst = math.nan if any(map(math.isnan, found)) else max(found, default=0.0)
-        suites.append({"name": name, "cases": len(found),
-                       "max_deviation": worst if math.isfinite(worst) else str(worst),
-                       "tolerance": tolerance, "pass": worst <= tolerance})
+    suites = verify_suites(pairs, args.distortion, perturb)
     all_pass = all(s["pass"] for s in suites)
 
     if args.json or args.format == "json":

@@ -20,7 +20,8 @@ over many u at once, they give G_n(u) under one tilt rule that ``cgf``
 shares: D(u) = max(1, u)*diag(w0, w1) with weights (w0, w1) = (1, u) for
 u <= 1 and (1/u, 1) for u > 1, never above 1.  At u = 1 with the centered
 weights (e^{-s*pi1}, e^{s*pi0}) they give the cumulants of N_n - n*pi1 at
-any n.  The variance comes in both its double-sum and closed forms:
+any n.  The variance is the geometric-sum reduction of its double sum
+over lags, whose term-by-term form is the check route in ``oracle``:
 
     Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
              = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
@@ -30,7 +31,6 @@ any n.  The variance comes in both its double-sum and closed forms:
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
@@ -257,30 +257,16 @@ def _variance_bracket(chain: ChainParams, n: int) -> float:
     return n * one_plus_r / s - 2.0 * chain.lambda2 * _one_minus_power(chain, n) / (s * s)
 
 
-def variance_exact(
-    chain: ChainParams,
-    n: int,
-    method: Literal["double_sum", "closed_form"] = "closed_form",
-) -> float:
+def variance_exact(chain: ChainParams, n: int) -> float:
     """Var(J_n(D)) in bits^2; identical for every valid distortion level.
 
-    ``double_sum`` evaluates ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k]
-    term by term; ``closed_form`` evaluates the geometric-sum reduction,
-    written in s = a + b so that it keeps its relative accuracy on
+    Evaluates ell^2*pi0*pi1 times the geometric-sum reduction of the
+    bracket, written in s = a + b so that it keeps its relative accuracy on
     slow-mixing chains.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    amp = chain.ell**2 * chain.pi0 * chain.pi1
-    if method == "double_sum":
-        r = chain.lambda2
-        k = np.arange(1, n)
-        bracket = n + 2.0 * float((n - k) @ (r**k))
-    elif method == "closed_form":
-        bracket = _variance_bracket(chain, n)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return amp * bracket
+    return chain.ell**2 * chain.pi0 * chain.pi1 * _variance_bracket(chain, n)
 
 
 def variance_correction(chain: ChainParams, n: int) -> float:

@@ -129,13 +129,6 @@ def derive_chain(a: float, b: float) -> ChainParams:
     return ChainParams(a=a, b=b, pi0=pi0, pi1=pi1, lambda2=lambda2, ell=ell)
 
 
-def indicator_autocov(chain: ChainParams, k: int) -> float:
-    """Lag-k autocovariance of the state-1 indicator: pi0*pi1*lambda2^k."""
-    if k < 0:
-        raise ValueError(f"lag k={k} must be nonnegative")
-    return chain.pi0 * chain.pi1 * chain.lambda2**k
-
-
 def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
     """Run ends of ``rows`` stationary paths of n letters, as chunks ``(first, start, ends)``.
 

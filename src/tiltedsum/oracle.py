@@ -1,25 +1,112 @@
-"""Brute-force ground truth by exhaustive path enumeration (n <= 20).
+"""Independent check routes, one per closed form, and the ``verify`` suites built on them.
 
-Every length-n binary path is visited through its integer bit pattern and
-its stationary probability pi_{x1} * prod_t P[x_t, x_{t+1}] accumulated.
-All terms are positive, so plain float64 accumulation carries no
-cancellation.  The oracle is part of the shipped artifact (not test-only)
-so the command-line ``verify`` subcommand can certify the closed forms at
-run time.
+The routes share none of the closed forms' algebra: the tilted information
+from its defining sum over reproduction letters, the operating point from
+the alternating update (to ``BA_TOL`` within ``BA_MAX_ITER`` steps), the
+variance from its double sum over lags, and the count law and the variance
+from exhaustive enumeration (n <= 20).  Enumeration visits every length-n
+path through its integer bit pattern and accumulates its stationary
+probability pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are positive, so
+float64 carries no cancellation.  :func:`verify_suites` runs the seven
+``SUITES`` that hold the production routes to these.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .markov import ChainParams
-from .tilting import jtilt_generic, require_interior
+from .cgf import cgf_finite, cgf_limit, perron_root
+from .exact import jn_law, occupation_log2_pgf, occupation_pmf, variance_exact
+from .markov import ChainParams, binary_entropy, derive_chain
+from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
+BA_TOL = 1e-12
+BA_MAX_ITER = 100_000
 
 # The two variance routes inside oracle_variance share the exact same path
 # weights, so any disagreement beyond accumulated rounding is a logic error.
 _INTERNAL_AGREEMENT = 1e-9
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solver exhausted its iteration budget."""
+
+
+def _alternating_updates(chain: ChainParams, d: float):
+    """Yield successive output marginals (q0, q1) of the alternating update.
+
+    The slope beta is held fixed at its closed-form value; the update is
+
+        q(xh) <- sum_x pi_x * q(xh) e^{-beta d(x, xh)} / Z(x),
+        Z(x)   = sum_xh q(xh) e^{-beta d(x, xh)},
+
+    started from the symmetric point (1/2, 1/2).  Each yielded pair sums
+    to one up to rounding.
+    """
+    w = d / (1.0 - d)  # e^{-beta}
+    q0, q1 = 0.5, 0.5
+    while True:
+        z0 = q0 + q1 * w
+        z1 = q1 + q0 * w
+        q0, q1 = (
+            q0 * (chain.pi0 / z0 + chain.pi1 * w / z1),
+            q1 * (chain.pi0 * w / z0 + chain.pi1 / z1),
+        )
+        yield q0, q1
+
+
+def ba_fixed_point_iterate(chain: ChainParams, d: float) -> BAOperatingPoint:
+    """Operating point via the generic alternating update at fixed slope.
+
+    Iterates until the sup-norm change in the output marginal drops below
+    ``BA_TOL``.  Agrees with :func:`tiltedsum.tilting.ba_operating_point` at
+    the fixed point; the closed form is never consulted here, which is what
+    makes the agreement a meaningful check.
+
+    Raises
+    ------
+    ConvergenceError
+        If ``BA_MAX_ITER`` updates do not reach ``BA_TOL``.
+    """
+    require_interior(chain, d)
+    prev0, prev1 = 0.5, 0.5
+    updates = _alternating_updates(chain, d)
+    for _ in range(BA_MAX_ITER):
+        q0, q1 = next(updates)
+        if max(abs(q0 - prev0), abs(q1 - prev1)) < BA_TOL:
+            return BAOperatingPoint(beta=math.log((1.0 - d) / d), q0=q0, q1=q1)
+        prev0, prev1 = q0, q1
+    raise ConvergenceError(
+        f"alternating update did not reach tol={BA_TOL:g} within {BA_MAX_ITER} "
+        f"iterations (D={d!r} may be too close to the regime boundary)"
+    )
+
+
+def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
+    """Tilted information evaluated from its defining sum, not the closed form.
+
+    Computes -log2( sum_xh q(xh) e^{-beta (d(x,xh) - D)} ) at the closed-form
+    operating point.  Used as the independent route in cross-checks and by
+    the exhaustive oracle.
+    """
+    point = ba_operating_point(chain, d)
+    if x not in (0, 1):
+        raise ValueError(f"state x={x!r} must be 0 or 1")
+    q_match, q_other = (point.q0, point.q1) if x == 0 else (point.q1, point.q0)
+    total = q_match * math.exp(point.beta * d) + q_other * math.exp(-point.beta * (1.0 - d))
+    return -math.log2(total)
+
+
+def variance_double_sum(chain: ChainParams, n: int) -> float:
+    """Var(J_n(D)) in bits^2, as ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k] term by term."""
+    if n < 1:
+        raise ValueError(f"blocklength n={n} must be >= 1")
+    k = np.arange(1, n)
+    bracket = n + 2.0 * float((n - k) @ (chain.lambda2**k))
+    return chain.ell**2 * chain.pi0 * chain.pi1 * bracket
 
 
 def _enumerate_paths(chain: ChainParams, n: int, letter_values: np.ndarray | None = None):
@@ -62,11 +149,10 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     """Var(J_n(D)) from exhaustive enumeration, in bits^2.
 
     The per-letter values are taken from the defining-sum route
-    (:func:`tiltedsum.tilting.jtilt_generic`), never the collapsed closed
-    form, and accumulated letter by letter along every path.  The same
-    variance is recomputed through the affine image of the enumerated
-    count law; the two must agree, which re-verifies the collapse
-    pathwise.
+    (:func:`jtilt_generic`), never the collapsed closed form, and
+    accumulated letter by letter along every path.  The same variance is
+    recomputed through the affine image of the enumerated count law; the
+    two must agree, which re-verifies the collapse pathwise.
     """
     require_interior(chain, d)
     jvals = np.array([jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)])
@@ -83,3 +169,117 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
             f"oracle variance routes disagree: {var_paths!r} vs {var_affine!r}"
         )
     return var_paths
+
+
+# ---------------------------------------------------------------------------
+# verify: each suite yields one deviation per case for one chain, at the
+# given distortion, or at its own default levels when that is None
+
+
+VERIFY_PAIRS = [(0.1, 0.3), (0.3, 0.1), (0.25, 0.75), (0.6, 0.7), (0.45, 0.35), (0.5, 0.5)]
+VERIFY_D_GRID = (0.05, 0.1, 0.2)
+
+
+def _oracle_pmf_tv(chain, distortion, perturb):
+    for n in range(1, 13):
+        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum())
+
+
+def _variance_forms(chain, distortion, perturb):
+    for n in (1, 2, 10, 100, 10_000):
+        double = variance_double_sum(chain, n)
+        closed = variance_exact(chain, n) * (1.0 + perturb)
+        yield abs(double - closed) / max(abs(double), 1e-30)
+
+
+def _oracle_variance(chain, distortion, perturb):
+    if chain.a == chain.b:
+        return
+    for d in VERIFY_D_GRID if distortion is None else (distortion,):
+        if not 0.0 < d < min(chain.pi0, chain.pi1):
+            continue  # only the default grid: a given distortion was checked up front
+        for n in range(1, 11):
+            per_path = oracle_variance(chain, d, n)
+            closed = variance_exact(chain, n) * (1.0 + perturb)
+            deviation = abs(per_path - closed) / max(abs(closed), 1e-30)
+            # An overflowed closed form is off by inf, where inf/inf would read nan.
+            yield deviation if math.isfinite(closed) else math.inf
+
+
+def _pgf_pmf(chain, distortion, perturb):
+    for n in (1, 2, 10, 50, 200):
+        pmf = occupation_pmf(chain, n)
+        powers = np.arange(n + 1)
+        for u in (0.5, 1.0, 2.0):
+            direct = float(pmf @ (u**powers))
+            yield abs(2.0 ** occupation_log2_pgf(chain, n, u) - direct) / direct
+
+
+def _cgf_zeros(chain, distortion, perturb):
+    yield abs(perron_root(chain, 1.0) - 1.0)
+    yield abs(cgf_limit(chain, 0.0))
+    for n in (1, 4, 16, 200):
+        yield abs(cgf_finite(chain, n, 0.0))
+
+
+def _cgf_expectation(chain, distortion, perturb):
+    if chain.a == chain.b:
+        return
+    d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
+    mu = tilted_mean(chain, d)
+    for n in (1, 4, 16):
+        support, probs = jn_law(chain, d, n)
+        centered = support - n * mu
+        for theta in (-1.0, -0.3, 0.3, 1.0):
+            direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
+            yield abs(cgf_finite(chain, n, theta) - direct)
+
+
+def _d_invariance(chain, distortion, perturb):
+    """One case per chain: the shift of the atoms between two distortions.
+
+    They are two default levels, or the given distortion and the upper one.
+    """
+    d_lo, d_hi = 0.05, 0.2
+    if not d_hi < min(chain.pi0, chain.pi1):
+        d_lo, d_hi = min(chain.pi0, chain.pi1) / 4, min(chain.pi0, chain.pi1) / 2
+    if distortion is not None:
+        d_lo = distortion
+    n = 20
+    shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
+    atoms = jn_law(chain, d_lo, n)[0] - jn_law(chain, d_hi, n)[0]
+    yield float(np.max(np.abs(atoms - shift))) / n
+
+
+# (suite name, tolerance on its largest deviation, deviation generator)
+SUITES = [
+    ("oracle-pmf-tv", 1e-12, _oracle_pmf_tv),
+    ("variance-forms", 1e-10, _variance_forms),
+    ("oracle-variance", 1e-10, _oracle_variance),
+    ("pgf-pmf", 1e-10, _pgf_pmf),
+    ("cgf-zeros", 1e-13, _cgf_zeros),
+    ("cgf-expectation", 1e-10, _cgf_expectation),
+    ("d-invariance", 1e-12, _d_invariance),
+]
+
+
+def verify_suites(pairs, distortion: float | None = None, perturb: float = 0.0) -> list[dict]:
+    """One row per suite over the chains of the (a, b) ``pairs``, as ``verify`` prints it.
+
+    ``perturb`` scales the closed-form variance by 1 + perturb.  A given
+    distortion outside the interior regime of any chain raises RegimeError
+    before any suite runs.
+    """
+    chains = [derive_chain(a, b) for a, b in pairs]
+    if distortion is not None:
+        for chain in chains:
+            require_interior(chain, distortion)
+    suites = []
+    for name, tolerance, deviations in SUITES:
+        found = [dev for chain in chains for dev in deviations(chain, distortion, perturb)]
+        # max() would pass over a NaN; a NaN deviation is the worst case and fails the suite.
+        worst = math.nan if any(map(math.isnan, found)) else max(found, default=0.0)
+        suites.append({"name": name, "cases": len(found),
+                       "max_deviation": worst if math.isfinite(worst) else str(worst),
+                       "tolerance": tolerance, "pass": worst <= tolerance})
+    return suites

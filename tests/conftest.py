@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tiltedsum import derive_chain
-from tiltedsum.oracle import _enumerate_paths
-from tiltedsum.tilting import jtilt_generic
+from tiltedsum.oracle import _enumerate_paths, jtilt_generic
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from tiltedsum import (
     sample_trajectory,
     simulate,
     tilted_mean,
+    variance_double_sum,
     variance_exact,
 )
 
@@ -124,8 +125,8 @@ def test_criterion_05_variance_form_agreement():
                 continue
             chain = derive_chain(a, b)
             for n in (1, 2, 10, 100, 10_000):
-                double = variance_exact(chain, n, "double_sum")
-                closed = variance_exact(chain, n, "closed_form")
+                double = variance_double_sum(chain, n)
+                closed = variance_exact(chain, n)
                 worst = max(worst, abs(double - closed) / max(abs(double), 1e-300))
     ok = worst <= 1e-10
     _report(5, f"double sum vs closed form, max rel dev {worst:.2e}", ok)

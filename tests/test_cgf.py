@@ -268,13 +268,14 @@ class TestLimitCGF:
         assert abs(slope0) < 1e-8
 
     def test_nonfinite_tilt_rejected(self, moderate, symmetric):
+        # theta is checked before theta*ell is formed, where inf*0.0 would read nan.
         for theta in (math.inf, -math.inf, math.nan):
-            for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
-                for chain in (moderate, symmetric):
-                    with pytest.raises(ValueError):
+            for chain in (moderate, symmetric):
+                for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
+                    with pytest.raises(ValueError, match="theta"):
                         func(chain, theta)
-            with pytest.raises(ValueError):
-                cgf_finite(moderate, 5, theta)
+                with pytest.raises(ValueError, match="theta"):
+                    cgf_finite(chain, 5, theta)
         with pytest.raises(ValueError):
             perron_root(moderate, math.inf)
 

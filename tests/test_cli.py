@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import tiltedsum
-from tiltedsum import cli
+from tiltedsum import oracle
 from tiltedsum.cli import main, parse_cell, render_csv
 
 from conftest import decimal_limit
@@ -276,7 +276,7 @@ class TestVerifyCommand:
             assert captured.err.startswith("error:") and "--perturb" in captured.err
 
     def test_nan_deviation_fails_its_suite(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "perron_root", lambda chain, u: math.nan)
+        monkeypatch.setattr(oracle, "perron_root", lambda chain, u: math.nan)
         code, out = run_cli(capsys, "verify", "--a", "0.1", "--b", "0.3")
         assert code == 2
         assert "cgf-zeros: max deviation nan over 6 cases (tol 1e-13): FAIL" in out
@@ -302,7 +302,7 @@ class TestVerifyCommand:
         assert code == 2
         assert columns == ["name", "cases", "max_deviation", "tolerance", "pass"]
         suites = {row["name"]: row for row in rows}
-        assert list(suites) == [name for name, _, _ in cli.CHECKS]
+        assert list(suites) == [name for name, _, _ in oracle.SUITES]
         assert suites["oracle-variance"]["max_deviation"] == math.inf
         assert suites["oracle-variance"]["pass"] == 0
 
@@ -331,10 +331,10 @@ class TestVerifyCommand:
                 yield from deviations(*args)
             return run
 
-        monkeypatch.setattr(cli, "jn_law", recording(cli.jn_law))
-        monkeypatch.setattr(cli, "oracle_variance", recording(cli.oracle_variance))
-        monkeypatch.setattr(cli, "CHECKS", [(name, tol, named(name, deviations))
-                                            for name, tol, deviations in cli.CHECKS])
+        monkeypatch.setattr(oracle, "jn_law", recording(oracle.jn_law))
+        monkeypatch.setattr(oracle, "oracle_variance", recording(oracle.oracle_variance))
+        monkeypatch.setattr(oracle, "SUITES", [(name, tol, named(name, deviations))
+                                               for name, tol, deviations in oracle.SUITES])
         code, _ = run_cli(capsys, "verify", "--a", "0.1", "--b", "0.3", *argv)
         assert code == 0 and seen == want
 

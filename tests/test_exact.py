@@ -19,6 +19,7 @@ from tiltedsum import (
     occupation_pmf,
     tilted_mean,
     variance_correction,
+    variance_double_sum,
     variance_exact,
 )
 
@@ -270,8 +271,8 @@ class TestVarianceExact:
     def test_forms_agree(self, a, b):
         chain = derive_chain(a, b)
         for n in (1, 2, 10, 100, 10_000):
-            double = variance_exact(chain, n, "double_sum")
-            closed = variance_exact(chain, n, "closed_form")
+            double = variance_double_sum(chain, n)
+            closed = variance_exact(chain, n)
             assert closed == pytest.approx(double, rel=1e-10)
 
     def test_symmetric_zero(self, symmetric):
@@ -300,10 +301,6 @@ class TestVarianceExact:
         values = [variance_exact(moderate, n) / n for n in range(1, 200)]
         assert all(x < y for x, y in zip(values, values[1:]))
         assert all(v <= v_sl for v in values)
-
-    def test_unknown_method(self, moderate):
-        with pytest.raises(ValueError):
-            variance_exact(moderate, 5, "simpson")
 
 
 class TestVarianceCorrection:

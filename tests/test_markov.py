@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tiltedsum import derive_chain, indicator_autocov, sample_trajectory
+from tiltedsum import derive_chain, sample_trajectory
 
 from conftest import PAIR_GRID
 
@@ -47,27 +47,16 @@ class TestDeriveChain:
 
 
 class TestIndicatorAutocov:
-    def test_lag_values(self, moderate):
-        assert indicator_autocov(moderate, 0) == pytest.approx(0.1875, abs=1e-15)
-        assert indicator_autocov(moderate, 1) == pytest.approx(0.1125, abs=1e-15)
-
-    def test_iid_lags_vanish(self, iid_quarter):
-        for k in (1, 2, 10):
-            assert indicator_autocov(iid_quarter, k) == pytest.approx(0.0, abs=1e-15)
-
-    def test_negative_lag_rejected(self, moderate):
-        with pytest.raises(ValueError):
-            indicator_autocov(moderate, -1)
-
     def test_matches_simulation(self, moderate):
-        # 1e6-step empirical autocovariances; the standard error of the mean
-        # is inflated by the chain's integrated autocorrelation factor.
+        # 1e6-step empirical autocovariances against pi0*pi1*lambda2^k; the standard
+        # error of the mean is inflated by the chain's integrated autocorrelation factor.
         x = sample_trajectory(moderate, 1_000_000, 20250809).astype(float)
         inflation = math.sqrt((1 + moderate.lambda2) / (1 - moderate.lambda2))
         for k in (0, 1, 2, 5):
             y = (x[: len(x) - k] - moderate.pi1) * (x[k:] - moderate.pi1)
             se = y.std(ddof=1) / math.sqrt(len(y)) * inflation
-            assert abs(y.mean() - indicator_autocov(moderate, k)) < 4 * se
+            autocov = moderate.pi0 * moderate.pi1 * moderate.lambda2**k
+            assert abs(y.mean() - autocov) < 4 * se
 
 
 class TestSampleTrajectory:

@@ -7,7 +7,9 @@ from tiltedsum import (
     enumerate_pmf,
     oracle_variance,
     variance_exact,
+    verify_suites,
 )
+from tiltedsum.oracle import SUITES, VERIFY_D_GRID
 
 from conftest import PAIR_GRID, path_cumulants
 
@@ -73,3 +75,30 @@ class TestDistortionInvariance:
         for kappa in kappas:
             assert kappa == pytest.approx(kappas[0], rel=1e-12, abs=0)
             assert kappa == pytest.approx(reference, rel=1e-12, abs=0)
+
+
+class TestVerifySuites:
+    @pytest.mark.parametrize("pair", [(0.1, 0.3), (0.05, 0.5), (0.5, 0.5)])
+    @pytest.mark.parametrize("distortion", [None, 0.04])
+    def test_case_counts(self, pair, distortion):
+        # Cases per chain of each suite, in suite order.  oracle-variance takes
+        # 10 blocklengths at each level of the distortion grid inside the
+        # chain's regime, or at the given one; it and cgf-expectation skip a
+        # symmetric chain.
+        chain = derive_chain(*pair)
+        grid = VERIFY_D_GRID if distortion is None else (distortion,)
+        admissible = sum(0.0 < d < min(chain.pi0, chain.pi1) for d in grid)
+        asymmetric = pair[0] != pair[1]
+        want = {
+            "oracle-pmf-tv": 12,
+            "variance-forms": 5,
+            "oracle-variance": 10 * admissible if asymmetric else 0,
+            "pgf-pmf": 15,
+            "cgf-zeros": 6,
+            "cgf-expectation": 12 if asymmetric else 0,
+            "d-invariance": 1,
+        }
+        suites = verify_suites([pair], distortion)
+        assert [s["name"] for s in suites] == [name for name, _, _ in SUITES] == list(want)
+        assert {s["name"]: s["cases"] for s in suites} == want
+        assert all(s["pass"] for s in suites)

@@ -16,6 +16,7 @@ from tiltedsum import (
     occupation_log2_pgf,
     occupation_pmf,
     perron_root,
+    variance_double_sum,
     variance_exact,
 )
 
@@ -82,8 +83,8 @@ def test_perron_root_solves_characteristic_polynomial(a, b, u):
 def test_variance_forms_and_cgf_origin(a, b, n):
     chain = derive_chain(a, b)
     assert math.isclose(
-        variance_exact(chain, n, "double_sum"),
-        variance_exact(chain, n, "closed_form"),
+        variance_double_sum(chain, n),
+        variance_exact(chain, n),
         rel_tol=1e-10,
         abs_tol=1e-12,
     )

@@ -14,8 +14,8 @@ from tiltedsum import (
     jtilt_generic,
     tilted_mean,
 )
-from tiltedsum import tilting
-from tiltedsum.tilting import _alternating_updates
+from tiltedsum import oracle
+from tiltedsum.oracle import _alternating_updates
 
 from conftest import PAIR_GRID
 
@@ -59,15 +59,6 @@ class TestOperatingPoint:
         assert point.q1 == pytest.approx(0.1875, abs=1e-14)
         assert point.beta == pytest.approx(math.log(9), rel=1e-15)
 
-    def test_partition_values(self, moderate):
-        # Z(x) both from the collapsed form and the explicit two-term sum.
-        point = ba_operating_point(moderate, 0.1)
-        w = 0.1 / 0.9
-        assert point.z0 == pytest.approx(0.75 / 0.9, abs=1e-12)
-        assert point.z1 == pytest.approx(0.25 / 0.9, abs=1e-12)
-        assert point.z0 == pytest.approx(point.q0 + point.q1 * w, abs=1e-12)
-        assert point.z1 == pytest.approx(point.q1 + point.q0 * w, abs=1e-12)
-
     def test_symmetric(self, symmetric):
         point = ba_operating_point(symmetric, 0.2)
         assert point.q0 == point.q1 == 0.5
@@ -87,12 +78,12 @@ class TestFixedPointIteration:
 
     def test_symmetric_one_iteration(self, symmetric, monkeypatch):
         # The start point is already the fixed point, so one update suffices.
-        monkeypatch.setattr(tilting, "BA_MAX_ITER", 1)
+        monkeypatch.setattr(oracle, "BA_MAX_ITER", 1)
         point = ba_fixed_point_iterate(symmetric, 0.2)
         assert point.q0 == point.q1 == 0.5
 
     def test_nonconvergence_raises(self, moderate, monkeypatch):
-        monkeypatch.setattr(tilting, "BA_MAX_ITER", 1)
+        monkeypatch.setattr(oracle, "BA_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
             ba_fixed_point_iterate(moderate, 0.1)
 

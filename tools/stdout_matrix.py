@@ -137,6 +137,9 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["cgf", "--a", "1e-9", "--b", "1e-9", "--n", "64", "--theta-grid=-1e308,-2,0,2,1e308"],
         ["cgf", "--a", "0.999999999", "--b", "0.999999999", "--n", "64",
          "--theta-grid=-1e308,-2,0,2,1e308"],
+        # Exit 1: the other non-finite tilts on a symmetric chain (inf is above).
+        ["cgf", "--a", "0.5", "--b", "0.5", "--n", "10", "--theta", "nan"],
+        ["cgf", "--a", "0.5", "--b", "0.5", "--n", "10", "--theta=-inf"],
     ]
     return calls
 
