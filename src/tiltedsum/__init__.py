@@ -11,7 +11,6 @@ routes of ``oracle``, certifies the closed forms.
 """
 
 from .cgf import (
-    SaddlepointTail,
     achievable_interval,
     cgf_finite,
     cgf_limit,
@@ -52,7 +51,6 @@ __all__ = [
     "DP_MAX_N",
     "ENUM_MAX_N",
     "RegimeError",
-    "SaddlepointTail",
     "SimReport",
     "achievable_interval",
     "ba_fixed_point_iterate",

@@ -14,7 +14,9 @@ tilted transition matrix
 
 G_n and lambda_plus follow one tilt rule, that of ``exact``: max(1, u) is
 factored out and only weights <= 1 are formed, so no finite tilt overflows.
-L_n at a whole array of theta costs one batched call of the ``exact`` kernel.
+L_n at a whole array of theta costs one batched call of the ``exact``
+kernel entry.  Each tilt is checked once, where it enters: theta*ell in
+``_log2_tilt`` and ``cgf_finite``, u in ``perron_root``.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -27,33 +29,11 @@ in bits, so tail probabilities decay like 2^(-n*I(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _log2_pgf
+from .exact import _log2_mgf
 from .markov import LN2, ChainParams
-
-# |theta*| below this leaves the large-deviation regime; the saddlepoint
-# estimate degrades toward the Gaussian bulk and is flagged.
-GAUSSIAN_REGIME_THETA = 0.05
-
-
-@dataclass(frozen=True)
-class SaddlepointTail:
-    """First-order saddlepoint estimate of an upper tail probability.
-
-    ``probability`` approximates Pr(J_n - n*mu_D >= n*x) from the optimal
-    tilt ``theta_star`` and the ``rate`` I(x).  The estimate ignores the
-    lattice structure of the sum (span |ell|) and carries no continuity
-    correction; ``near_gaussian`` flags tilts |theta_star| < 0.05 where the
-    formula leaves its regime of strength.
-    """
-
-    probability: float
-    theta_star: float
-    rate: float
-    near_gaussian: bool
 
 
 def _tilted(chain: ChainParams, log2_u: float) -> tuple[float, float, float]:
@@ -67,8 +47,6 @@ def _tilted(chain: ChainParams, log2_u: float) -> tuple[float, float, float]:
     g = mu/s and c = a*b*w0*w1*(d0 + d1)/s^3.  The smaller of mu, nu is
     a*b*w0*w1 over the larger and near u = 1 gap comes from expm1, so nothing cancels.
     """
-    if not math.isfinite(log2_u):
-        raise ValueError(f"tilt log2(u)={log2_u!r} must be finite")
     a, b = chain.a, chain.b
     log2_w0, log2_w1 = min(0.0, -log2_u), min(0.0, log2_u)
     w0, w1 = 2.0**log2_w0, 2.0**log2_w1
@@ -90,17 +68,21 @@ def perron_root(chain: ChainParams, u: float) -> float:
 
     Evaluated as max(1, u) * lambda~ from :func:`_tilted`.
     """
-    if not u > 0.0:
-        raise ValueError(f"tilt argument u={u!r} must be positive")
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"tilt argument u={u!r} must be positive and finite")
     lam, _, _ = _tilted(chain, math.log2(u))
     return max(u, 1.0) * lam
 
 
 def _log2_tilt(chain: ChainParams, theta: float) -> float:
-    """log2 u_theta = -theta*ell; raises ValueError unless theta is finite."""
-    if not math.isfinite(theta):
-        raise ValueError(f"tilt theta={theta!r} must be finite")
-    return -theta * chain.ell
+    """log2 u_theta = -theta*ell; ValueError if theta is not finite or the product overflows.
+
+    In Python floats both show in the product (inf*0.0 reads nan), and neither warns.
+    """
+    log2_u = -theta * chain.ell
+    if not math.isfinite(log2_u):
+        raise ValueError(f"tilt theta={theta!r} must be finite, and so must theta*ell")
+    return log2_u
 
 
 def cgf_limit(chain: ChainParams, theta: float) -> float:
@@ -125,16 +107,18 @@ def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
 def cgf_finite(chain: ChainParams, n: int, theta):
     """Finite-n base-2 CGF of the centered tilted sum, in bits, at a float or a 1-D array of theta.
 
-    One batched kernel call, of O(log n) products of 2x2 matrices at any finite tilt; a float
-    theta gives a float.  Every theta must be finite, also on a symmetric chain, whose L_n is
-    identically 0; the kernel validates n and the tilts.
+    One batched kernel call, of O(log n) products of 2x2 matrices at any tilt with a finite
+    theta*ell; a float theta gives a float.  Every theta*ell must be finite, also on a symmetric
+    chain, whose L_n is identically 0; the kernel validates n.
     """
     thetas = np.array(theta, dtype=float, ndmin=1)
-    finite = np.isfinite(thetas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log2_u = -thetas * chain.ell
+    finite = np.isfinite(log2_u)
     if not finite.all():
-        raise ValueError(f"tilt theta={float(thetas[~finite][0])!r} must be finite")
-    log2_u = -thetas * chain.ell
-    log2_g = _log2_pgf(chain, n, log2_u)  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
+        bad = float(thetas[~finite][0])
+        raise ValueError(f"tilt theta={bad!r} must be finite, and so must theta*ell")
+    log2_g = _log2_mgf(chain, n, log2_u)[:, 0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     if chain.symmetric:
         values = np.zeros_like(thetas)
     else:
@@ -205,7 +189,7 @@ def rate_function(chain: ChainParams, x: float) -> tuple[float, float]:
     return theta, max(theta * x - cgf_limit(chain, theta), 0.0)
 
 
-def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
+def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> float:
     """First-order saddlepoint estimate of Pr(J_n - n*mu_D >= n*x), x > 0.
 
     Tilting to theta_star with L'(theta_star) = x gives
@@ -213,10 +197,11 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
         Pr ~ 2^(-n*I(x)) / (theta_star * ln2 * sigma_star * sqrt(2*pi*n)),
 
     where sigma_star^2 = L''(theta_star)/ln2 is the natural-log CGF
-    curvature.  This is an approximation, not an exact quantity.  The test
-    suite holds it to a factor-two envelope against exact tail sums only on
-    fast- and moderate-mixing chains; on slowly relaxing ones it can be far
-    off (at a = 0.00972356736242579, b = 6.3573332322043285e-12, n = 100,
+    curvature.  This is an approximation, not an exact quantity: it ignores
+    the lattice structure of the sum (span |ell|).  The test suite holds it
+    to a factor-two envelope against exact tail sums only on fast- and
+    moderate-mixing chains; on slowly relaxing ones it can be far off (at
+    a = 0.00972356736242579, b = 6.3573332322043285e-12, n = 100,
     x = 20.65778673353927 it is 5.2e6 times the exact tail).
     """
     if n < 1:
@@ -225,10 +210,4 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> SaddlepointTail:
         raise ValueError(f"upper-tail estimate requires x > 0, got x={x!r}")
     theta_star, rate = rate_function(chain, x)
     sigma_star = math.sqrt(cgf_limit_second_derivative(chain, theta_star) / LN2)
-    prob = 2.0 ** (-n * rate) / (theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n))
-    return SaddlepointTail(
-        probability=prob,
-        theta_star=theta_star,
-        rate=rate,
-        near_gaussian=abs(theta_star) < GAUSSIAN_REGIME_THETA,
-    )
+    return 2.0 ** (-n * rate) / (theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n))

@@ -15,13 +15,15 @@ transfer matrix,
 
 raised to the power n-1 by binary powering.  With u a formal variable z the
 entries are polynomials whose coefficients give the PMF of N_n.  Otherwise
-they are rescaled jets, truncated Taylor series in s.  Of order 0, batched
-over many u at once, they give G_n(u) under one tilt rule that ``cgf``
-shares: D(u) = max(1, u)*diag(w0, w1) with weights (w0, w1) = (1, u) for
-u <= 1 and (1/u, 1) for u > 1, never above 1.  At u = 1 with the centered
-weights (e^{-s*pi1}, e^{s*pi0}) they give the cumulants of N_n - n*pi1 at
-any n.  The variance is the geometric-sum reduction of its double sum
-over lags, whose term-by-term form is the check route in ``oracle``:
+they are rescaled jets, truncated Taylor series in t, which one entry,
+``_log2_mgf``, forms for a batch of u at any order: the log2 series of
+E[u^N_n e^{t(N_n - n*pi1)}] / max(1, u)^n, under one tilt rule that ``cgf``
+shares: D(u) = max(1, u)*diag(w0, w1) with (w0, w1) = (1, u) for u <= 1
+and (1/u, 1) for u > 1, never above 1.  Order 0 gives G_n(u); at u = 1 the
+higher orders give the cumulants of N_n - n*pi1 at any n.  Each caller
+checks the tilt where it enters, the entry only n.  The variance is the
+geometric-sum reduction of its double sum over lags, whose term-by-term
+form is the check route in ``oracle``:
 
     Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
              = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
@@ -34,7 +36,7 @@ import math
 
 import numpy as np
 
-from .markov import ChainParams
+from .markov import LN2, ChainParams
 from .tilting import jtilt, require_interior, tilted_mean
 
 # The count law costs O(n^2) flops in its polynomial products, so it is
@@ -49,6 +51,8 @@ _TINY = np.finfo(float).tiny
 # Below this n*(a+b) the closed-form variance bracket cancels; its power
 # series in a+b is used instead.
 _SERIES_MAX_NS = 0.5
+# r! for the jet orders that ``centered_cumulants`` accepts.
+_FACTORIALS = np.array([math.factorial(r) for r in range(11)], dtype=float)
 
 
 def _power(acc, step, e: int, mul):
@@ -117,30 +121,31 @@ def _poly_mul(x, y):
     return out
 
 
-def _transfer_power(chain: ChainParams, weights: np.ndarray, n: int):
-    """(coeffs, log2_scale) of pi^T W (P W)^{n-1}, W = diag(weights), weights (batch, order, 1, 2)."""
-    pi = chain.stationary
-    start = _rescale(pi * weights, np.zeros(weights.shape[:2]), pi)
-    step = _rescale(chain.transition_matrix * weights, np.zeros(weights.shape[:2]), pi)
-    return _power(start, step, n - 1, lambda x, y: _jet_mul(x, y, pi))
+def _log2_mgf(chain: ChainParams, n: int, log2_u: np.ndarray, order: int = 0) -> np.ndarray:
+    """Taylor coefficients in t, orders 0..order <= 10, of log2 E[u^N_n e^{t(N_n - n*pi1)}].
 
-
-def _log2_pgf(chain: ChainParams, n: int, log2_u: np.ndarray) -> np.ndarray:
-    """log2 G_n(u) - n*max(0, log2 u) for every entry of the 1-D array log2_u.
-
-    One batched pass with weights <= 1 (the tilt rule above), rescaled after
-    every product, so no finite log2 u over- or underflows.  A weight w that
-    underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2 of the sum.
-    Raises ValueError if n < 1 or any log2_u is not finite.
+    The one entry to the jet kernel, batched over the 1-D array log2_u, with n*max(0, log2 u)
+    taken off order 0.  Its weights, the tilt rule's times the centered jets (-pi1, pi0)^r/r!,
+    are rescaled after every product, so no finite log2 u over- or underflows; a weight w that
+    underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2 of the sum.  Orders >= 1 are
+    certified only at u = 1, by the tests of ``centered_cumulants``.  Raises ValueError if n < 1.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    finite = np.isfinite(log2_u)
-    if not finite.all():
-        raise ValueError(f"tilt log2(u) must be finite, got {float(log2_u[~finite][0])!r}")
-    weights = 2.0 ** np.minimum(0.0, np.stack([-log2_u, log2_u], axis=-1))
-    coeffs, log2_scale = _transfer_power(chain, weights[:, None, None, :], n)
-    return np.log2(coeffs[:, 0].sum(axis=(1, 2))) + log2_scale[:, 0]
+    weights = 2.0 ** np.minimum(0.0, np.stack([-log2_u, log2_u], axis=-1))[:, None, None, :]
+    if order:
+        r = np.arange(order + 1)
+        jets = np.array([-chain.pi1, chain.pi0]) ** r[:, None] / _FACTORIALS[r, None]
+        weights = weights * jets[:, None, :]
+    pi = chain.stationary
+    start = _rescale(pi * weights, np.zeros(weights.shape[:2]), pi)
+    step = _rescale(chain.transition_matrix * weights, np.zeros(weights.shape[:2]), pi)
+    coeffs, log2_series = _power(start, step, n - 1, lambda x, y: _jet_mul(x, y, pi))
+    total = coeffs.sum(axis=(2, 3))
+    log2_series[:, 0] += np.log2(total[:, 0])
+    if order:
+        log2_series[:, 1:] += _series_log(total / total[:, :1])[:, 1:] / LN2
+    return log2_series
 
 
 def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
@@ -174,16 +179,16 @@ def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
 
 
 def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
-    """log2 of G_n(u) = pi^T D(u) (P D(u))^{n-1} 1, for u > 0.
+    """log2 of G_n(u) = pi^T D(u) (P D(u))^{n-1} 1, for finite u > 0.
 
     The matrix power is formed by binary powering with an exact power-of-two
     rescaling after every product, so the result neither overflows nor
     underflows for any finite u > 0 and costs O(log n).
     """
-    if not u > 0.0:
-        raise ValueError(f"generating-function argument u={u!r} must be positive")
+    if not 0.0 < u < math.inf:
+        raise ValueError(f"generating-function argument u={u!r} must be positive and finite")
     log2_u = math.log2(u)
-    return n * max(log2_u, 0.0) + float(_log2_pgf(chain, n, np.array([log2_u]))[0])
+    return n * max(log2_u, 0.0) + float(_log2_mgf(chain, n, np.array([log2_u]))[0, 0])
 
 
 def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -284,19 +289,13 @@ def variance_correction(chain: ChainParams, n: int) -> float:
 def centered_cumulants(chain: ChainParams, n: int, max_order: int = 6) -> np.ndarray:
     """Cumulants kappa_2..kappa_max_order of J_n(D) - n*mu_D = -ell*(N_n - n*pi1), any n >= 1.
 
-    kappa_r = r!*[s^r]K*(-ell)^r for K(s) = ln E[e^{s(N_n - n*pi1)}], from the transfer-matrix
-    kernel on jets of the centered state weights (e^{-s*pi1}, e^{s*pi0}).  Against an 80-digit
+    kappa_r = r!*[s^r]K*(-ell)^r for K(s) = ln E[e^{s(N_n - n*pi1)}], the kernel entry's series
+    at u = 1, on jets of the centered state weights (e^{-s*pi1}, e^{s*pi0}).  Against an 80-digit
     count-law DP at n <= 300, kappa_2..kappa_6 were within 3e-13 relative; kappa_7..kappa_10
     within 8e-14 for lambda2 > 0, but 1.2e-13 at lambda2 = -0.3 and 2e-11 at lambda2 = -0.85.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
     if not 2 <= max_order <= 10:
         raise ValueError(f"max_order={max_order} must lie in [2, 10]")
     r = np.arange(max_order + 1)
-    factorial = np.cumprod(np.maximum(r, 1)).astype(float)
-    weights = np.array([-chain.pi1, chain.pi0]) ** r[:, None] / factorial[:, None]
-    coeffs, log2_scale = _transfer_power(chain, weights[None, :, None, :], n)
-    total = coeffs.sum(axis=(2, 3))
-    cgf = math.log(2.0) * log2_scale[0] + _series_log(total / total[:, :1])[0]
-    return (factorial * cgf * (-chain.ell) ** r)[2:]
+    cgf = LN2 * _log2_mgf(chain, n, np.zeros(1), max_order)[0]
+    return (_FACTORIALS[r] * cgf * (-chain.ell) ** r)[2:]

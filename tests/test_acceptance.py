@@ -226,7 +226,7 @@ def test_criterion_08_rate_function():
 def test_criterion_09_saddlepoint_envelope():
     ratios = {}
     for n in (200, 800):
-        estimate = saddlepoint_tail(MODERATE, n, 0.2).probability
+        estimate = saddlepoint_tail(MODERATE, n, 0.2)
         exact = centered_tail_probability(MODERATE, n, 0.2)
         ratios[n] = estimate / exact
     ok = 0.5 <= ratios[200] <= 2.0 and abs(ratios[800] - 1.0) < abs(ratios[200] - 1.0)

@@ -201,6 +201,17 @@ class TestSchemas:
         assert rows[0]["exact"] == 0.0
         assert rows[0]["ratio"] == float("inf")
 
+    def test_tail_gaussian_regime_flag(self, capsys):
+        # theta* ~ x / L''(0): well under the 0.05 threshold at x = 0.01, above it at 0.2.
+        for x, flag in (("0.01", 1), ("0.2", 0)):
+            code, out = run_cli(
+                capsys, "tail", "--a", "0.1", "--b", "0.3", "--n", "100", "--x", x,
+                "--format", "csv",
+            )
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert rows[0]["near_gaussian"] == flag
+
     def test_simulate_seeded(self, capsys):
         argv = (
             "simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.1",

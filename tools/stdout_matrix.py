@@ -140,6 +140,8 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # Exit 1: the other non-finite tilts on a symmetric chain (inf is above).
         ["cgf", "--a", "0.5", "--b", "0.5", "--n", "10", "--theta", "nan"],
         ["cgf", "--a", "0.5", "--b", "0.5", "--n", "10", "--theta=-inf"],
+        # Exit 1: a finite theta whose theta*ell overflows (ell is about -28.9).
+        ["cgf", "--a", "1e-9", "--b", "0.5", "--n", "10", "--theta", "1e308"],
     ]
     return calls
 
