@@ -8,11 +8,13 @@ alternating-row sums of those ends.  Two checks run on every path: n0 + n1
 must be n, and the per-letter sum j0*n0 + j1*n1 must match the exact law's
 atom at n1.  Only the histogram of n1 is kept; every statistic of the
 report is computed from it, so nothing of the size of the replication count
-is stored or sorted.  Block generators are derived from (seed,
-block-index), so the report is a pure function of its inputs no matter how
-blocks would be scheduled.  :func:`exact_normal_distance` gives the normal
-approximation's error at one n free of sampling noise; a sweep over n is a
-loop over it and :func:`simulate`.
+is stored or sorted.  Atom m of the law is n*j0 - ell*m, so both distances
+read the count lattice in atom order taken from the sign of ell: n..0 when
+ell > 0, else 0..n.  Block generators are derived from (seed, block-index),
+so the report is a pure function of its inputs no matter how blocks would
+be scheduled.  :func:`exact_normal_distance` gives the normal approximation's
+error at one n free of sampling noise; a sweep over n is a loop over it and
+:func:`simulate`.
 """
 
 from __future__ import annotations
@@ -94,15 +96,9 @@ def _count_histogram(
     return histogram
 
 
-def _cumulate(support: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct atoms of ``support`` ascending, with the sum of ``masses`` at or below each.
-
-    Atoms that coincide in floating point count as one point.
-    """
-    order = np.argsort(support)
-    atoms, cum = support[order], np.cumsum(masses[order])
-    last = np.append(atoms[1:] != atoms[:-1], True)
-    return atoms[last], cum[last]
+def _ascending(chain: ChainParams, values: np.ndarray) -> np.ndarray:
+    """Count-indexed ``values`` in ascending-atom order: atom m is offset - ell*m."""
+    return values[::-1] if chain.ell > 0 else values
 
 
 def _phi(z: np.ndarray) -> np.ndarray:
@@ -114,28 +110,20 @@ def _phi(z: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-x / _SQRT2) for x in z.tolist()])
 
 
-def _sup_distance(f: np.ndarray, f_left: np.ndarray, g: np.ndarray, g_left: np.ndarray) -> float:
-    """Sup-distance between two CDFs given at common sorted atoms.
-
-    Each CDF comes as its values at the atoms and its left limits there.
-    Neither jumps between consecutive atoms and both are nondecreasing, so
-    the supremum over the line is attained at an atom or its left limit.
-    """
-    return float(max(np.abs(f - g).max(), np.abs(f_left - g_left).max()))
-
-
 def _normal_distance(chain: ChainParams, n: int, probs: np.ndarray) -> float:
     """Sup-distance from Phi of the standardized sum whose count m has mass probs[m].
 
     The count m sits at -ell*(m - n*pi1)/sqrt(n*V_sl).  Standardizing the
     count, not the rounded atoms offset - ell*m, keeps the distance
-    meaningful on chains a few ulps from symmetric, where ell is tiny.
+    meaningful on chains a few ulps from symmetric, where ell is tiny.  The
+    step CDF jumps at each atom and Phi is continuous, so the supremum is
+    attained at an atom or at its left limit.
     """
-    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / math.sqrt(n * chain.v_sl)
-    order = np.argsort(atoms)
-    cum = np.cumsum(probs[order])
-    phi = _phi(atoms[order])
-    return _sup_distance(cum, np.concatenate(([0.0], cum[:-1])), phi, phi)
+    z = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / math.sqrt(n * chain.v_sl)
+    cum = np.cumsum(_ascending(chain, probs))
+    phi = _phi(_ascending(chain, z))
+    left = np.concatenate(([0.0], cum[:-1]))
+    return float(max(np.abs(cum - phi).max(), np.abs(left - phi).max()))
 
 
 def exact_normal_distance(chain: ChainParams, n: int) -> float:
@@ -166,29 +154,21 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         )
     support, probs = jn_law(chain, d, n)
     histogram = _count_histogram(chain, d, n, support, replications, seed)
-    # Replications per atom of the law; a symmetric chain's law is one atom.
-    counts = histogram.sum(keepdims=True) if chain.symmetric else histogram
-
-    # Shifted moments: deviations from an observed atom keep the arithmetic
-    # exact for the degenerate (constant) case and well-scaled otherwise.
-    shift = support[np.argmax(counts)]
-    dev = support - shift
-    dev_mean = float((counts * dev).sum()) / replications
-    emp_mean = shift + dev_mean
-    emp_var = float((counts * (dev - dev_mean) ** 2).sum()) / (replications - 1)
-
-    # Every sample sits on an atom of the law, so both distances need the
-    # CDFs at the atoms only: Phi is evaluated at most n+1 times.
-    _, cum = _cumulate(support, probs)
-    _, seen = _cumulate(support, counts)  # replications at or below each atom
-    emp = seen / replications
-    emp_left = np.concatenate(([0], seen[:-1])) / replications
-    ks_exact = _sup_distance(emp, emp_left, cum, np.concatenate(([0.0], cum[:-1])))
     if chain.symmetric:
-        # Degenerate law: standardization is undefined; report the distance
-        # of a point mass at 0 from Phi, which is 1/2.
-        ks_normal = 0.5
-    else:
-        ks_normal = _normal_distance(chain, n, histogram / replications)
-    return SimReport(emp_mean=emp_mean, emp_var=emp_var, ks_exact=ks_exact, ks_normal=ks_normal)
+        # Degenerate law, one atom: standardization is undefined, and a
+        # point mass at 0 lies 1/2 from Phi.
+        return SimReport(support[0], 0.0, 0.0, 0.5)
 
+    # Shifted moments: deviations from the most observed atom keep the
+    # arithmetic well-scaled, and exact when every sample shares one atom.
+    shift = support[np.argmax(histogram)]
+    dev = support - shift
+    dev_mean = float((histogram * dev).sum()) / replications
+    emp_mean = shift + dev_mean
+    emp_var = float((histogram * (dev - dev_mean) ** 2).sum()) / (replications - 1)
+
+    # Both laws are step functions on one lattice, so the sup is taken at an atom.
+    seen = np.cumsum(_ascending(chain, histogram)) / replications
+    ks_exact = float(np.abs(seen - np.cumsum(_ascending(chain, probs))).max())
+    ks_normal = _normal_distance(chain, n, histogram / replications)
+    return SimReport(emp_mean=emp_mean, emp_var=emp_var, ks_exact=ks_exact, ks_normal=ks_normal)

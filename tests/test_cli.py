@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -48,6 +49,24 @@ class TestPaperTables:
         assert payload["pass"] is True
         n10 = next(r for r in payload["variance_table"] if r["n"] == 10)
         assert abs(n10["var_per_letter"] - 1.533) <= 5e-4
+
+    def test_csv_blocks_parse_back(self, capsys):
+        # Three CSV blocks, one after another, each with its own header; a
+        # text cell such as n = "inf" parses back as the number it spells.
+        code, out = run_cli(capsys, "paper-tables", "--format", "csv")
+        assert code == 0
+        _, payload = run_cli(capsys, "paper-tables", "--format", "json")
+        lines = out.splitlines()
+        for key in ("variance_table", "sources", "constants"):
+            want = json.loads(payload)[key]
+            block, lines = lines[: len(want) + 1], lines[len(want) + 1 :]
+            columns, rows = parse_csv("\n".join(block))
+            assert columns == list(want[0])
+            assert rows == [
+                {k: parse_cell(v) if isinstance(v, str) else v for k, v in row.items()}
+                for row in want
+            ]
+        assert lines == []
 
 
 class TestFigure:
@@ -211,6 +230,28 @@ class TestSchemas:
             assert code == 0
             _, rows = parse_csv(out)
             assert rows[0]["near_gaussian"] == flag
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--a", "0.1", "--b", "0.3", "--distortion", "0.05"),
+            ("jtilt", "--a", "0.1", "--b", "0.3", "--distortion", "0.05"),
+        ],
+    )
+    def test_default_table_format(self, capsys, argv):
+        # A header, then one line per row, each cell starting where its
+        # column's name does; floats show 10 significant digits.
+        code, table = run_cli(capsys, *argv)
+        assert code == 0
+        _, csv = run_cli(capsys, *argv, "--format", "csv")
+        columns, rows = parse_csv(csv)
+        header, *lines = table.splitlines()
+        assert header.split() == columns and len(lines) == len(rows)
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        for line, row in zip(lines, rows):
+            assert [m.start() for m in re.finditer(r"\S+", line)] == starts
+            want = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()]
+            assert line.split() == want
 
     def test_simulate_seeded(self, capsys):
         argv = (
@@ -414,6 +455,15 @@ class TestValidation:
     def test_missing_required_exits_1(self, capsys):
         code, _ = run_cli(capsys, "pmf", "--a", "0.1", "--b", "0.3")
         assert code == 1
+        # Options that are required together, checked by the command itself.
+        for argv, message in (
+            (("rate", "--a", "0.1", "--b", "0.3"), "rate requires --x or --x-grid"),
+            (("verify", "--a", "0.1"), "verify needs both --a and --b"),
+        ):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error:") and message in captured.err
 
     def test_unknown_command_exits_1(self, capsys):
         code, _ = run_cli(capsys, "no-such-command")
@@ -435,6 +485,10 @@ class TestValidation:
             ("rate", "--a", "0.1", "--b", "0.3", "--x-grid=1e308:-1e308"),
             ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:" + "9" * 400),
             ("figure", "--a", "0.1", "--b", "0.3", f"--n-grid=-{'9' * 308}:{'9' * 308}"),
+            # Too many parts, and a step that is not positive.
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:10:2:3"),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:0"),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid=0:0.5:-0.1"),
         ],
     )
     def test_empty_or_nonfinite_grid_exits_1(self, capsys, argv):

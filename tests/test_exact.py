@@ -17,6 +17,8 @@ from tiltedsum import (
     jtilt,
     occupation_log2_pgf,
     occupation_pmf,
+    saddlepoint_tail,
+    simulate,
     tilted_mean,
     variance_correction,
     variance_double_sum,
@@ -118,6 +120,27 @@ def exact_closed_form_brackets(chain, n):
     deficit = 2 * num * ((1 << (e * n)) - num**n)
     total = n * (one + num) * (one - num) * (1 << (e * (n - 1))) - deficit
     return total / den, deficit / den
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda chain: occupation_pmf(chain, 0),
+        lambda chain: jn_law(chain, 0.1, 0),
+        lambda chain: variance_exact(chain, 0),
+        lambda chain: variance_correction(chain, 0),
+        lambda chain: saddlepoint_tail(chain, 0, 0.1),
+        lambda chain: simulate(chain, 0.1, 0, 200, 1),
+        lambda chain: variance_double_sum(chain, 0),
+    ],
+    ids=[
+        "occupation_pmf", "jn_law", "variance_exact", "variance_correction",
+        "saddlepoint_tail", "simulate", "variance_double_sum",
+    ],
+)
+def test_zero_blocklength_rejected(moderate, call):
+    with pytest.raises(ValueError, match="blocklength n=0"):
+        call(moderate)
 
 
 class TestOccupationPMF:
@@ -258,6 +281,11 @@ class TestCenteredTailProbability:
         # The symmetric chain's point-mass shortcut must not skip the checks.
         with pytest.raises(ValueError):
             centered_tail_probability(derive_chain(a, b), n, x)
+
+    def test_symmetric_point_mass(self, symmetric):
+        # The centered sum is 0 with probability one.
+        for x, want in ((-0.1, 1.0), (0.0, 1.0), (0.1, 0.0)):
+            assert centered_tail_probability(symmetric, 10, x) == want
 
 
 class TestVarianceExact:

@@ -54,6 +54,7 @@ class TestSimulate:
         support, _ = jn_law(symmetric, 0.2, 10)
         assert report.emp_mean == support[0]
         assert report.ks_exact == 0.0
+        assert report.ks_normal == 0.5
 
     @pytest.mark.parametrize(
         "a, b, d, n",
@@ -179,9 +180,13 @@ class TestDistanceReference:
 
     @pytest.mark.parametrize(
         "a, b",
+        # The last pair is one ulp from symmetric: its float atoms tie, while
+        # its real atoms -ell*(m - n*pi1) stay distinct.
         [
             pytest.param(a, b, id=f"{a}-{b}")
-            for a, b in [(0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05)]
+            for a, b in [
+                (0.1, 0.3), (0.3, 0.1), (0.6, 0.7), (0.02, 0.05), (0.3, 0.30000000000000004)
+            ]
         ],
     )
     def test_matches_per_sample_formulas(self, a, b):
@@ -190,21 +195,21 @@ class TestDistanceReference:
         report = simulate(chain, d, n, reps, seed)
         support, probs = jn_law(chain, d, n)
         histogram = montecarlo._count_histogram(chain, d, n, support, reps, seed)
-        counts = np.repeat(np.arange(n + 1), histogram)
-        sums = support[counts]
-        atoms, cum = montecarlo._cumulate(support, probs)
-        cdf = dict(zip(atoms.tolist(), zip(cum.tolist(), [0.0, *cum[:-1].tolist()])))
-        # ks_normal standardizes each sample's count, not its rounded atom.
+        # Each sample is keyed by its count m, ordered by the real atom.
+        atom = {m: -chain.ell * (m - n * chain.pi1) for m in range(n + 1)}
+        cdf, below = {}, 0.0  # the exact CDF at each count's atom and its left limit
+        for m in sorted(atom, key=atom.get):
+            cdf[m] = (below + probs[m], below)
+            below += probs[m]
+        samples = sorted(np.repeat(np.arange(n + 1), histogram).tolist(), key=atom.get)
         scale = math.sqrt(n * chain.v_sl)
-        standardized = np.sort(-chain.ell * (counts - n * chain.pi1) / scale)
         phi = NormalDist().cdf
         ks_exact = ks_normal = 0.0
         # The i-th order statistic: the empirical CDF is i/reps there and
         # (i-1)/reps just below it.
-        pairs = zip(np.sort(sums).tolist(), standardized.tolist())
-        for i, (x, count_z) in enumerate(pairs, start=1):
-            value, left = cdf[x]
-            z = phi(count_z)
+        for i, m in enumerate(samples, start=1):
+            value, left = cdf[m]
+            z = phi(atom[m] / scale)
             ks_exact = max(ks_exact, i / reps - value, left - (i - 1) / reps)
             ks_normal = max(ks_normal, i / reps - z, z - (i - 1) / reps)
         assert report.ks_exact == pytest.approx(ks_exact, rel=0, abs=1e-15)
@@ -232,6 +237,15 @@ class TestCltDistanceSweep:
         ]
         center = sum(values) / len(values)
         assert all(abs(v - center) <= 0.2 * center for v in values)
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.3), (0.6, 0.7), (0.02, 0.05)])
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_mirrored_chain_same_distance(self, a, b, n):
+        # Swapping a and b negates ell and mirrors the count, leaving the
+        # centered law -ell*(N_n - n*pi1) unchanged; ell > 0 reads the
+        # counts in reverse.
+        mirrored = exact_normal_distance(derive_chain(b, a), n)
+        assert mirrored == pytest.approx(exact_normal_distance(derive_chain(a, b), n), abs=1e-14)
 
     def test_symmetric_rejected(self, symmetric):
         with pytest.raises(ValueError):

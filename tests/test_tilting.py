@@ -148,8 +148,9 @@ class TestJtilt:
         assert mean == pytest.approx(tilted_mean(moderate, 0.1), abs=1e-14)
 
     def test_bad_state(self, moderate):
-        with pytest.raises(ValueError):
-            jtilt(moderate, 0.1, 2)
+        for tilt in (jtilt, jtilt_generic):
+            with pytest.raises(ValueError, match="state x=2"):
+                tilt(moderate, 0.1, 2)
 
 
 class TestTiltedStats:

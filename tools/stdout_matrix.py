@@ -14,9 +14,10 @@ the same file on both sides.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
-``paper-tables``, the ``verify`` variants, every ``--help``, and calls that
-exit 1 (invalid input) and 3 (unwritable output).  Only the standard
-library is used, so the script runs against any checkout.
+``paper-tables``, the ``verify`` variants, every ``--help``, calls that
+exit 1 (invalid input) and 3 (unwritable output), and last ``simulate`` on a
+chain with ell > 0.  Only the standard library is used, so the script runs
+against any checkout.
 """
 
 from __future__ import annotations
@@ -143,6 +144,13 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # Exit 1: a finite theta whose theta*ell overflows (ell is about -28.9).
         ["cgf", "--a", "1e-9", "--b", "0.5", "--n", "10", "--theta", "1e308"],
     ]
+    # simulate with ell > 0, where the atoms descend as the count ascends.
+    for n, reps, seed in (("16", "4000", "1"), ("300", "1000", "2")):
+        calls += [
+            ["simulate", "--a", "0.3", "--b", "0.1", "--distortion", "0.0625", "--n", n,
+             "--reps", reps, "--seed", seed, "--format", fmt]
+            for fmt in FORMATS
+        ]
     return calls
 
 
