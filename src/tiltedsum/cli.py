@@ -1,10 +1,14 @@
 """Command-line interface: tables, CSV/JSON emission, and run-time verification.
 
-Each subcommand that requires a chain (``--a``/``--b``) emits one table
-through ``_run_table``: its handler maps the arguments and the chain to
-rows, and the columns are the first row's keys.  ``paper-tables`` and
-``verify`` write their own output; ``verify`` renders the suite rows of
-``oracle.verify_suites``.
+Every command writes through one emitter, ``_emit``, which takes the
+command's sections (JSON key -> rows) and renders them in ``--format``.
+Each subcommand that requires a chain (``--a``/``--b``) emits one section,
+``rows``, through ``_run_table``: its handler maps the arguments and the
+chain to rows, and the columns are the first row's keys.  ``paper-tables``
+emits its three golden tables, and ``verify`` the suite rows of
+``oracle.verify_suites``.  ``--theta`` and ``--x`` are spellings of
+``--theta-grid`` and ``rate``'s ``--x-grid`` (one value is a one-point
+grid), and ``verify --json`` is ``--format json``.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -67,15 +71,6 @@ STATS_FIELDS = ("a", "b", "pi0", "pi1", "lambda2", "ell", "h_rate", "gap", "v_ii
 SOURCE_FIELDS = ("lambda2", "gap", "v_sl", "amplification")
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits with status 1 on bad usage."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def _parse_grid(text: str, cast=float) -> list:
     """Parse a non-empty 'start:stop[:step]' (stop inclusive, <= MAX_GRID_POINTS) or comma list."""
     if ":" in text:
@@ -135,14 +130,6 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(command: str, columns: list[str], rows: list[dict]) -> str:
-    return _dump_json({"command": command, "rows": [{c: row[c] for c in columns} for row in rows]})
-
-
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def render_table(columns: list[str], rows: list[dict], decimals: int | None = None) -> str:
     def show(v):
         if isinstance(v, (float, np.floating)):
@@ -157,31 +144,35 @@ def render_table(columns: list[str], rows: list[dict], decimals: int | None = No
     return "\n".join(out) + "\n"
 
 
-def _write(args, text: str) -> None:
-    """Write a command's whole output to ``--out`` (LF line endings) or stdout."""
+def _emit(args, sections: dict, table, passed=None, head=()) -> int:
+    """Write ``sections`` (JSON key -> rows) to ``--out`` (LF line endings) or stdout.
+
+    JSON is one object: ``command``, then ``head``'s items, the sections and,
+    when ``passed`` is given, ``pass``.  CSV is one block per section, its
+    columns the first row's keys.  The text format is ``table()``, called
+    only when that format is asked for.  Returns 2 when ``passed`` is false.
+    """
+    if args.format == "json":
+        payload = {"command": args.command, **dict(head), **sections}
+        if passed is not None:
+            payload["pass"] = passed
+        text = json.dumps(payload, indent=2) + "\n"
+    elif args.format == "csv":
+        text = "".join(render_csv(list(rows[0]), rows) for rows in sections.values())
+    else:
+        text = table()
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 2 if passed is False else 0
 
 
 def _run_table(handler, args) -> int:
-    """Run a chain subcommand: its rows for the chain of ``--a``/``--b``, as one table.
-
-    The columns are the first row's keys, and the JSON ``command`` field is
-    the subcommand's name.
-    """
+    """Run a chain subcommand: its rows for the chain of ``--a``/``--b``, as one table."""
     rows = handler(args, derive_chain(args.a, args.b))
-    columns = list(rows[0])
-    if args.format == "csv":
-        text = render_csv(columns, rows)
-    elif args.format == "json":
-        text = render_json(args.command, columns, rows)
-    else:
-        text = render_table(columns, rows)
-    _write(args, text)
-    return 0
+    return _emit(args, {"rows": rows}, lambda: render_table(list(rows[0]), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +201,8 @@ def cmd_pmf(args, chain) -> list[dict]:
 
 
 def cmd_variance_table(args, chain) -> list[dict]:
-    grid = _parse_grid(args.n_grid, int) if args.n_grid else [1, 2, 5, 10, 50]
     rows = []
-    for n in grid:
+    for n in _parse_grid(args.n_grid, int):
         total = variance_exact(chain, n)
         rows.append({"n": n, "var_total": total, "var_per_letter": total / n})
     # "inf" rather than a float: JSON has no literal for infinity.
@@ -221,10 +211,7 @@ def cmd_variance_table(args, chain) -> list[dict]:
 
 
 def cmd_cgf(args, chain) -> list[dict]:
-    if args.theta is not None:
-        thetas = [args.theta]
-    else:
-        thetas = _parse_grid(args.theta_grid or "-2:2:0.25", float)
+    thetas = _parse_grid(args.theta_grid)
     lambda_n = cgf_finite(chain, args.n, np.array(thetas))
     return [
         {"theta": t, "lambda_n": float(ln), "lambda_inf": cgf_limit(chain, t)}
@@ -233,14 +220,10 @@ def cmd_cgf(args, chain) -> list[dict]:
 
 
 def cmd_rate(args, chain) -> list[dict]:
-    if args.x is not None:
-        xs = [args.x]
-    elif args.x_grid:
-        xs = _parse_grid(args.x_grid, float)
-    else:
+    if args.x_grid is None:
         raise ValueError("rate requires --x or --x-grid")
     rows = []
-    for x in xs:
+    for x in _parse_grid(args.x_grid):
         theta_star, rate = rate_function(chain, x)
         rows.append({"x": x, "theta_star": theta_star, "rate": rate})
     return rows
@@ -279,7 +262,6 @@ def cmd_simulate(args, chain) -> list[dict]:
 
 
 def cmd_figure(args, chain) -> list[dict]:
-    grid = _parse_grid(args.n_grid, int) if args.n_grid else list(range(1, 201))
     return [
         {
             "n": n,
@@ -287,7 +269,7 @@ def cmd_figure(args, chain) -> list[dict]:
             "v_sl": chain.v_sl,
             "v_iid": chain.v_iid,
         }
-        for n in grid
+        for n in _parse_grid(args.n_grid, int)
     ]
 
 
@@ -322,24 +304,13 @@ def cmd_paper_tables(args) -> int:
          "status": _status((constant, 3.53, 5e-3))}
     ]
 
-    sections = [
-        ("variance_table", "Per-letter variance, chain a=0.1 b=0.3", var_rows),
-        ("sources", "Same marginal, different dynamics (pi1 = 1/4)", source_rows),
-        ("constants", "Finite-n variance deficit constant", constant_rows),
-    ]
-    failures = sum(row["status"] == "FAIL" for _, _, rows in sections for row in rows)
-    if args.format == "json":
-        tables = {key: rows for key, _, rows in sections}
-        text = _dump_json({"command": "paper-tables", **tables, "pass": failures == 0})
-    elif args.format == "csv":
-        text = "".join(render_csv(list(rows[0]), rows) for _, _, rows in sections)
-    else:
-        text = "\n".join(
-            f"{title}\n" + render_table(list(rows[0]), rows, decimals=3)
-            for _, title, rows in sections
-        )
-    _write(args, text)
-    return 2 if failures else 0
+    sections = {"variance_table": var_rows, "sources": source_rows, "constants": constant_rows}
+    titles = ("Per-letter variance, chain a=0.1 b=0.3",
+              "Same marginal, different dynamics (pi1 = 1/4)", "Finite-n variance deficit constant")
+    passed = all(row["status"] == "PASS" for rows in sections.values() for row in rows)
+    return _emit(args, sections, lambda: "\n".join(
+        f"{title}\n" + render_table(list(rows[0]), rows, decimals=3)
+        for title, rows in zip(titles, sections.values())), passed)
 
 
 def cmd_verify(args) -> int:
@@ -351,21 +322,14 @@ def cmd_verify(args) -> int:
     pairs = [(args.a, args.b)] if args.a is not None else VERIFY_PAIRS
     suites = verify_suites(pairs, args.distortion, perturb)
     all_pass = all(s["pass"] for s in suites)
-
-    if args.json or args.format == "json":
-        text = _dump_json({"command": "verify", "perturb": perturb, "suites": suites, "pass": all_pass})
-    elif args.format == "csv":
-        text = render_csv(list(suites[0]), suites)
-    else:
-        lines = [
-            f"{s['name']}: max deviation {float(s['max_deviation']):.3e} over {s['cases']} cases "
-            f"(tol {s['tolerance']:.0e}): {'PASS' if s['pass'] else 'FAIL'}"
-            for s in suites
-        ]
-        lines.append("verify: ALL PASS" if all_pass else "verify: FAILURES DETECTED")
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
-    return 0 if all_pass else 2
+    lines = [
+        f"{s['name']}: max deviation {float(s['max_deviation']):.3e} over {s['cases']} cases "
+        f"(tol {s['tolerance']:.0e}): {'PASS' if s['pass'] else 'FAIL'}"
+        for s in suites
+    ]
+    lines.append("verify: ALL PASS" if all_pass else "verify: FAILURES DETECTED")
+    return _emit(args, {"suites": suites}, lambda: "\n".join(lines) + "\n", all_pass,
+                 head={"perturb": perturb})
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +340,26 @@ def _command(sub, func, help, options=None, chain=True) -> None:
     """Add the subcommand run by ``func`` (``cmd_paper_tables`` -> ``paper-tables``).
 
     Its arguments are ``--a``/``--b`` (required when ``chain`` is true, absent
-    when it is None), then ``options`` (flag -> add_argument keywords), then
-    the shared ``--format`` and ``--out``.  A subcommand that requires a
-    chain emits one table through :func:`_run_table`, which passes the
-    chain to ``func`` for its rows; any other ``func`` takes the parsed
-    arguments, writes its own output and returns the exit code.
+    when it is None), then ``options`` (space-separated spellings of one
+    option -> add_argument keywords), then the shared ``--format`` and
+    ``--out``.  A subcommand that requires a chain emits one table through
+    :func:`_run_table`, which passes the chain to ``func`` for its rows; any
+    other ``func`` takes the parsed arguments and returns the exit code of
+    its :func:`_emit`.
     """
     p = sub.add_parser(func.__name__.removeprefix("cmd_").replace("_", "-"), help=help)
     if chain is not None:
         p.add_argument("--a", type=float, required=chain, help="0->1 transition probability")
         p.add_argument("--b", type=float, required=chain, help="1->0 transition probability")
-    for flag, kwargs in (options or {}).items():
-        p.add_argument(flag, **kwargs)
+    for flags, kwargs in (options or {}).items():
+        p.add_argument(*flags.split(), **kwargs)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     p.set_defaults(func=functools.partial(_run_table, func) if chain else func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tiltedsum", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="tiltedsum", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     real = {"type": float, "required": True}
     count = {"type": int, "required": True}
@@ -405,23 +370,24 @@ def build_parser() -> argparse.ArgumentParser:
              {"--distortion": {"type": float}})
     _command(sub, cmd_pmf, "exact law of the tilted block sum",
              {"--distortion": real, "--n": count})
-    _command(sub, cmd_variance_table, "Var(J_n)/n over a blocklength grid", {"--n-grid": grid})
+    _command(sub, cmd_variance_table, "Var(J_n)/n over a blocklength grid",
+             {"--n-grid": {**grid, "default": "1,2,5,10,50"}})
     _command(sub, cmd_cgf, "finite-n and limiting CGF on a theta grid",
-             {"--n": count, "--theta": {"type": float}, "--theta-grid": grid})
-    _command(sub, cmd_rate, "Legendre-Fenchel rate function",
-             {"--x": {"type": float}, "--x-grid": grid})
+             {"--n": count, "--theta-grid --theta": {**grid, "default": "-2:2:0.25"}})
+    _command(sub, cmd_rate, "Legendre-Fenchel rate function", {"--x-grid --x": grid})
     _command(sub, cmd_tail, "saddlepoint vs exact tail probability", {"--n": count, "--x": real})
     _command(sub, cmd_simulate, "Monte Carlo cross-check of the exact law",
              {"--distortion": real, "--n": count, "--reps": count,
               "--seed": {"type": int, "default": DEFAULT_SEED}})
     _command(sub, cmd_figure, "per-letter variance curve data (CSV-friendly)",
-             {"--n-grid": {"help": "start:stop[:step], default 1:200"}})
+             {"--n-grid": {"help": "start:stop[:step], default 1:200", "default": "1:200"}})
     _command(sub, cmd_paper_tables, "reproduce the golden reference tables", chain=None)
     _command(sub, cmd_verify, "certify the closed forms against the oracle",
              {"--distortion": {"type": float},
               "--perturb": {"type": float, "default": 0.0,
                             "help": "inject a relative error into the closed-form variance (self-test)"},
-              "--json": {"action": "store_true", "help": "shorthand for --format json"}},
+              "--json": {"action": "store_const", "dest": "format", "const": "json",
+                         "default": "table", "help": "shorthand for --format json"}},
              chain=False)
     return parser
 
@@ -430,8 +396,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help exits 0, bad usage 2: a validation error here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ValueError as exc:

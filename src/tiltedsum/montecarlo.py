@@ -148,6 +148,8 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         raise ValueError(f"replications={replications} must be >= {MIN_REPLICATIONS}")
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     if replications * n > MAX_SAMPLE_BUDGET:
         raise ValueError(
             f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"

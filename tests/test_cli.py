@@ -50,6 +50,13 @@ class TestPaperTables:
         n10 = next(r for r in payload["variance_table"] if r["n"] == 10)
         assert abs(n10["var_per_letter"] - 1.533) <= 5e-4
 
+    def test_out_matches_stdout(self, tmp_path, capsys):
+        target = tmp_path / "tables.csv"
+        code, out = run_cli(capsys, "paper-tables", "--format", "csv", "--out", str(target))
+        assert code == 0 and out == ""
+        _, want = run_cli(capsys, "paper-tables", "--format", "csv")
+        assert target.read_bytes() == want.encode()
+
     def test_csv_blocks_parse_back(self, capsys):
         # Three CSV blocks, one after another, each with its own header; a
         # text cell such as n = "inf" parses back as the number it spells.
@@ -174,6 +181,10 @@ class TestSchemas:
         columns, rows = parse_csv(out)
         assert columns == ["theta", "lambda_n", "lambda_inf"]
         assert abs(rows[0]["lambda_n"]) < 1e-12  # theta = 0 row
+        # --theta is a spelling of --theta-grid.
+        spellings = [run_cli(capsys, "cgf", "--a", "0.1", "--b", "0.3", "--n", "8", flag, "0.5")
+                     for flag in ("--theta", "--theta-grid")]
+        assert spellings[0] == spellings[1] and spellings[0][0] == 0
 
     def test_rate_columns(self, capsys):
         code, out = run_cli(
@@ -182,6 +193,9 @@ class TestSchemas:
         columns, rows = parse_csv(out)
         assert columns == ["x", "theta_star", "rate"]
         assert rows[0]["rate"] > 0
+        # --x is a spelling of --x-grid.
+        assert run_cli(capsys, "rate", "--a", "0.1", "--b", "0.3", "--x-grid", "0.2",
+                       "--format", "csv") == (code, out)
 
     def test_stats_symmetric_chain(self, capsys):
         code, out = run_cli(
@@ -300,6 +314,15 @@ class TestVerifyCommand:
             "d-invariance",
         }
         assert all(s["pass"] for s in payload["suites"])
+        assert run_cli(capsys, "verify", "--format", "json") == (code, out)
+
+    def test_out_matches_stdout(self, tmp_path, capsys):
+        target = tmp_path / "verify.json"
+        argv = ("verify", "--perturb", "1e-6", "--json")
+        code, out = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == ""
+        _, want = run_cli(capsys, *argv)
+        assert target.read_bytes() == want.encode()
 
     def test_single_pair(self, capsys):
         code, out = run_cli(capsys, "verify", "--a", "0.2", "--b", "0.4")
@@ -357,6 +380,9 @@ class TestVerifyCommand:
         assert list(suites) == [name for name, _, _ in oracle.SUITES]
         assert suites["oracle-variance"]["max_deviation"] == math.inf
         assert suites["oracle-variance"]["pass"] == 0
+        # --json is --format json, so the last format flag wins.
+        assert run_cli(capsys, "verify", "--perturb", "1e308", "--json",
+                       "--format", "csv") == (code, out)
 
     @pytest.mark.parametrize(
         "argv, want",
@@ -468,6 +494,14 @@ class TestValidation:
     def test_unknown_command_exits_1(self, capsys):
         code, _ = run_cli(capsys, "no-such-command")
         assert code == 1
+        code = main(["cgf", "--bogus"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: tiltedsum cgf") and "cgf: error:" in captured.err
+
+    def test_help_exits_0(self, capsys):
+        code, out = run_cli(capsys, "--help")
+        assert code == 0 and out.startswith("usage: tiltedsum")
 
     @pytest.mark.parametrize(
         "argv",
@@ -489,6 +523,11 @@ class TestValidation:
             ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:10:2:3"),
             ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=0:1:0"),
             ("rate", "--a", "0.1", "--b", "0.3", "--x-grid=0:0.5:-0.1"),
+            # An empty value is an empty grid, not the default grid.
+            ("figure", "--a", "0.1", "--b", "0.3", "--n-grid="),
+            ("variance-table", "--a", "0.1", "--b", "0.3", "--n-grid="),
+            ("cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid="),
+            ("rate", "--a", "0.1", "--b", "0.3", "--x-grid="),
         ],
     )
     def test_empty_or_nonfinite_grid_exits_1(self, capsys, argv):

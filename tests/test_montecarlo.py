@@ -109,6 +109,8 @@ class TestSimulate:
             simulate(moderate, 0.1, 10, 50, 1)  # too few replications
         with pytest.raises(ValueError):
             simulate(moderate, 0.1, 10_000, 10_001, 1)  # replications*n > 10^8
+        with pytest.raises(ValueError, match="seed=-1"):
+            simulate(moderate, 0.1, 10, 200, -1)
         from tiltedsum import RegimeError
 
         with pytest.raises(RegimeError):

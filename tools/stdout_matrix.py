@@ -15,9 +15,10 @@ the same file on both sides.
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
 ``paper-tables``, the ``verify`` variants, every ``--help``, calls that
-exit 1 (invalid input) and 3 (unwritable output), and last ``simulate`` on a
-chain with ell > 0.  Only the standard library is used, so the script runs
-against any checkout.
+exit 1 (invalid input) and 3 (unwritable output), ``simulate`` on a chain
+with ell > 0, and last the option spellings ``verify --format json``,
+``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``.  Only the
+standard library is used, so the script runs against any checkout.
 """
 
 from __future__ import annotations
@@ -151,6 +152,14 @@ def matrix(missing_dir: str) -> list[list[str]]:
              "--reps", reps, "--seed", seed, "--format", fmt]
             for fmt in FORMATS
         ]
+    calls += [
+        # Spellings of one option: the same bytes as --json, --theta-grid and --x-grid.
+        ["verify", "--format", "json"],
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta", "0.5"],
+        ["rate", "--a", "0.1", "--b", "0.3", "--x", "0.2"],
+        # Exit 1: an empty grid is not the default grid.
+        ["figure", "--a", "0.1", "--b", "0.3", "--n-grid="],
+    ]
     return calls
 
 
