@@ -8,11 +8,18 @@ finite-n and limiting cumulant generating functions, large-deviation rate
 functions, saddlepoint tail estimates, a Monte Carlo harness, and an
 exhaustive-enumeration oracle that, with the other independent check
 routes of ``oracle``, certifies the closed forms.
+
+The float closed forms (``markov``, ``tilting``, ``cgf``) import no numpy
+and load with the package.  The array modules (``exact``, ``montecarlo``,
+``oracle``) are imported, with numpy, on first access to one of their
+names, so a caller that needs only closed forms, such as most CLI
+commands, never pays numpy's start-up.
 """
+
+import importlib
 
 from .cgf import (
     achievable_interval,
-    cgf_finite,
     cgf_limit,
     cgf_limit_derivative,
     cgf_limit_second_derivative,
@@ -20,29 +27,26 @@ from .cgf import (
     rate_function,
     saddlepoint_tail,
 )
-from .exact import (
-    DP_MAX_N,
-    centered_cumulants,
-    centered_tail_probability,
-    jn_law,
-    occupation_log2_pgf,
-    occupation_pmf,
-    variance_correction,
-    variance_exact,
-)
-from .markov import ChainParams, binary_entropy, derive_chain, sample_trajectory
-from .montecarlo import SimReport, exact_normal_distance, simulate
-from .oracle import (
-    ENUM_MAX_N,
-    ConvergenceError,
-    ba_fixed_point_iterate,
-    enumerate_pmf,
-    jtilt_generic,
-    oracle_variance,
-    variance_double_sum,
-    verify_suites,
-)
+from .markov import ChainParams, binary_entropy, derive_chain, variance_correction, variance_exact
 from .tilting import BAOperatingPoint, RegimeError, ba_operating_point, jtilt, tilted_mean
+
+# Public names of the array modules -> their module, imported on first access (PEP 562).
+_LAZY = {
+    **dict.fromkeys(("DP_MAX_N", "centered_cumulants", "centered_tail_probability", "cgf_finite",
+                     "jn_law", "occupation_log2_pgf", "occupation_pmf"), "exact"),
+    **dict.fromkeys(("SimReport", "exact_normal_distance", "sample_trajectory", "simulate"),
+                    "montecarlo"),
+    **dict.fromkeys(("ENUM_MAX_N", "ConvergenceError", "ba_fixed_point_iterate", "enumerate_pmf",
+                     "jtilt_generic", "oracle_variance", "variance_double_sum", "verify_suites"),
+                    "oracle"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "BAOperatingPoint",

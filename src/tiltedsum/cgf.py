@@ -14,9 +14,11 @@ tilted transition matrix
 
 G_n and lambda_plus follow one tilt rule, that of ``exact``: max(1, u) is
 factored out and only weights <= 1 are formed, so no finite tilt overflows.
-L_n at a whole array of theta costs one batched call of the ``exact``
-kernel entry.  Each tilt is checked once, where it enters: theta*ell in
-``_log2_tilt`` and ``cgf_finite``, u in ``perron_root``.
+L_n needs the array kernel, so it is ``exact.cgf_finite``, one batched call
+of that kernel at a whole array of theta; every function in this module is
+a float closed form, and the module imports no numpy.  Each
+tilt is checked once, where it enters: theta*ell in ``_log2_tilt`` and
+``exact.cgf_finite``, u in ``perron_root``.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -30,9 +32,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .exact import _log2_mgf
 from .markov import LN2, ChainParams
 
 
@@ -102,28 +101,6 @@ def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
     """d^2 L / dtheta^2, analytic: ell^2 * ln 2 * u g'(u) at u_theta."""
     _, _, c = _tilted(chain, _log2_tilt(chain, theta))
     return chain.ell**2 * LN2 * c
-
-
-def cgf_finite(chain: ChainParams, n: int, theta):
-    """Finite-n base-2 CGF of the centered tilted sum, in bits, at a float or a 1-D array of theta.
-
-    One batched kernel call, of O(log n) products of 2x2 matrices at any tilt with a finite
-    theta*ell; a float theta gives a float.  Every theta*ell must be finite, also on a symmetric
-    chain, whose L_n is identically 0; the kernel validates n.
-    """
-    thetas = np.array(theta, dtype=float, ndmin=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log2_u = -thetas * chain.ell
-    finite = np.isfinite(log2_u)
-    if not finite.all():
-        bad = float(thetas[~finite][0])
-        raise ValueError(f"tilt theta={bad!r} must be finite, and so must theta*ell")
-    log2_g = _log2_mgf(chain, n, log2_u)[:, 0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
-    if chain.symmetric:
-        values = np.zeros_like(thetas)
-    else:
-        values = thetas * chain.pi1 * chain.ell + (np.maximum(log2_u, 0.0) + log2_g / n)
-    return values if np.ndim(theta) else float(values[0])
 
 
 def achievable_interval(chain: ChainParams) -> tuple[float, float]:

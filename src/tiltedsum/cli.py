@@ -10,6 +10,11 @@ emits its three golden tables, and ``verify`` the suite rows of
 ``--theta-grid`` and ``rate``'s ``--x-grid`` (one value is a one-point
 grid), and ``verify --json`` is ``--format json``.
 
+Importing this module loads no numpy, so the closed-form commands start
+without it.  The five handlers that need the array modules (``pmf``,
+``cgf``, ``tail``, ``simulate``, ``verify``) import their function inside
+the handler, and so load numpy only when they run.
+
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
@@ -28,24 +33,16 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import (
     ba_operating_point,
-    centered_tail_probability,
-    cgf_finite,
     cgf_limit,
     derive_chain,
-    jn_law,
     jtilt,
     rate_function,
     saddlepoint_tail,
-    simulate,
     tilted_mean,
     variance_exact,
-    verify_suites,
 )
-from .oracle import VERIFY_PAIRS
 
 DEFAULT_SEED = 20250809
 # A colon grid is counted before it is built, so a tiny step cannot exhaust memory.
@@ -104,10 +101,8 @@ def _format_value(v) -> str:
     """Shortest round-trip text for a cell (ints bare, floats via repr)."""
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
+    if isinstance(v, float):
+        return repr(v)
     return str(v)
 
 
@@ -132,8 +127,8 @@ def render_csv(columns: list[str], rows: list[dict]) -> str:
 
 def render_table(columns: list[str], rows: list[dict], decimals: int | None = None) -> str:
     def show(v):
-        if isinstance(v, (float, np.floating)):
-            return f"{float(v):.{decimals}f}" if decimals is not None else f"{float(v):.10g}"
+        if isinstance(v, float):
+            return f"{v:.{decimals}f}" if decimals is not None else f"{v:.10g}"
         return _format_value(v)
 
     cells = [[show(row[c]) for c in columns] for row in rows]
@@ -193,6 +188,7 @@ def cmd_stats(args, chain) -> list[dict]:
 
 
 def cmd_pmf(args, chain) -> list[dict]:
+    from .exact import jn_law
     support, probs = jn_law(chain, args.distortion, args.n)
     return [
         {"m": m, "prob": float(p), "j_value": float(j)}
@@ -211,8 +207,9 @@ def cmd_variance_table(args, chain) -> list[dict]:
 
 
 def cmd_cgf(args, chain) -> list[dict]:
+    from .exact import cgf_finite
     thetas = _parse_grid(args.theta_grid)
-    lambda_n = cgf_finite(chain, args.n, np.array(thetas))
+    lambda_n = cgf_finite(chain, args.n, thetas)
     return [
         {"theta": t, "lambda_n": float(ln), "lambda_inf": cgf_limit(chain, t)}
         for t, ln in zip(thetas, lambda_n)
@@ -230,6 +227,7 @@ def cmd_rate(args, chain) -> list[dict]:
 
 
 def cmd_tail(args, chain) -> list[dict]:
+    from .exact import centered_tail_probability
     estimate = saddlepoint_tail(chain, args.n, args.x)
     theta_star, rate = rate_function(chain, args.x)
     exact = centered_tail_probability(chain, args.n, args.x)
@@ -247,6 +245,7 @@ def cmd_tail(args, chain) -> list[dict]:
 
 
 def cmd_simulate(args, chain) -> list[dict]:
+    from .montecarlo import simulate
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {
         "n": args.n,
@@ -314,6 +313,7 @@ def cmd_paper_tables(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import VERIFY_PAIRS, verify_suites
     if (args.a is None) != (args.b is None):
         raise ValueError("verify needs both --a and --b, or neither")
     perturb = args.perturb or 0.0

@@ -1,4 +1,4 @@
-"""Exact finite-n laws: occupation count, tilted block sum, variance, cumulants.
+"""Exact finite-n laws: occupation count, tilted block sum, PGF, finite-n CGF, cumulants.
 
 Let N_n count the letters equal to 1 in a block of length n.  The tilted
 block sum is an affine image of the occupation count,
@@ -20,14 +20,12 @@ they are rescaled jets, truncated Taylor series in t, which one entry,
 E[u^N_n e^{t(N_n - n*pi1)}] / max(1, u)^n, under one tilt rule that ``cgf``
 shares: D(u) = max(1, u)*diag(w0, w1) with (w0, w1) = (1, u) for u <= 1
 and (1/u, 1) for u > 1, never above 1.  Order 0 gives G_n(u); at u = 1 the
-higher orders give the cumulants of N_n - n*pi1 at any n.  Each caller
-checks the tilt where it enters, the entry only n.  The variance is the
-geometric-sum reduction of its double sum over lags, whose term-by-term
-form is the check route in ``oracle``:
-
-    Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
-             = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
-                                 - 2*lambda2*(1-lambda2^n)/(1-lambda2)^2 ].
+higher orders give the cumulants of N_n - n*pi1 at any n, and order 0 at a
+whole array of tilts gives the finite-n CGF L_n of ``cgf``.  Each caller
+checks the tilt where it enters, the entry only n.  All of these need
+arrays, so this module imports numpy and the package loads it on first
+use; the exact variance, a float closed form in the chain and n, is in
+``markov``.
 """
 
 from __future__ import annotations
@@ -48,9 +46,6 @@ DP_MAX_N = 32768
 # subnormals carry no relative accuracy, and 0.7*5e-324 rounds back up to
 # 5e-324, so mass that should keep shrinking would stick there instead.
 _TINY = np.finfo(float).tiny
-# Below this n*(a+b) the closed-form variance bracket cancels; its power
-# series in a+b is used instead.
-_SERIES_MAX_NS = 0.5
 # r! for the jet orders that ``centered_cumulants`` accepts.
 _FACTORIALS = np.array([math.factorial(r) for r in range(11)], dtype=float)
 
@@ -191,6 +186,29 @@ def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
     return n * max(log2_u, 0.0) + float(_log2_mgf(chain, n, np.array([log2_u]))[0, 0])
 
 
+def cgf_finite(chain: ChainParams, n: int, theta):
+    """Finite-n base-2 CGF L_n of the centered sum, in bits, at a float or a 1-D array of theta.
+
+    L_n(theta) = theta*pi1*ell + (1/n)*log2 G_n(u_theta) with u_theta = 2^(-theta*ell), from one
+    batched kernel call of O(log n) products of 2x2 matrices at any tilt with a finite theta*ell;
+    a float theta gives a float.  Every theta*ell must be finite, also on a symmetric chain, whose
+    L_n is identically 0; the kernel validates n.
+    """
+    thetas = np.array(theta, dtype=float, ndmin=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log2_u = -thetas * chain.ell
+    finite = np.isfinite(log2_u)
+    if not finite.all():
+        bad = float(thetas[~finite][0])
+        raise ValueError(f"tilt theta={bad!r} must be finite, and so must theta*ell")
+    log2_g = _log2_mgf(chain, n, log2_u)[:, 0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
+    if chain.symmetric:
+        values = np.zeros_like(thetas)
+    else:
+        values = thetas * chain.pi1 * chain.ell + (np.maximum(log2_u, 0.0) + log2_g / n)
+    return values if np.ndim(theta) else float(values[0])
+
+
 def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact law of the tilted block sum at distortion d and blocklength n, as (support, probs).
 
@@ -221,69 +239,6 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
         return 1.0 if n * x <= 0.0 else 0.0
     atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1)
     return float(occupation_pmf(chain, n)[atoms >= n * x].sum())
-
-
-def _one_minus_power(chain: ChainParams, n: int) -> float:
-    """1 - lambda2^n without cancellation, also as lambda2 -> +1 or -1.
-
-    Near +1, lambda2 = 1 - s with s = a + b; near -1, lambda2 = -(1 - t)
-    with t = (1-a) + (1-b).  Either small quantity is formed without
-    subtracting from 1, and |lambda2|^n goes through log1p and expm1.
-    """
-    r = chain.lambda2
-    if abs(r) <= 0.5:
-        return 1.0 - r**n
-    if r > 0.0:
-        return -math.expm1(n * math.log1p(-(chain.a + chain.b)))
-    log_magnitude = n * math.log1p(-((1.0 - chain.a) + (1.0 - chain.b)))
-    return 1.0 + math.exp(log_magnitude) if n % 2 else -math.expm1(log_magnitude)
-
-
-def _variance_bracket(chain: ChainParams, n: int) -> float:
-    """n + 2*sum_{k<n} (n-k)*lambda2^k in closed form, in terms of s = a + b.
-
-    The closed form n*(1+lambda2)/s - 2*lambda2*(1-lambda2^n)/s^2 is a
-    difference of two terms near 2n/s when n*s is small, so there the
-    bracket comes from its expansion in s instead,
-
-        n^2 + 2*sum_{j>=1} (-s)^j * C(n+1, j+2),
-
-    whose terms shrink by a factor below n*s/4 each.
-    """
-    s = chain.a + chain.b
-    if n * s < _SERIES_MAX_NS:
-        total, term, j = float(n) * n, -s * (n + 1) * n * (n - 1) / 3.0, 1
-        while abs(term) > 1e-17 * total:
-            total += term
-            term *= -s * (n - j - 1) / (j + 3)
-            j += 1
-        return total
-    one_plus_r = (1.0 - chain.a) + (1.0 - chain.b)
-    return n * one_plus_r / s - 2.0 * chain.lambda2 * _one_minus_power(chain, n) / (s * s)
-
-
-def variance_exact(chain: ChainParams, n: int) -> float:
-    """Var(J_n(D)) in bits^2; identical for every valid distortion level.
-
-    Evaluates ell^2*pi0*pi1 times the geometric-sum reduction of the
-    bracket, written in s = a + b so that it keeps its relative accuracy on
-    slow-mixing chains.
-    """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
-    return chain.ell**2 * chain.pi0 * chain.pi1 * _variance_bracket(chain, n)
-
-
-def variance_correction(chain: ChainParams, n: int) -> float:
-    """Finite-n variance deficit n*V_sl - Var(J_n), in bits^2.
-
-    The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/s^2 with
-    s = a + b = 1 - lambda2, which tends to ``chain.deficit_constant`` as n
-    grows.
-    """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
-    return chain.deficit_constant * _one_minus_power(chain, n)
 
 
 def centered_cumulants(chain: ChainParams, n: int, max_order: int = 6) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Two-state Markov chain parameters, spectral quantities, and sampling.
+"""Two-state Markov chain parameters, spectral quantities, and the exact variance.
 
 The chain lives on {0, 1} with transition matrix
 
@@ -9,6 +9,17 @@ stationary distribution pi = (b/(a+b), a/(a+b)), second eigenvalue
 lambda2 = 1 - a - b, and log-ratio ell = log2(a/b).  All logarithms
 exposed by this package are base 2.  Every per-letter quantity that does
 not depend on the distortion level is a property of :class:`ChainParams`.
+
+Var(J_n(D)) and its deficit below n*V_sl depend on the chain and n alone,
+so they live here too, as the geometric-sum reduction of the double sum
+over lags whose term-by-term form is the check route in ``oracle``:
+
+    Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
+             = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
+                                 - 2*lambda2*(1-lambda2^n)/(1-lambda2)^2 ].
+
+Everything here is a float closed form, so this module does not import
+numpy; only the two array views of :class:`ChainParams` do, when read.
 """
 
 from __future__ import annotations
@@ -16,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Parameters this close to {0, 1} are rejected: the closed forms divide by
 # a, b, a+b and 1-lambda2, so clamping would silently destroy precision.
 BOUNDARY_MARGIN = 1e-12
 LN2 = math.log(2.0)
-_CHUNK_ELEMENTS = 2**16  # runs per sampler chunk, across all of its rows
+# Below this n*(a+b) the closed-form variance bracket cancels; its power
+# series in a+b is used instead.
+_SERIES_MAX_NS = 0.5
 
 
 @dataclass(frozen=True)
@@ -42,12 +53,14 @@ class ChainParams:
     ell: float
 
     @property
-    def transition_matrix(self) -> np.ndarray:
-        return np.array([[1.0 - self.a, self.a], [self.b, 1.0 - self.b]])
+    def transition_matrix(self):
+        import numpy
+        return numpy.array([[1.0 - self.a, self.a], [self.b, 1.0 - self.b]])
 
     @property
-    def stationary(self) -> np.ndarray:
-        return np.array([self.pi0, self.pi1])
+    def stationary(self):
+        import numpy
+        return numpy.array([self.pi0, self.pi1])
 
     @property
     def symmetric(self) -> bool:
@@ -129,58 +142,64 @@ def derive_chain(a: float, b: float) -> ChainParams:
     return ChainParams(a=a, b=b, pi0=pi0, pi1=pi1, lambda2=lambda2, ell=ell)
 
 
-def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
-    """Run ends of ``rows`` stationary paths of n letters, as chunks ``(first, start, ends)``.
+def _one_minus_power(chain: ChainParams, n: int) -> float:
+    """1 - lambda2^n without cancellation, also as lambda2 -> +1 or -1.
 
-    The first letter is drawn from pi by inverse CDF; runs then alternate states, with
-    Geometric(a) lengths in state 0 and Geometric(b) in state 1 (the first run too: the
-    chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  ``ends`` is one
-    (k, rows) float64 buffer, path r in column r, that is filled with uniforms and turned
-    in place into the path's cumulative letter count at the end of each of its next k
-    runs, clipped at n.  ``start`` is each path's letter count before the chunk and
-    ``first`` its state in the chunk's row 0; row j is in state first ^ (j & 1).  The
-    ``ends`` buffer is overwritten by the next chunk; ``first`` and ``start`` are not.
-    All entries are integers below k*n < 2**53, so they and their sums are exact.  A
-    chunk holds k <= n runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and
-    k <= E + 4*sqrt(E) for the expected run count E = 1 + (n-1)*2ab/(a+b) of a path,
-    so a short path draws few more runs than it uses.
+    Near +1, lambda2 = 1 - s with s = a + b; near -1, lambda2 = -(1 - t)
+    with t = (1-a) + (1-b).  Either small quantity is formed without
+    subtracting from 1, and |lambda2|^n goes through log1p and expm1.
     """
-    runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
-    k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
-    inv_log_stay = 1.0 / np.log1p(-np.array([chain.a, chain.b]))  # 1/ln(1-p) in state 0, 1
-    first = (rng.random(rows) >= chain.pi0).astype(np.uint8)  # each path's next run
-    start = np.zeros(rows)
-    ends = np.empty((k, rows))
-    while start.min() < n:
-        rng.random(out=ends)
-        np.subtract(1.0, ends, out=ends)
-        np.log(ends, out=ends)
-        ends[0::2] *= inv_log_stay[first]
-        ends[1::2] *= inv_log_stay[first ^ 1]
-        np.floor(ends, out=ends)
-        ends += 1.0
-        ends[0] += start
-        np.cumsum(ends, axis=0, out=ends)
-        np.minimum(ends, n, out=ends)
-        yield first, start, ends
-        start = ends[-1].copy()
-        first = first ^ (k & 1)
+    r = chain.lambda2
+    if abs(r) <= 0.5:
+        return 1.0 - r**n
+    if r > 0.0:
+        return -math.expm1(n * math.log1p(-(chain.a + chain.b)))
+    log_magnitude = n * math.log1p(-((1.0 - chain.a) + (1.0 - chain.b)))
+    return 1.0 + math.exp(log_magnitude) if n % 2 else -math.expm1(log_magnitude)
 
 
-def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
-    """The states of n letters of the stationary chain, sampled run by run (see :func:`_runs`).
+def _variance_bracket(chain: ChainParams, n: int) -> float:
+    """n + 2*sum_{k<n} (n-k)*lambda2^k in closed form, in terms of s = a + b.
 
-    Uniforms come from a Philox counter-based generator, so the sequence is
-    a pure function of (seed, n) and regenerating it is bit-identical.
+    The closed form n*(1+lambda2)/s - 2*lambda2*(1-lambda2^n)/s^2 is a
+    difference of two terms near 2n/s when n*s is small, so there the
+    bracket comes from its expansion in s instead,
+
+        n^2 + 2*sum_{j>=1} (-s)^j * C(n+1, j+2),
+
+    whose terms shrink by a factor below n*s/4 each.
+    """
+    s = chain.a + chain.b
+    if n * s < _SERIES_MAX_NS:
+        total, term, j = float(n) * n, -s * (n + 1) * n * (n - 1) / 3.0, 1
+        while abs(term) > 1e-17 * total:
+            total += term
+            term *= -s * (n - j - 1) / (j + 3)
+            j += 1
+        return total
+    one_plus_r = (1.0 - chain.a) + (1.0 - chain.b)
+    return n * one_plus_r / s - 2.0 * chain.lambda2 * _one_minus_power(chain, n) / (s * s)
+
+
+def variance_exact(chain: ChainParams, n: int) -> float:
+    """Var(J_n(D)) in bits^2; identical for every valid distortion level.
+
+    Evaluates ell^2*pi0*pi1 times the geometric-sum reduction of the
+    bracket, written in s = a + b so that it keeps its relative accuracy on
+    slow-mixing chains.
     """
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
-    rng = np.random.Generator(np.random.Philox(seed))
-    pieces = [
-        np.repeat(
-            (np.arange(len(ends)) & 1).astype(np.uint8) ^ first[0],
-            np.diff(ends[:, 0], prepend=start[0]).astype(np.int64),
-        )
-        for first, start, ends in _runs(chain, n, 1, rng)
-    ]
-    return np.concatenate(pieces)
+    return chain.ell**2 * chain.pi0 * chain.pi1 * _variance_bracket(chain, n)
+
+
+def variance_correction(chain: ChainParams, n: int) -> float:
+    """Finite-n variance deficit n*V_sl - Var(J_n), in bits^2.
+
+    The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/s^2 with
+    s = a + b = 1 - lambda2, which tends to ``chain.deficit_constant`` as n
+    grows.
+    """
+    if n < 1:
+        raise ValueError(f"blocklength n={n} must be >= 1")
+    return chain.deficit_constant * _one_minus_power(chain, n)

@@ -1,8 +1,8 @@
-"""Simulation harness: empirical moments and CDF distances against the exact law.
+"""Run sampler and simulation harness: empirical moments and CDF distances against the exact law.
 
 The tilted block sum of a path is an affine image of its occupation count
 n1, so a replication only needs n1.  Paths are drawn block by block as runs
-(:func:`markov._runs`), each chunk one (k, rows) buffer of run ends built in
+(:func:`_runs`), each chunk one (k, rows) buffer of run ends built in
 place, and each path's letters n0, n1 in state 0 and 1 come from
 alternating-row sums of those ends.  Two checks run on every path: n0 + n1
 must be n, and the per-letter sum j0*n0 + j1*n1 must match the exact law's
@@ -14,7 +14,8 @@ ell > 0, else 0..n.  Block generators are derived from (seed, block-index),
 so the report is a pure function of its inputs no matter how blocks would
 be scheduled.  :func:`exact_normal_distance` gives the normal approximation's
 error at one n free of sampling noise; a sweep over n is a loop over it and
-:func:`simulate`.
+:func:`simulate`.  :func:`sample_trajectory` turns the runs of one path into
+its letters.
 """
 
 from __future__ import annotations
@@ -25,15 +26,73 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import jn_law, occupation_pmf
-from .markov import ChainParams, _runs
+from .markov import ChainParams
 from .tilting import jtilt, require_interior
 
 PATHWISE_TOL = 1e-10
 MIN_REPLICATIONS = 100
 MAX_SAMPLE_BUDGET = 10**8  # replications * n
 _BLOCK_ROWS = 4096
+_CHUNK_ELEMENTS = 2**16  # runs per sampler chunk, across all of its rows
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
+
+
+def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
+    """Run ends of ``rows`` stationary paths of n letters, as chunks ``(first, start, ends)``.
+
+    The first letter is drawn from pi by inverse CDF; runs then alternate states, with
+    Geometric(a) lengths in state 0 and Geometric(b) in state 1 (the first run too: the
+    chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  ``ends`` is one
+    (k, rows) float64 buffer, path r in column r, that is filled with uniforms and turned
+    in place into the path's cumulative letter count at the end of each of its next k
+    runs, clipped at n.  ``start`` is each path's letter count before the chunk and
+    ``first`` its state in the chunk's row 0; row j is in state first ^ (j & 1).  The
+    ``ends`` buffer is overwritten by the next chunk; ``first`` and ``start`` are not.
+    All entries are integers below k*n < 2**53, so they and their sums are exact.  A
+    chunk holds k <= n runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and
+    k <= E + 4*sqrt(E) for the expected run count E = 1 + (n-1)*2ab/(a+b) of a path,
+    so a short path draws few more runs than it uses.
+    """
+    runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
+    k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
+    inv_log_stay = 1.0 / np.log1p(-np.array([chain.a, chain.b]))  # 1/ln(1-p) in state 0, 1
+    first = (rng.random(rows) >= chain.pi0).astype(np.uint8)  # each path's next run
+    start = np.zeros(rows)
+    ends = np.empty((k, rows))
+    while start.min() < n:
+        rng.random(out=ends)
+        np.subtract(1.0, ends, out=ends)
+        np.log(ends, out=ends)
+        ends[0::2] *= inv_log_stay[first]
+        ends[1::2] *= inv_log_stay[first ^ 1]
+        np.floor(ends, out=ends)
+        ends += 1.0
+        ends[0] += start
+        np.cumsum(ends, axis=0, out=ends)
+        np.minimum(ends, n, out=ends)
+        yield first, start, ends
+        start = ends[-1].copy()
+        first = first ^ (k & 1)
+
+
+def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
+    """The states of n letters of the stationary chain, sampled run by run (see :func:`_runs`).
+
+    Uniforms come from a Philox counter-based generator, so the sequence is
+    a pure function of (seed, n) and regenerating it is bit-identical.
+    """
+    if n < 1:
+        raise ValueError(f"blocklength n={n} must be >= 1")
+    rng = np.random.Generator(np.random.Philox(seed))
+    pieces = [
+        np.repeat(
+            (np.arange(len(ends)) & 1).astype(np.uint8) ^ first[0],
+            np.diff(ends[:, 0], prepend=start[0]).astype(np.int64),
+        )
+        for first, start, ends in _runs(chain, n, 1, rng)
+    ]
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -159,11 +218,11 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
     if chain.symmetric:
         # Degenerate law, one atom: standardization is undefined, and a
         # point mass at 0 lies 1/2 from Phi.
-        return SimReport(support[0], 0.0, 0.0, 0.5)
+        return SimReport(float(support[0]), 0.0, 0.0, 0.5)
 
     # Shifted moments: deviations from the most observed atom keep the
     # arithmetic well-scaled, and exact when every sample shares one atom.
-    shift = support[np.argmax(histogram)]
+    shift = float(support[np.argmax(histogram)])
     dev = support - shift
     dev_mean = float((histogram * dev).sum()) / replications
     emp_mean = shift + dev_mean

@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .cgf import cgf_finite, cgf_limit, perron_root
-from .exact import jn_law, occupation_log2_pgf, occupation_pmf, variance_exact
-from .markov import ChainParams, binary_entropy, derive_chain
+from .cgf import cgf_limit, perron_root
+from .exact import cgf_finite, jn_law, occupation_log2_pgf, occupation_pmf
+from .markov import ChainParams, binary_entropy, derive_chain, variance_exact
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths

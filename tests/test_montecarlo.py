@@ -16,7 +16,7 @@ from tiltedsum import (
     tilted_mean,
     variance_exact,
 )
-from tiltedsum import markov, montecarlo
+from tiltedsum import montecarlo
 
 
 def variance_standard_error(chain, n, replications):
@@ -134,7 +134,7 @@ class TestCountHistogram:
             stream = np.random.SeedSequence(seed).spawn(block + 1)[block]
             rng = np.random.Generator(np.random.Philox(stream))
             ones = np.zeros(rows, dtype=np.int64)
-            for first, start, ends in markov._runs(chain, n, rows, rng):
+            for first, start, ends in montecarlo._runs(chain, n, rows, rng):
                 lengths = np.diff(ends, axis=0, prepend=start[None, :]).astype(np.int64)
                 states = first ^ (np.arange(len(ends))[:, None] & 1)
                 ones += (states * lengths).sum(axis=0)
@@ -167,7 +167,7 @@ class TestCountHistogram:
     def test_memory_does_not_grow_with_replications(self, moderate):
         # The sampler holds one chunk of _CHUNK_ELEMENTS float64 run ends and
         # per-path vectors of one block, whatever the replication count.
-        bound = 4 * 8 * markov._CHUNK_ELEMENTS
+        bound = 4 * 8 * montecarlo._CHUNK_ELEMENTS
         tracemalloc.start()
         try:
             simulate(moderate, 0.1, 16, 400_000, 2)
