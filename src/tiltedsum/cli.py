@@ -10,10 +10,10 @@ emits its three golden tables, and ``verify`` the suite rows of
 ``--theta-grid`` and ``rate``'s ``--x-grid`` (one value is a one-point
 grid), and ``verify --json`` is ``--format json``.
 
-Importing this module loads no numpy, so the closed-form commands start
-without it.  The five handlers that need the array modules (``pmf``,
-``cgf``, ``tail``, ``simulate``, ``verify``) import their function inside
-the handler, and so load numpy only when they run.
+Importing this module loads no numpy, so the closed-form commands, ``cgf``
+among them, start without it.  The four handlers that need the array
+modules (``pmf``, ``tail``, ``simulate``, ``verify``) import their function
+inside the handler, and so load numpy only when they run.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -35,6 +35,7 @@ import sys
 
 from . import (
     ba_operating_point,
+    cgf_finite,
     cgf_limit,
     derive_chain,
     jtilt,
@@ -207,12 +208,9 @@ def cmd_variance_table(args, chain) -> list[dict]:
 
 
 def cmd_cgf(args, chain) -> list[dict]:
-    from .exact import cgf_finite
-    thetas = _parse_grid(args.theta_grid)
-    lambda_n = cgf_finite(chain, args.n, thetas)
     return [
-        {"theta": t, "lambda_n": float(ln), "lambda_inf": cgf_limit(chain, t)}
-        for t, ln in zip(thetas, lambda_n)
+        {"theta": t, "lambda_n": cgf_finite(chain, args.n, t), "lambda_inf": cgf_limit(chain, t)}
+        for t in _parse_grid(args.theta_grid)
     ]
 
 

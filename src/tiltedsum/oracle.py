@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from .cgf import cgf_limit, perron_root
-from .exact import cgf_finite, jn_law, occupation_log2_pgf, occupation_pmf
+from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
+from .exact import jn_law, occupation_pmf
 from .markov import ChainParams, binary_entropy, derive_chain, variance_exact
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 

@@ -450,11 +450,15 @@ class TestRateDomain:
 
 class TestCgfTilts:
     def test_infinite_tilt_exits_1(self, capsys):
-        code = main(["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta", "inf",
-                     "--format", "json"])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        # Each theta is checked where it enters, then n: with both bad, the first theta decides.
+        for n, grid, message in (("10", "inf", "theta=inf"), ("0", "inf,1", "theta=inf"),
+                                 ("0", "1,inf", "blocklength n=0")):
+            code = main(["cgf", "--a", "0.1", "--b", "0.3", "--n", n, f"--theta-grid={grid}",
+                         "--format", "json"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+            assert message in captured.err
 
     def test_huge_tilts_stay_finite(self, capsys):
         # n*theta*ell overflows here; theta*ell itself does not.
@@ -588,6 +592,7 @@ CHAIN = ("--a", "0.1", "--b", "0.3")
         (("figure", *CHAIN, "--n-grid", "1:20"), False),
         (("paper-tables",), False),
         (("rate", *CHAIN, "--x-grid=-0.2,0.2"), False),
+        (("cgf", *CHAIN, "--n", "1000000", "--theta-grid=-1,0,1"), False),
         (("pmf", *CHAIN, "--distortion", "0.05", "--n", "6"), True),
     ],
     ids=lambda v: v[0] if isinstance(v, tuple) else None,
@@ -611,7 +616,7 @@ class TestLazyPackage:
             if hasattr(obj, "__module__"):  # functions and classes, not the constants
                 assert getattr(sys.modules[obj.__module__], name) is obj
         assert tiltedsum.occupation_pmf is tiltedsum.exact.occupation_pmf
-        assert tiltedsum.cgf_finite is tiltedsum.exact.cgf_finite
+        assert tiltedsum.cgf_finite is tiltedsum.cgf.cgf_finite
         assert tiltedsum.sample_trajectory is tiltedsum.montecarlo.sample_trajectory
         assert tiltedsum.verify_suites is tiltedsum.oracle.verify_suites
 
@@ -627,6 +632,15 @@ class TestLazyPackage:
     def test_package_import_leaves_numpy_unloaded(self):
         out, _ = fresh_python("import sys, tiltedsum; print('numpy' in sys.modules)")
         assert out == "False\n"
+
+    def test_generating_functions_leave_numpy_unloaded(self):
+        script = (
+            "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
+            "values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0), "
+            "ts.cgf_limit(chain, 0.5)]; "
+            "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
+        )
+        assert fresh_python(script)[0] == "True False\n"
 
 
 def is_builtin_scalar(value):

@@ -3,14 +3,25 @@
 Usage::
 
     python3 tools/stdout_matrix.py SRC OUTDIR
+    python3 tools/stdout_matrix.py --manifest SRC FILE
 
-runs ``python -m tiltedsum.cli`` with ``SRC`` (a checkout's ``src``
-directory) first on ``PYTHONPATH``, once per call of the matrix and two
-calls at a time, and writes one file per call to ``OUTDIR``: the argument
-list, the exit code and the exact stdout.  Two runs, say of a parent
-checkout and of a change, compare with ``diff -r``; the call list and the
-file names depend on nothing but this script, so the same call lands in
-the same file on both sides.
+The first form runs ``python -m tiltedsum.cli`` with ``SRC`` (a checkout's
+``src`` directory) first on ``PYTHONPATH``, once per call of the matrix and
+two calls at a time, and writes one file per call to ``OUTDIR``: the
+argument list, the exit code and the exact stdout.  Two runs, say of a
+parent checkout and of a change, compare with ``diff -r``; the call list
+and the file names depend on nothing but this script, so the same call
+lands in the same file on both sides.
+
+The second form imports ``tiltedsum`` from ``SRC`` and runs every call in
+this process through ``tiltedsum.cli.main``, which takes a few seconds, and
+writes the manifest ``FILE``: a header naming the Python and numpy versions,
+then one line per call with its number, exit code, the SHA-256 of its
+stdout and its arguments.  ``tests/stdout_manifest.txt`` is such a
+manifest, and a test recomputes it; a change that moves output rewrites
+it, and the manifest's diff names the calls that moved.  Both forms pin
+``COLUMNS`` to 80, the width ``--help`` takes when stdout is not a
+terminal.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
@@ -24,13 +35,19 @@ standard library is used, so the script runs against any checkout.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
+from importlib.metadata import version
 from pathlib import Path
+from unittest import mock
 
 CHAINS = [
     (0.1, 0.3),
@@ -163,32 +180,68 @@ def matrix(missing_dir: str) -> list[list[str]]:
     return calls
 
 
+def shown(argv: list[str]) -> str:
+    """The call as written in a file header or manifest line.
+
+    The missing directory's random name would differ between runs.
+    """
+    return " ".join("<missing>/out.csv" if arg.endswith("out.csv") else arg for arg in argv)
+
+
 def run(src: str, argv: list[str]) -> tuple[int, bytes]:
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, "-m", "tiltedsum.cli", *argv], env=env, capture_output=True, timeout=600
     )
     return proc.returncode, proc.stdout
 
 
+def run_in_process(argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout of ``tiltedsum.cli.main(argv)``, stderr discarded."""
+    from tiltedsum.cli import main
+
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), mock.patch.dict(
+        os.environ, COLUMNS="80"
+    ):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+def manifest() -> str:
+    """The manifest text: a version header, then one line per call, run in this process."""
+    lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
+    with tempfile.TemporaryDirectory() as scratch:
+        for i, argv in enumerate(matrix(os.path.join(scratch, "missing"))):
+            code, stdout = run_in_process(argv)
+            lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
+    return "\n".join(lines) + "\n"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--manifest", action="store_true",
+                        help="run in this process and write a digest manifest to OUT")
     parser.add_argument("src", help="the src directory of the checkout to run")
-    parser.add_argument("outdir", help="directory for one file per call (created)")
+    parser.add_argument("out", help="directory for one file per call (created), or the manifest")
     args = parser.parse_args()
     src = os.path.abspath(args.src)
-    out = Path(args.outdir)
+    if args.manifest:
+        sys.path.insert(0, src)
+        text = manifest()
+        Path(args.out).write_text(text)
+        print(f"{len(text.splitlines()) - 1} calls written to {args.out}")
+        return 0
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         calls = matrix(os.path.join(scratch, "missing"))
         with ThreadPoolExecutor(max_workers=2) as pool:
             results = list(pool.map(lambda argv: run(src, argv), calls))
     for i, (argv, (code, stdout)) in enumerate(zip(calls, results)):
-        # The missing directory's random name would differ between runs.
-        shown = ["<missing>/out.csv" if arg.endswith("out.csv") else arg for arg in argv]
         name = f"{i:03d}-{argv[0].lstrip('-')}.txt"
-        header = f"$ tiltedsum {' '.join(shown)}\nexit {code}\n---\n".encode()
+        header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
         (out / name).write_bytes(header + stdout)
     print(f"{len(calls)} calls written to {out}")
     return 0
