@@ -14,24 +14,17 @@ and load with the package; ``cgf`` also holds the O(log n) generating-
 function kernel, so the PGF and the finite-n CGF need no arrays.  The array
 modules (``exact``, ``montecarlo``, ``oracle``) are imported, with numpy,
 on first access to one of their names, so a caller that needs only closed
-forms, such as most CLI commands, never pays numpy's start-up.
+forms, such as most CLI commands, never pays numpy's start-up.  The three
+closed-form modules declare their public names in their own ``__all__``;
+the package's ``__all__`` is the union of those and the keys of ``_LAZY``.
 """
 
 import importlib
 
-from .cgf import (
-    achievable_interval,
-    cgf_finite,
-    cgf_limit,
-    cgf_limit_derivative,
-    cgf_limit_second_derivative,
-    occupation_log2_pgf,
-    perron_root,
-    rate_function,
-    saddlepoint_tail,
-)
-from .markov import ChainParams, binary_entropy, derive_chain, variance_correction, variance_exact
-from .tilting import BAOperatingPoint, RegimeError, ba_operating_point, jtilt, tilted_mean
+from . import cgf, markov, tilting
+from .cgf import *
+from .markov import *
+from .tilting import *
 
 # Public names of the array modules -> their module, imported on first access (PEP 562).
 _LAZY = {
@@ -51,43 +44,6 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
 
 
-__all__ = [
-    "BAOperatingPoint",
-    "ChainParams",
-    "ConvergenceError",
-    "DP_MAX_N",
-    "ENUM_MAX_N",
-    "RegimeError",
-    "SimReport",
-    "achievable_interval",
-    "ba_fixed_point_iterate",
-    "ba_operating_point",
-    "binary_entropy",
-    "centered_cumulants",
-    "centered_tail_probability",
-    "cgf_finite",
-    "cgf_limit",
-    "cgf_limit_derivative",
-    "cgf_limit_second_derivative",
-    "derive_chain",
-    "enumerate_pmf",
-    "exact_normal_distance",
-    "jn_law",
-    "jtilt",
-    "jtilt_generic",
-    "occupation_log2_pgf",
-    "occupation_pmf",
-    "oracle_variance",
-    "perron_root",
-    "rate_function",
-    "saddlepoint_tail",
-    "sample_trajectory",
-    "simulate",
-    "tilted_mean",
-    "variance_correction",
-    "variance_double_sum",
-    "variance_exact",
-    "verify_suites",
-]
+__all__ = sorted([*cgf.__all__, *markov.__all__, *tilting.__all__, *_LAZY])
 
 __version__ = "0.1.0"

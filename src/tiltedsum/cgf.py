@@ -24,7 +24,9 @@ at u = 1 the higher orders give the cumulants of
 ``exact.centered_cumulants``.  Every function in this module is float
 arithmetic, one tilt at a time, and the module imports no numpy.  Each
 tilt is checked once, where it enters: theta*ell in ``_log2_tilt``, u in
-``perron_root`` and ``occupation_log2_pgf``; the kernel checks n.
+``perron_root`` and ``occupation_log2_pgf``; n by
+``markov.require_blocklength``, in the kernel and in each function that
+may return without running it.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -38,7 +40,13 @@ from __future__ import annotations
 
 import math
 
-from .markov import LN2, ChainParams
+from .markov import LN2, ChainParams, require_blocklength
+
+__all__ = [
+    "achievable_interval", "cgf_finite", "cgf_limit", "cgf_limit_derivative",
+    "cgf_limit_second_derivative", "occupation_log2_pgf", "perron_root", "rate_function",
+    "saddlepoint_tail",
+]
 
 
 def _power(acc, step, e: int, mul):
@@ -120,8 +128,7 @@ def _log2_mgf(chain: ChainParams, n: int, log2_u: float, order: int = 0) -> list
     certified only at u = 1, by the tests of ``exact.centered_cumulants``.  Raises ValueError
     if n < 1.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     w0, w1 = 2.0 ** min(0.0, -log2_u), 2.0 ** min(0.0, log2_u)
     weights = [
         (w0 * ((-chain.pi1) ** r / math.factorial(r)), w1 * (chain.pi0**r / math.factorial(r)))
@@ -205,13 +212,15 @@ def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
     """Finite-n base-2 CGF L_n of the centered sum, in bits.
 
     L_n(theta) = theta*pi1*ell + (1/n)*log2 G_n(u_theta) with u_theta = 2^(-theta*ell), from
-    O(log n) products of 2x2 matrices at any theta with a finite theta*ell.  theta*ell must be
-    finite also on a symmetric chain, whose L_n is identically 0; the kernel checks n.
+    O(log n) products of 2x2 matrices at any theta with a finite theta*ell.  theta is checked
+    first, then n; a symmetric chain, whose L_n is identically 0, runs no kernel but must pass
+    both checks.
     """
     log2_u = _log2_tilt(chain, theta)
-    log2_g = _log2_mgf(chain, n, log2_u)[0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
+    require_blocklength(n)
     if chain.symmetric:
         return 0.0
+    log2_g = _log2_mgf(chain, n, log2_u)[0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + log2_g / n)
 
 
@@ -310,12 +319,14 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> float:
     to a factor-two envelope against exact tail sums only on fast- and
     moderate-mixing chains; on slowly relaxing ones it can be far off (at
     a = 0.00972356736242579, b = 6.3573332322043285e-12, n = 100,
-    x = 20.65778673353927 it is 5.2e6 times the exact tail).
+    x = 20.65778673353927 it is 5.2e6 times the exact tail).  Raises ValueError for an x > 0
+    so close to 0 that theta_star rounds to 0 (on a = 0.1, b = 0.3, any x below about 8.8e-17).
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     if not x > 0.0:
         raise ValueError(f"upper-tail estimate requires x > 0, got x={x!r}")
     theta_star, rate = rate_function(chain, x)
+    if theta_star == 0.0:
+        raise ValueError(f"x={x!r} is too close to 0: its optimal tilt rounds to 0")
     sigma_star = math.sqrt(cgf_limit_second_derivative(chain, theta_star) / LN2)
     return 2.0 ** (-n * rate) / (theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n))

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .cgf import _log2_mgf, _power
-from .markov import LN2, ChainParams
+from .markov import LN2, ChainParams, require_blocklength
 from .tilting import jtilt, require_interior, tilted_mean
 
 # The count law costs O(n^2) flops in its polynomial products, so it is
@@ -70,8 +70,7 @@ def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
     ValueError
         If n < 1 or n exceeds ``DP_MAX_N``.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     if n > DP_MAX_N:
         raise ValueError(
             f"blocklength n={n} exceeds the DP cap {DP_MAX_N}; use the "
@@ -95,8 +94,7 @@ def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray
     point mass at n*mu_D: both arrays then have length one.
     """
     require_interior(chain, d)
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     if chain.symmetric:
         return np.array([n * tilted_mean(chain, d)]), np.array([1.0])
     return n * jtilt(chain, d, 0) - chain.ell * np.arange(n + 1), occupation_pmf(chain, n)
@@ -109,8 +107,7 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
     count probabilities; the distortion cancels and never enters.
     Raises ValueError if n < 1 or x is not finite.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     if not math.isfinite(x):
         raise ValueError(f"threshold x={x!r} must be finite")
     if chain.symmetric:

@@ -18,14 +18,17 @@ over lags whose term-by-term form is the check route in ``oracle``:
              = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
                                  - 2*lambda2*(1-lambda2^n)/(1-lambda2)^2 ].
 
-Everything here is a float closed form, so this module does not import
-numpy; only the two array views of :class:`ChainParams` do, when read.
+Everything here is a float closed form; this module holds no array code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+__all__ = [
+    "ChainParams", "binary_entropy", "derive_chain", "variance_correction", "variance_exact",
+]
 
 # Parameters this close to {0, 1} are rejected: the closed forms divide by
 # a, b, a+b and 1-lambda2, so clamping would silently destroy precision.
@@ -51,16 +54,6 @@ class ChainParams:
     pi1: float
     lambda2: float
     ell: float
-
-    @property
-    def transition_matrix(self):
-        import numpy
-        return numpy.array([[1.0 - self.a, self.a], [self.b, 1.0 - self.b]])
-
-    @property
-    def stationary(self):
-        import numpy
-        return numpy.array([self.pi0, self.pi1])
 
     @property
     def symmetric(self) -> bool:
@@ -142,6 +135,12 @@ def derive_chain(a: float, b: float) -> ChainParams:
     return ChainParams(a=a, b=b, pi0=pi0, pi1=pi1, lambda2=lambda2, ell=ell)
 
 
+def require_blocklength(n: int) -> None:
+    """Reject blocklengths below 1."""
+    if n < 1:
+        raise ValueError(f"blocklength n={n} must be >= 1")
+
+
 def _one_minus_power(chain: ChainParams, n: int) -> float:
     """1 - lambda2^n without cancellation, also as lambda2 -> +1 or -1.
 
@@ -188,8 +187,7 @@ def variance_exact(chain: ChainParams, n: int) -> float:
     bracket, written in s = a + b so that it keeps its relative accuracy on
     slow-mixing chains.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     return chain.ell**2 * chain.pi0 * chain.pi1 * _variance_bracket(chain, n)
 
 
@@ -200,6 +198,5 @@ def variance_correction(chain: ChainParams, n: int) -> float:
     s = a + b = 1 - lambda2, which tends to ``chain.deficit_constant`` as n
     grows.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     return chain.deficit_constant * _one_minus_power(chain, n)

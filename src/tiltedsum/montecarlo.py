@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import jn_law, occupation_pmf
-from .markov import ChainParams
+from .markov import ChainParams, require_blocklength
 from .tilting import jtilt, require_interior
 
 PATHWISE_TOL = 1e-10
@@ -82,8 +82,7 @@ def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
     Uniforms come from a Philox counter-based generator, so the sequence is
     a pure function of (seed, n) and regenerating it is bit-identical.
     """
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     rng = np.random.Generator(np.random.Philox(seed))
     pieces = [
         np.repeat(
@@ -205,8 +204,7 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
     require_interior(chain, d)
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications={replications} must be >= {MIN_REPLICATIONS}")
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     if seed < 0:
         raise ValueError(f"seed={seed} must be >= 0")
     if replications * n > MAX_SAMPLE_BUDGET:

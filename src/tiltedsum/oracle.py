@@ -19,7 +19,9 @@ import numpy as np
 
 from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
 from .exact import jn_law, occupation_pmf
-from .markov import ChainParams, binary_entropy, derive_chain, variance_exact
+from .markov import (
+    ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
+)
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
@@ -102,8 +104,7 @@ def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
 
 def variance_double_sum(chain: ChainParams, n: int) -> float:
     """Var(J_n(D)) in bits^2, as ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k] term by term."""
-    if n < 1:
-        raise ValueError(f"blocklength n={n} must be >= 1")
+    require_blocklength(n)
     k = np.arange(1, n)
     bracket = n + 2.0 * float((n - k) @ (chain.lambda2**k))
     return chain.ell**2 * chain.pi0 * chain.pi1 * bracket
@@ -193,7 +194,7 @@ def _variance_forms(chain, distortion, perturb):
 
 
 def _oracle_variance(chain, distortion, perturb):
-    if chain.a == chain.b:
+    if chain.symmetric:
         return
     for d in VERIFY_D_GRID if distortion is None else (distortion,):
         if not 0.0 < d < min(chain.pi0, chain.pi1):
@@ -223,7 +224,7 @@ def _cgf_zeros(chain, distortion, perturb):
 
 
 def _cgf_expectation(chain, distortion, perturb):
-    if chain.a == chain.b:
+    if chain.symmetric:
         return
     d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
     mu = tilted_mean(chain, d)

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 from .markov import ChainParams, binary_entropy
 
+__all__ = ["BAOperatingPoint", "RegimeError", "ba_operating_point", "jtilt", "tilted_mean"]
+
 
 class RegimeError(ValueError):
     """Distortion level outside the interior regime 0 < D < min(pi0, pi1)."""

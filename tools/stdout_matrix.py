@@ -27,9 +27,11 @@ The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
 ``paper-tables``, the ``verify`` variants, every ``--help``, calls that
 exit 1 (invalid input) and 3 (unwritable output), ``simulate`` on a chain
-with ell > 0, and last the option spellings ``verify --format json``,
-``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``.  Only the
-standard library is used, so the script runs against any checkout.
+with ell > 0, the option spellings ``verify --format json``,
+``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``, and last a
+``tail`` whose x is so close to 0 that its optimal tilt rounds to 0
+(exit 1).  Only the standard library is used, so the script runs against
+any checkout.
 """
 
 from __future__ import annotations
@@ -176,6 +178,8 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["rate", "--a", "0.1", "--b", "0.3", "--x", "0.2"],
         # Exit 1: an empty grid is not the default grid.
         ["figure", "--a", "0.1", "--b", "0.3", "--n-grid="],
+        # Exit 1: theta* rounds to 0, which the estimate would divide by.
+        ["tail", "--a", "0.1", "--b", "0.3", "--n", "5", "--x", "1e-17"],
     ]
     return calls
 
