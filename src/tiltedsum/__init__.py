@@ -10,8 +10,8 @@ exhaustive-enumeration oracle that, with the other independent check
 routes of ``oracle``, certifies the closed forms.
 
 The float closed forms (``markov``, ``tilting``, ``cgf``) import no numpy
-and load with the package; ``cgf`` also holds the O(log n) generating-
-function kernel, so the PGF and the finite-n CGF need no arrays.  The array
+and load with the package; ``cgf`` also holds the O(log n) kernel of the
+PGF, the finite-n CGF and the cumulants, which needs no arrays.  The array
 modules (``exact``, ``montecarlo``, ``oracle``) are imported, with numpy,
 on first access to one of their names, so a caller that needs only closed
 forms, such as most CLI commands, never pays numpy's start-up.  The three
@@ -28,8 +28,8 @@ from .tilting import *
 
 # Public names of the array modules -> their module, imported on first access (PEP 562).
 _LAZY = {
-    **dict.fromkeys(("DP_MAX_N", "centered_cumulants", "centered_tail_probability", "jn_law",
-                     "occupation_pmf"), "exact"),
+    **dict.fromkeys(("DP_MAX_N", "centered_tail_probability", "jn_law", "occupation_pmf"),
+                    "exact"),
     **dict.fromkeys(("SimReport", "exact_normal_distance", "sample_trajectory", "simulate"),
                     "montecarlo"),
     **dict.fromkeys(("ENUM_MAX_N", "ConvergenceError", "ba_fixed_point_iterate", "enumerate_pmf",

@@ -20,13 +20,12 @@ the jet kernel ``_log2_mgf``: P D(u) is raised to the power n-1 by binary
 powering, O(log n) products of 2x2 matrices of plain floats, each product
 rescaled by an exact power of two.  Its entries are jets, truncated Taylor
 series in t of E[u^N_n e^{t(N_n - n*pi1)}]; order 0 gives G_n and L_n, and
-at u = 1 the higher orders give the cumulants of
-``exact.centered_cumulants``.  Every function in this module is float
-arithmetic, one tilt at a time, and the module imports no numpy.  Each
-tilt is checked once, where it enters: theta*ell in ``_log2_tilt``, u in
-``perron_root`` and ``occupation_log2_pgf``; n by
-``markov.require_blocklength``, in the kernel and in each function that
-may return without running it.
+at u = 1 the higher orders give the cumulants of ``centered_cumulants`` at
+any n.  Every function in this module is float arithmetic, one tilt at a
+time, and the module imports no numpy.  Each tilt is checked once, where it
+enters: theta*ell in ``_log2_tilt``, u in ``perron_root`` and
+``occupation_log2_pgf``; n by ``markov.require_blocklength``, in the kernel
+and in each function that may return without running it.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -43,9 +42,9 @@ import math
 from .markov import LN2, ChainParams, require_blocklength
 
 __all__ = [
-    "achievable_interval", "cgf_finite", "cgf_limit", "cgf_limit_derivative",
-    "cgf_limit_second_derivative", "occupation_log2_pgf", "perron_root", "rate_function",
-    "saddlepoint_tail",
+    "achievable_interval", "centered_cumulants", "cgf_finite", "cgf_limit",
+    "cgf_limit_derivative", "cgf_limit_second_derivative", "occupation_log2_pgf", "perron_root",
+    "rate_function", "saddlepoint_tail",
 ]
 
 
@@ -125,8 +124,8 @@ def _log2_mgf(chain: ChainParams, n: int, log2_u: float, order: int = 0) -> list
     or underflows; a weight w that underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2
     of the sum.  Order 0 does no series work.  Against 50-digit decimals, order 0 is within
     3e-16*max(1, |log2 u|) in L_n at n up to 10**6 and |log2 u| up to 1100.  Orders >= 1 are
-    certified only at u = 1, by the tests of ``exact.centered_cumulants``.  Raises ValueError
-    if n < 1.
+    certified only at u = 1, by the tests of :func:`centered_cumulants`.  Raises ValueError
+    if n < 1 or n exceeds float range.
     """
     require_blocklength(n)
     w0, w1 = 2.0 ** min(0.0, -log2_u), 2.0 ** min(0.0, log2_u)
@@ -205,7 +204,7 @@ def occupation_log2_pgf(chain: ChainParams, n: int, u: float) -> float:
     if not 0.0 < u < math.inf:
         raise ValueError(f"generating-function argument u={u!r} must be positive and finite")
     log2_u = math.log2(u)
-    return n * max(log2_u, 0.0) + _log2_mgf(chain, n, log2_u)[0]
+    return _log2_mgf(chain, n, log2_u)[0] + n * max(log2_u, 0.0)  # the kernel checks n first
 
 
 def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
@@ -222,6 +221,21 @@ def cgf_finite(chain: ChainParams, n: int, theta: float) -> float:
         return 0.0
     log2_g = _log2_mgf(chain, n, log2_u)[0]  # log2 G_n(u_theta) - n*max(0, log2 u_theta)
     return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + log2_g / n)
+
+
+def centered_cumulants(chain: ChainParams, n: int, max_order: int = 6) -> list[float]:
+    """Cumulants kappa_2..kappa_max_order of J_n(D) - n*mu_D = -ell*(N_n - n*pi1), any n >= 1.
+
+    kappa_r = r!*[s^r]K*(-ell)^r for K(s) = ln E[e^{s(N_n - n*pi1)}], the kernel entry's series
+    at u = 1, on jets of the centered state weights (e^{-s*pi1}, e^{s*pi0}).  Against an 80-digit
+    count-law DP at n in {2, 20, 300} on seven chains, kappa_2..kappa_6 were within 7.4e-14
+    relative, but 5.1e-13 at lambda2 = -0.85; kappa_7..kappa_10 within 6.5e-14 for lambda2 > 0,
+    but 8.9e-14 at lambda2 = -0.3, 5.4e-13 at lambda2 = -0.5 and 3.1e-11 at lambda2 = -0.85.
+    """
+    if not 2 <= max_order <= 10:
+        raise ValueError(f"max_order={max_order} must lie in [2, 10]")
+    series = _log2_mgf(chain, n, 0.0, max_order)
+    return [math.factorial(r) * (LN2 * c) * (-chain.ell) ** r for r, c in enumerate(series)][2:]
 
 
 def cgf_limit(chain: ChainParams, theta: float) -> float:

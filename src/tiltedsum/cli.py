@@ -18,10 +18,8 @@ inside the handler, and so load numpy only when they run.
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
 decimal separator, and re-emitting a parsed file reproduces it byte for
-byte.  Non-finite values are written as the string ``inf`` or ``nan``,
-which keeps the JSON valid: the limit row's ``n`` and ``var_total`` in
-``variance-table``, ``tail``'s ``ratio`` when the exact tail is 0, and a
-``verify`` suite's ``max_deviation``.  Exit codes: 0 success, 1 validation
+byte.  JSON stays valid: a non-finite float cell is written as the string
+``inf``, ``-inf`` or ``nan``.  Exit codes: 0 success, 1 validation
 error, 2 verification failure, 3 I/O error.
 """
 
@@ -149,7 +147,10 @@ def _emit(args, sections: dict, table, passed=None, head=()) -> int:
     only when that format is asked for.  Returns 2 when ``passed`` is false.
     """
     if args.format == "json":
-        payload = {"command": args.command, **dict(head), **sections}
+        payload = {"command": args.command, **dict(head)}
+        for key, rows in sections.items():  # JSON has no literal for a non-finite float
+            payload[key] = [{k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                             for k, v in row.items()} for row in rows]
         if passed is not None:
             payload["pass"] = passed
         text = json.dumps(payload, indent=2) + "\n"
@@ -202,8 +203,7 @@ def cmd_variance_table(args, chain) -> list[dict]:
     for n in _parse_grid(args.n_grid, int):
         total = variance_exact(chain, n)
         rows.append({"n": n, "var_total": total, "var_per_letter": total / n})
-    # "inf" rather than a float: JSON has no literal for infinity.
-    rows.append({"n": "inf", "var_total": "inf", "var_per_letter": chain.v_sl})
+    rows.append({"n": "inf", "var_total": math.inf, "var_per_letter": chain.v_sl})
     return rows
 
 
@@ -236,7 +236,7 @@ def cmd_tail(args, chain) -> list[dict]:
         "rate": rate,
         "saddlepoint": estimate,
         "exact": exact,
-        "ratio": estimate / exact if exact > 0 else "inf",
+        "ratio": estimate / exact if exact > 0 else math.inf,
         "near_gaussian": abs(theta_star) < GAUSSIAN_REGIME_THETA,
     }
     return [row]
@@ -321,7 +321,7 @@ def cmd_verify(args) -> int:
     suites = verify_suites(pairs, args.distortion, perturb)
     all_pass = all(s["pass"] for s in suites)
     lines = [
-        f"{s['name']}: max deviation {float(s['max_deviation']):.3e} over {s['cases']} cases "
+        f"{s['name']}: max deviation {s['max_deviation']:.3e} over {s['cases']} cases "
         f"(tol {s['tolerance']:.0e}): {'PASS' if s['pass'] else 'FAIL'}"
         for s in suites
     ]

@@ -1,4 +1,4 @@
-"""Exact finite-n laws: the occupation count, the tilted block sum, tails, cumulants.
+"""Exact finite-n laws: the occupation count, the tilted block sum and its tails.
 
 Let N_n count the letters equal to 1 in a block of length n.  The tilted
 block sum is an affine image of the occupation count,
@@ -14,11 +14,9 @@ law of N_n comes from the polynomial transfer matrix
 
 raised to the power n-1 by the binary powering of ``cgf``, whose entries
 are coefficient arrays multiplied by np.convolve: the coefficient of z^m
-is Pr(N_n = m).  The cumulants of N_n - n*pi1 at any n are the higher
-orders of the float jet kernel of ``cgf`` at u = 1, returned as an array.
-This module imports numpy, so the package loads it on first use; the
-generating function, the finite-n CGF and the exact variance are float
-closed forms in ``cgf`` and ``markov``.
+is Pr(N_n = m).  This module imports numpy, so the package loads it on
+first use; the generating function, the finite-n CGF, the cumulants and
+the exact variance are float work in ``cgf`` and ``markov``.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ import math
 
 import numpy as np
 
-from .cgf import _log2_mgf, _power
-from .markov import LN2, ChainParams, require_blocklength
+from .cgf import _power
+from .markov import ChainParams, require_blocklength
 from .tilting import jtilt, require_interior, tilted_mean
 
 # The count law costs O(n^2) flops in its polynomial products, so it is
@@ -97,7 +95,8 @@ def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray
     require_blocklength(n)
     if chain.symmetric:
         return np.array([n * tilted_mean(chain, d)]), np.array([1.0])
-    return n * jtilt(chain, d, 0) - chain.ell * np.arange(n + 1), occupation_pmf(chain, n)
+    probs = occupation_pmf(chain, n)  # checks the DP cap before any O(n) array is built
+    return n * jtilt(chain, d, 0) - chain.ell * np.arange(n + 1), probs
 
 
 def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
@@ -112,22 +111,6 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
         raise ValueError(f"threshold x={x!r} must be finite")
     if chain.symmetric:
         return 1.0 if n * x <= 0.0 else 0.0
-    atoms = -chain.ell * (np.arange(n + 1) - n * chain.pi1)
-    return float(occupation_pmf(chain, n)[atoms >= n * x].sum())
+    probs = occupation_pmf(chain, n)  # before the O(n) atoms, as in jn_law
+    return float(probs[-chain.ell * (np.arange(n + 1) - n * chain.pi1) >= n * x].sum())
 
-
-def centered_cumulants(chain: ChainParams, n: int, max_order: int = 6) -> np.ndarray:
-    """Cumulants kappa_2..kappa_max_order of J_n(D) - n*mu_D = -ell*(N_n - n*pi1), any n >= 1.
-
-    kappa_r = r!*[s^r]K*(-ell)^r for K(s) = ln E[e^{s(N_n - n*pi1)}], the kernel entry's series
-    at u = 1, on jets of the centered state weights (e^{-s*pi1}, e^{s*pi0}).  Against an 80-digit
-    count-law DP at n in {2, 20, 300} on seven chains, kappa_2..kappa_6 were within 7.4e-14
-    relative, but 5.1e-13 at lambda2 = -0.85; kappa_7..kappa_10 within 6.5e-14 for lambda2 > 0,
-    but 8.9e-14 at lambda2 = -0.3, 5.4e-13 at lambda2 = -0.5 and 3.1e-11 at lambda2 = -0.85.
-    """
-    if not 2 <= max_order <= 10:
-        raise ValueError(f"max_order={max_order} must lie in [2, 10]")
-    series = _log2_mgf(chain, n, 0.0, max_order)
-    return np.array(
-        [math.factorial(r) * (LN2 * c) * (-chain.ell) ** r for r, c in enumerate(series)][2:]
-    )

@@ -24,6 +24,7 @@ Everything here is a float closed form; this module holds no array code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -136,9 +137,11 @@ def derive_chain(a: float, b: float) -> ChainParams:
 
 
 def require_blocklength(n: int) -> None:
-    """Reject blocklengths below 1."""
+    """Reject blocklengths below 1 or beyond float range, where n*x overflows."""
     if n < 1:
         raise ValueError(f"blocklength n={n} must be >= 1")
+    if n > sys.float_info.max:
+        raise ValueError(f"blocklength n={n} exceeds float range")
 
 
 def _one_minus_power(chain: ChainParams, n: int) -> float:

@@ -281,6 +281,6 @@ def verify_suites(pairs, distortion: float | None = None, perturb: float = 0.0) 
         # max() would pass over a NaN; a NaN deviation is the worst case and fails the suite.
         worst = math.nan if any(map(math.isnan, found)) else max(found, default=0.0)
         suites.append({"name": name, "cases": len(found),
-                       "max_deviation": worst if math.isfinite(worst) else str(worst),
+                       "max_deviation": worst,
                        "tolerance": tolerance, "pass": worst <= tolerance})
     return suites

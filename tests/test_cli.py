@@ -234,6 +234,17 @@ class TestSchemas:
         assert rows[0]["exact"] == 0.0
         assert rows[0]["ratio"] == float("inf")
 
+    @pytest.mark.parametrize(
+        "command, column", [("variance-table", "var_total"), ("figure", "var_per_letter")]
+    )
+    def test_nonfinite_cells_are_strict_json(self, capsys, command, column):
+        # Var(J_n) overflows at n = 10**308: the cell is the string "inf", not Infinity.
+        code, out = run_cli(capsys, command, "--a", "0.1", "--b", "0.3",
+                            "--n-grid", str(10**308), "--format", "json")
+        assert code == 0
+        rows = json.loads(out, parse_constant=reject_constant)["rows"]
+        assert rows[0]["n"] == 10**308 and rows[0][column] == "inf"
+
     def test_tail_gaussian_regime_flag(self, capsys):
         # theta* ~ x / L''(0): well under the 0.05 threshold at x = 0.01, above it at 0.2.
         for x, flag in (("0.01", 1), ("0.2", 0)):
@@ -563,6 +574,30 @@ class TestValidation:
         assert captured.err.startswith("error:") and "more than 1000000 points" in captured.err
 
 
+@pytest.mark.parametrize("a, b", [("0.1", "0.3"), ("0.5", "0.5")])
+@pytest.mark.parametrize("n", [10**21, 10**400], ids=["1e21", "1e400"])
+def test_huge_blocklengths_end_in_an_exit_code(capsys, a, b, n):
+    # Each call exits 0 with strict JSON or 1 with one error line.  Beyond float range, where
+    # float(n) and n*x overflow, the blocklength check refuses every command.
+    for argv in (
+        ("pmf", "--distortion", "0.1", "--n"),
+        ("tail", "--x", "0.1", "--n"),
+        ("cgf", "--theta", "1", "--n"),
+        ("variance-table", "--n-grid"),
+        ("figure", "--n-grid"),
+        ("simulate", "--distortion", "0.1", "--reps", "200", "--n"),
+    ):
+        code = main([*argv, str(n), "--a", a, "--b", b, "--format", "json"])
+        captured = capsys.readouterr()
+        if code == 0:
+            json.loads(captured.out, parse_constant=reject_constant)
+        else:
+            assert code == 1 and captured.out == "", argv
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        if n > sys.float_info.max:
+            assert "exceeds float range" in captured.err, argv
+
+
 def fresh_python(script):
     """Stdout and stderr of ``script`` run in a new interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(tiltedsum.__file__))
@@ -658,7 +693,7 @@ class TestLazyPackage:
         script = (
             "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
             "values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0), "
-            "ts.cgf_limit(chain, 0.5)]; "
+            "ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000)]; "
             "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
         )
         assert fresh_python(script)[0] == "True False\n"

@@ -125,35 +125,53 @@ def exact_closed_form_brackets(chain, n):
     return total / den, deficit / den
 
 
+# Every public function that takes a blocklength, called at n.
+BLOCKLENGTH_CALLS = {
+    "occupation_pmf": lambda chain, n: occupation_pmf(chain, n),
+    "jn_law": lambda chain, n: jn_law(chain, 0.1, n),
+    "variance_exact": lambda chain, n: variance_exact(chain, n),
+    "variance_correction": lambda chain, n: variance_correction(chain, n),
+    "saddlepoint_tail": lambda chain, n: saddlepoint_tail(chain, n, 0.1),
+    "simulate": lambda chain, n: simulate(chain, 0.1, n, 200, 1),
+    "variance_double_sum": lambda chain, n: variance_double_sum(chain, n),
+    "centered_tail_probability": lambda chain, n: centered_tail_probability(chain, n, 0.1),
+    "cgf_finite": lambda chain, n: cgf_finite(chain, n, 0.5),
+    "occupation_log2_pgf": lambda chain, n: occupation_log2_pgf(chain, n, 2.0),
+    "centered_cumulants": lambda chain, n: centered_cumulants(chain, n),
+    "exact_normal_distance": lambda chain, n: exact_normal_distance(chain, n),
+    "sample_trajectory": lambda chain, n: sample_trajectory(chain, n, 1),
+    # A symmetric chain's L_n is 0 without the kernel, but n is still checked.
+    "cgf_finite-symmetric": lambda chain, n: cgf_finite(derive_chain(0.5, 0.5), n, 0.5),
+    # A symmetric chain's law is one atom at n*mu_D, but n is still checked.
+    "jn_law-symmetric": lambda chain, n: jn_law(derive_chain(0.5, 0.5), 0.1, n),
+}
+
+
+@pytest.mark.parametrize("call", BLOCKLENGTH_CALLS.values(), ids=BLOCKLENGTH_CALLS)
+def test_zero_blocklength_rejected(moderate, call):
+    with pytest.raises(ValueError, match="blocklength n=0"):
+        call(moderate, 0)
+
+
+@pytest.mark.parametrize("call", BLOCKLENGTH_CALLS.values(), ids=BLOCKLENGTH_CALLS)
+def test_blocklength_beyond_float_range_rejected(moderate, call):
+    # float(n) overflows, and so would n*x.
+    with pytest.raises(ValueError, match=f"blocklength n={10**400} exceeds float range"):
+        call(moderate, 10**400)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda chain: occupation_pmf(chain, 0),
-        lambda chain: jn_law(chain, 0.1, 0),
-        lambda chain: variance_exact(chain, 0),
-        lambda chain: variance_correction(chain, 0),
-        lambda chain: saddlepoint_tail(chain, 0, 0.1),
-        lambda chain: simulate(chain, 0.1, 0, 200, 1),
-        lambda chain: variance_double_sum(chain, 0),
-        lambda chain: centered_tail_probability(chain, 0, 0.1),
-        lambda chain: cgf_finite(chain, 0, 0.5),
-        lambda chain: occupation_log2_pgf(chain, 0, 2.0),
-        lambda chain: centered_cumulants(chain, 0),
-        lambda chain: exact_normal_distance(chain, 0),
-        lambda chain: sample_trajectory(chain, 0, 1),
-        # A symmetric chain's L_n is 0 without the kernel, but n is still checked.
-        lambda chain: cgf_finite(derive_chain(0.5, 0.5), 0, 0.5),
+        lambda chain, n: jn_law(chain, 0.1, n),
+        lambda chain, n: centered_tail_probability(chain, n, 0.1),
     ],
-    ids=[
-        "occupation_pmf", "jn_law", "variance_exact", "variance_correction",
-        "saddlepoint_tail", "simulate", "variance_double_sum", "centered_tail_probability",
-        "cgf_finite", "occupation_log2_pgf", "centered_cumulants", "exact_normal_distance",
-        "sample_trajectory", "cgf_finite-symmetric",
-    ],
+    ids=["jn_law", "centered_tail_probability"],
 )
-def test_zero_blocklength_rejected(moderate, call):
-    with pytest.raises(ValueError, match="blocklength n=0"):
-        call(moderate)
+def test_dp_cap_checked_before_any_array(moderate, call):
+    # numpy refuses an array of 10**21 + 1 entries; the cap must speak first.
+    with pytest.raises(ValueError, match="DP cap"):
+        call(moderate, 10**21)
 
 
 class TestOccupationPMF:
@@ -403,7 +421,7 @@ class TestCenteredCumulants:
         assert lo == pytest.approx(centered_cumulants(moderate, 10), rel=1e-12, abs=0)
 
     def test_symmetric_all_zero(self, symmetric):
-        assert np.all(centered_cumulants(symmetric, 15) == 0.0)
+        assert all(k == 0.0 for k in centered_cumulants(symmetric, 15))
 
     def test_small_n_against_enumeration(self, moderate):
         # kappa_2 and kappa_3 for n = 2 from the three-atom law directly.

@@ -1,6 +1,9 @@
-"""Byte identity of the CLI's stdout over the call matrix of ``tools/stdout_matrix.py``."""
+"""The CLI's stdout over the call matrix of ``tools/stdout_matrix.py``, and the tool's runner."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +38,51 @@ def test_stdout_matches_manifest():
         "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
         "tests/stdout_manifest.txt` and name the moved calls in CHANGES.md."
     )
+
+
+def test_crash_is_recorded_against_its_call(monkeypatch):
+    # An exception that escapes cli.main takes the exit code's place; the run goes on.
+    from tiltedsum import cli
+
+    def cmd_stats(args, chain):  # the parser names the subcommand after its handler
+        raise ZeroDivisionError
+
+    monkeypatch.setattr(cli, "cmd_stats", cmd_stats)
+    assert stdout_matrix.run_in_process(["stats", "--a", "0.1", "--b", "0.3"]) == (
+        "ZeroDivisionError", b""
+    )
+
+
+def test_file_mode_writes_one_file_per_call(monkeypatch, tmp_path, capsys):
+    argv = [["stats", "--a", "0.1", "--b", "0.3", "--format", "csv"], ["--help"],
+            ["stats", "--a", "1.5", "--b", "0.3"]]
+    monkeypatch.setattr(stdout_matrix, "matrix", lambda missing_dir: argv)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first on it
+    assert stdout_matrix.main([str(ROOT / "src"), str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"3 calls written to {tmp_path}\n"
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == ["000-stats.txt", "001-help.txt", "002-stats.txt"]
+    for path, call in zip(files, argv):
+        code, stdout = stdout_matrix.run_in_process(call)
+        header = f"$ tiltedsum {' '.join(call)}\nexit {code}\n---\n".encode()
+        assert path.read_bytes() == header + stdout
+    assert files[2].read_bytes() == b"$ tiltedsum stats --a 1.5 --b 0.3\nexit 1\n---\n"
+
+
+def test_module_entry_point_matches_in_process_run(tmp_path):
+    # `python -m tiltedsum.cli` exits with main's code through sys.exit, one call per code.
+    src = str(ROOT / "src")
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    calls = {
+        0: ["pmf", "--a", "0.1", "--b", "0.3", "--distortion", "0.05", "--n", "12",
+            "--format", "csv"],
+        1: ["stats", "--a", "1.5", "--b", "0.3"],
+        2: ["verify", "--perturb", "1e-6"],
+        3: ["stats", "--a", "0.1", "--b", "0.3", "--out", str(tmp_path / "missing" / "x.csv")],
+    }
+    for code, argv in calls.items():
+        done = subprocess.run([sys.executable, "-m", "tiltedsum.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == code
+        assert (done.returncode, done.stdout) == stdout_matrix.run_in_process(argv)

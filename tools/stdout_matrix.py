@@ -5,33 +5,33 @@ Usage::
     python3 tools/stdout_matrix.py SRC OUTDIR
     python3 tools/stdout_matrix.py --manifest SRC FILE
 
-The first form runs ``python -m tiltedsum.cli`` with ``SRC`` (a checkout's
-``src`` directory) first on ``PYTHONPATH``, once per call of the matrix and
-two calls at a time, and writes one file per call to ``OUTDIR``: the
-argument list, the exit code and the exact stdout.  Two runs, say of a
-parent checkout and of a change, compare with ``diff -r``; the call list
-and the file names depend on nothing but this script, so the same call
-lands in the same file on both sides.
-
-The second form imports ``tiltedsum`` from ``SRC`` and runs every call in
-this process through ``tiltedsum.cli.main``, which takes a few seconds, and
-writes the manifest ``FILE``: a header naming the Python and numpy versions,
-then one line per call with its number, exit code, the SHA-256 of its
-stdout and its arguments.  ``tests/stdout_manifest.txt`` is such a
-manifest, and a test recomputes it; a change that moves output rewrites
-it, and the manifest's diff names the calls that moved.  Both forms pin
-``COLUMNS`` to 80, the width ``--help`` takes when stdout is not a
-terminal.
+Both forms import ``tiltedsum`` from ``SRC`` (a checkout's ``src``
+directory) and run every call of the matrix in this process through
+``tiltedsum.cli.main``, with ``COLUMNS`` pinned to 80, the width ``--help``
+takes when stdout is not a terminal; a run takes a few seconds.  The first
+form writes one file per call to ``OUTDIR``: the argument list, the exit
+code and the exact stdout.  Two runs, say of a parent checkout and of a
+change, compare with ``diff -r``; the call list and the file names depend
+on nothing but this script, so the same call lands in the same file on
+both sides.  The second form writes the manifest ``FILE``: a header naming
+the Python and numpy versions, then one line per call with its number,
+exit code, the SHA-256 of its stdout and its arguments.
+``tests/stdout_manifest.txt`` is such a manifest, and a test recomputes it;
+a change that moves output rewrites it, and the manifest's diff names the
+calls that moved.  A call that raises out of ``main`` is recorded with the
+exception's type name, such as ``OverflowError``, in place of its exit
+code, and with the stdout written before the exception.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
 ``paper-tables``, the ``verify`` variants, every ``--help``, calls that
 exit 1 (invalid input) and 3 (unwritable output), ``simulate`` on a chain
 with ell > 0, the option spellings ``verify --format json``,
-``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``, and last a
-``tail`` whose x is so close to 0 that its optimal tilt rounds to 0
-(exit 1).  Only the standard library is used, so the script runs against
-any checkout.
+``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``, a ``tail``
+whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), and
+last a ``cgf`` at a blocklength beyond float range (exit 1) and a JSON
+``variance-table`` whose variance overflows to infinity.  Only the
+standard library is used, so the script runs against any checkout.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ import io
 import math
 import os
 import platform
-import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import version
 from pathlib import Path
@@ -180,6 +178,11 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["figure", "--a", "0.1", "--b", "0.3", "--n-grid="],
         # Exit 1: theta* rounds to 0, which the estimate would divide by.
         ["tail", "--a", "0.1", "--b", "0.3", "--n", "5", "--x", "1e-17"],
+        # Exit 1: a blocklength beyond float range, where n*x overflows.
+        ["cgf", "--a", "0.1", "--b", "0.3", "--n", str(10**400), "--theta", "1"],
+        # Var(J_n) beyond float range: a non-finite cell, written as a string in JSON.
+        ["variance-table", "--a", "0.1", "--b", "0.3", "--n-grid", str(10**308),
+         "--format", "json"],
     ]
     return calls
 
@@ -192,62 +195,60 @@ def shown(argv: list[str]) -> str:
     return " ".join("<missing>/out.csv" if arg.endswith("out.csv") else arg for arg in argv)
 
 
-def run(src: str, argv: list[str]) -> tuple[int, bytes]:
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
-    proc = subprocess.run(
-        [sys.executable, "-m", "tiltedsum.cli", *argv], env=env, capture_output=True, timeout=600
-    )
-    return proc.returncode, proc.stdout
+def run_in_process(argv: list[str]) -> tuple[int | str, bytes]:
+    """Exit code and stdout of ``tiltedsum.cli.main(argv)``, stderr discarded.
 
-
-def run_in_process(argv: list[str]) -> tuple[int, bytes]:
-    """Exit code and stdout of ``tiltedsum.cli.main(argv)``, stderr discarded."""
+    An exception that escapes ``main`` is recorded by its type name in place of the exit code,
+    with the stdout written before it.
+    """
     from tiltedsum.cli import main
 
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()), mock.patch.dict(
         os.environ, COLUMNS="80"
     ):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = type(exc).__name__
     return code, out.getvalue().encode()
 
 
-def manifest() -> str:
-    """The manifest text: a version header, then one line per call, run in this process."""
-    lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
+def results() -> list[tuple[list[str], int | str, bytes]]:
+    """(arguments, exit code, stdout) of every call of the matrix, in order."""
     with tempfile.TemporaryDirectory() as scratch:
-        for i, argv in enumerate(matrix(os.path.join(scratch, "missing"))):
-            code, stdout = run_in_process(argv)
-            lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
+        return [(argv, *run_in_process(argv)) for argv in matrix(os.path.join(scratch, "missing"))]
+
+
+def manifest() -> str:
+    """The manifest text: a version header, then one line per call."""
+    lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
+    for i, (argv, code, stdout) in enumerate(results()):
+        lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
     return "\n".join(lines) + "\n"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--manifest", action="store_true",
-                        help="run in this process and write a digest manifest to OUT")
+                        help="write a digest manifest to OUT instead of one file per call")
     parser.add_argument("src", help="the src directory of the checkout to run")
     parser.add_argument("out", help="directory for one file per call (created), or the manifest")
-    args = parser.parse_args()
-    src = os.path.abspath(args.src)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
     if args.manifest:
-        sys.path.insert(0, src)
         text = manifest()
         Path(args.out).write_text(text)
-        print(f"{len(text.splitlines()) - 1} calls written to {args.out}")
-        return 0
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as scratch:
-        calls = matrix(os.path.join(scratch, "missing"))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = list(pool.map(lambda argv: run(src, argv), calls))
-    for i, (argv, (code, stdout)) in enumerate(zip(calls, results)):
-        name = f"{i:03d}-{argv[0].lstrip('-')}.txt"
-        header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
-        (out / name).write_bytes(header + stdout)
-    print(f"{len(calls)} calls written to {out}")
+        count = len(text.splitlines()) - 1
+    else:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        calls = results()
+        for i, (argv, code, stdout) in enumerate(calls):
+            header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
+            (out / f"{i:03d}-{argv[0].lstrip('-')}.txt").write_bytes(header + stdout)
+        count = len(calls)
+    print(f"{count} calls written to {args.out}")
     return 0
 
 
