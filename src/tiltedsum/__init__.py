@@ -11,12 +11,15 @@ routes of ``oracle``, certifies the closed forms.
 
 The float closed forms (``markov``, ``tilting``, ``cgf``) import no numpy
 and load with the package; ``cgf`` also holds the O(log n) kernel of the
-PGF, the finite-n CGF and the cumulants, which needs no arrays.  The array
-modules (``exact``, ``montecarlo``, ``oracle``) are imported, with numpy,
-on first access to one of their names, so a caller that needs only closed
-forms, such as most CLI commands, never pays numpy's start-up.  The three
-closed-form modules declare their public names in their own ``__all__``;
-the package's ``__all__`` is the union of those and the keys of ``_LAZY``.
+PGF, the finite-n CGF and the cumulants, which needs no arrays.  The other
+modules are imported on first access to one of their names: ``exact``, the
+O(n) count law in plain floats, so that a command that never builds the law
+does not compile it, and the array modules ``montecarlo`` and ``oracle``,
+which bring numpy.  So a caller that needs neither the sampler nor the
+check routes, such as every CLI command but ``simulate`` and ``verify``,
+never pays numpy's start-up.  The three closed-form modules declare their
+public names in their own ``__all__``; the package's ``__all__`` is the
+union of those and the keys of ``_LAZY``.
 """
 
 import importlib
@@ -26,7 +29,7 @@ from .cgf import *
 from .markov import *
 from .tilting import *
 
-# Public names of the array modules -> their module, imported on first access (PEP 562).
+# Public names of the modules imported on first access (PEP 562) -> their module.
 _LAZY = {
     **dict.fromkeys(("DP_MAX_N", "centered_tail_probability", "jn_law", "occupation_pmf"),
                     "exact"),

@@ -51,9 +51,10 @@ __all__ = [
 def _power(acc, step, e: int, mul):
     """acc * step**e by binary powering under the associative product ``mul``.
 
-    Both element types of the transfer matrix go through here: jets for the
-    generating function and the cumulants, and polynomial matrices for the
-    count law of ``exact``.  At most 2*log2(e) products are formed.
+    It raises the transfer matrix with jet entries for the generating
+    function and the cumulants; ``oracle`` also uses it with polynomial
+    entries for its check route of the count law.  At most 2*log2(e)
+    products are formed.
     """
     while e:
         if e & 1:

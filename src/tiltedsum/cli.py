@@ -193,7 +193,7 @@ def cmd_pmf(args, chain) -> list[dict]:
     from .exact import jn_law
     support, probs = jn_law(chain, args.distortion, args.n)
     return [
-        {"m": m, "prob": float(p), "j_value": float(j)}
+        {"m": m, "prob": p, "j_value": j}
         for m, (p, j) in enumerate(zip(probs, support))
     ]
 

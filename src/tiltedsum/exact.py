@@ -5,63 +5,152 @@ block sum is an affine image of the occupation count,
 
     J_n(D) = n*(-log2(pi0) - h2(D)) - ell*N_n,
 
-so its law is two arrays, the atoms n*jtilt(D, 0) - ell*m and the count
+so its law is two lists, the atoms n*jtilt(D, 0) - ell*m and the count
 probabilities Pr(N_n = m), and its centered law J_n(D) - n*mu_D =
--ell*(N_n - n*pi1) does not depend on the distortion level at all.  The
-law of N_n comes from the polynomial transfer matrix
+-ell*(N_n - n*pi1) does not depend on the distortion level at all.
 
-    pi^T D(z) (P D(z))^{n-1} 1,    D(z) = diag(1, z),
+The law of N_n is classical (Gabriel 1959, Biometrika 46).  Counting the
+paths with m ones by their runs gives, for 1 <= m <= n-1, with
+kappa = ab/((1-a)(1-b)) and c = ab/(a+b),
 
-raised to the power n-1 by the binary powering of ``cgf``, whose entries
-are coefficient arrays multiplied by np.convolve: the coefficient of z^m
-is Pr(N_n = m).  This module imports numpy, so the package loads it on
-first use; the generating function, the finite-n CGF, the cumulants and
-the exact variance are float work in ``cgf`` and ``markov``.
+    Pr(N_n = m) = c (1-a)^(n-m-1) (1-b)^(m-1) [2F(m) + b/(1-a) G(m) + a/(1-b) G(n-m)],
+    F(m) = sum_k C(n-m-1, k) C(m-1, k) kappa^k,
+    G(m) = sum_k C(n-m-1, k+1) C(m-1, k) kappa^k = (n-m-1) H(m),
+    H(m) = sum_k C(n-m-2, k) C(m-1, k) kappa^k / (k+1),
+
+with G = 0 outside 1..n-2.  2F counts the paths that start and end in
+different states, the G terms those that start and end in state 0 and in
+state 1.  The end entries are pi0 (1-a)^(n-1) and pi1 (1-b)^(n-1).  Every
+term is positive, so nothing cancels.  F is symmetric, F(m) = F(n-m), and
+so is H, H(m) = H(n-1-m), so G(n-m) = (m-1) H(m-1) and one forward sweep
+of F and H to n/2 gives the whole law.  Each satisfies a three-term
+recurrence in m, and is its dominant solution on the way to n/2 (Gautschi
+1967, SIAM Review 9); ``_sweep`` runs both in a form that never cancels.
+The law costs O(n) float operations, with a power-of-two exponent carried
+beside every value, so nothing overflows or underflows before the last
+step.  The module imports no numpy; ``oracle`` keeps the polynomial
+transfer-matrix kernel as the independent check of this route.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from itertools import accumulate, repeat
 
-import numpy as np
-
-from .cgf import _power
 from .markov import ChainParams, require_blocklength
 from .tilting import jtilt, require_interior, tilted_mean
 
-# The count law costs O(n^2) flops in its polynomial products, so it is
-# capped; larger blocklengths must go through the generating-function / CGF
-# routes, which cost O(log n) matrix products per evaluation.
+# The count law is capped; larger blocklengths go through the
+# generating-function / CGF routes, which cost O(log n) per evaluation.
 DP_MAX_N = 32768
 
 # Count probabilities below the smallest normal float are flushed to 0:
-# subnormals carry no relative accuracy, and 0.7*5e-324 rounds back up to
-# 5e-324, so mass that should keep shrinking would stick there instead.
-_TINY = np.finfo(float).tiny
+# subnormals carry no relative accuracy.
+_TINY = sys.float_info.min
+
+# A sweep value past this is scaled down by a power of two, which is exact.
+_BIG = 2.0**600
 
 
-def _poly_mul(x, y):
-    """Product of polynomial matrices, given as rows of coefficient arrays.
+def _powers(x: float, count: int) -> tuple[list[float], list[int]]:
+    """(mant, expo) with x^k == mant[k] * 2**expo[k] for k = 0..count-1.
 
-    Every coefficient is a sum of nonnegative products, so np.convolve has
-    no cancellation; results below the smallest normal float become 0.
+    Each x^k is x^(k-1) times x, rounded once, so the rounding errors add up
+    like a random walk; binary powering would double the error of x^(2^j)
+    at each squaring, and measured 10 to 30 times further off by k = 4000.
+    The powers come in blocks that share an exponent.  Each block starts
+    from the last power renormalized by frexp, which is exact, and is short
+    enough that its mantissas stay above 2^-401, so none underflows.
     """
-    out = []
-    for row in x:
-        entries = [np.convolve(row[0], y[0][j]) + np.convolve(row[1], y[1][j]) for j in (0, 1)]
-        for entry in entries:
-            entry[entry < _TINY] = 0.0
-        out.append(entries)
-    return out
+    block = 400 // (1 - math.frexp(x)[1])  # x >= 2^(e-1), so x^block >= 2^-400
+    mant, expo, m, e = [], [], 1.0, 0
+    while len(mant) < count:
+        steps = repeat(x, min(block, count - len(mant)) - 1)
+        run = list(accumulate(steps, operator.mul, initial=m))
+        mant += run
+        expo += [e] * len(run)
+        m, k = math.frexp(run[-1] * x)
+        e += k
+    return mant, expo
 
 
-def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
-    """Exact PMF of N_n from the polynomial transfer matrix [[p00, p01 z], [p10, p11 z]].
+def _sweep(n: int, kappa: float, count: int) -> tuple[list[float], list[float], list[int]]:
+    """(f, h, expo) with F(m) == f[m-1] * 2**expo[m-1] and H(m) likewise, for m = 1..count <= n/2.
 
-    Entry m of the returned array, the coefficient of z^m in
-    pi^T D(z) (P D(z))^{n-1} 1, is Pr(N_n = m), for m = 0..n.
+    Both run forward from F(1) = H(1) = 1, F(2) = 1 + (n-3)*kappa and
+    H(2) = 1 + (n-4)*kappa/2, carrying their steps dF(m) = F(m) - F(m-1)
+    and dH(m) = H(m) - H(m-1), with t = 2m - n:
+
+        dF(m+2) = [m(n-m-1)(t+3) dF(m+1) + kappa(t+1)(t+2)(t+3) F(m+1)] / [(m+1)(n-m-2)(t+1)],
+        dH(m+2) = [m(n-m-1)(t+4) dH(m+1) + kappa(t+2)(t+3)(t+4) H(m+1)] / [(m+2)(n-m-3)(t+2)].
+
+    These are the three-term recurrences of F and G = (n-m-1)H rewritten in
+    their steps, which removes the part that holds for kappa = 0.  Swept
+    toward n/2 every factor in t is at most 0 and no divisor vanishes, so
+    the two terms of each numerator share the sign of the denominator and
+    no step cancels, however small kappa is.  At m = n/2 the H step is 0,
+    as H(m) = H(n-1-m) requires.  H never exceeds F and falls at most about
+    a factor n^2*kappa below it, so F's exponent keeps both in range.
+    """
+    n = float(n)  # every integer factor is below 2^53, so exact as a float
+    df, dh = (n - 3.0) * kappa, (n - 4.0) * kappa / 2.0
+    f1, h1, e = 1.0 + df, 1.0 + dh, 0
+    f, h, expo = [1.0, f1], [1.0, h1], [0, 0]
+    for m in map(float, range(1, count - 1)):
+        t = 2.0 * m - n
+        df = (m * (n - m - 1.0) * (t + 3.0) * df + kappa * ((t + 1.0) * (t + 2.0) * (t + 3.0)) * f1
+              ) / ((m + 1.0) * (n - m - 2.0) * (t + 1.0))
+        dh = (m * (n - m - 1.0) * (t + 4.0) * dh + kappa * ((t + 2.0) * (t + 3.0) * (t + 4.0)) * h1
+              ) / ((m + 2.0) * (n - m - 3.0) * (t + 2.0))
+        f1 += df
+        h1 += dh
+        if f1 > _BIG:
+            _, k = math.frexp(f1)
+            f1, df = math.ldexp(f1, -k), math.ldexp(df, -k)
+            h1, dh, e = math.ldexp(h1, -k), math.ldexp(dh, -k), e + k
+        f.append(f1)
+        h.append(h1)
+        expo.append(e)
+    return f[:count], h[:count], expo[:count]
+
+
+def _count_law(a: float, b: float, pi0: float, pi1: float, n: int) -> list[float]:
+    """Pr(N_n = m) for m = 0..n on the chain (a, b) with stationary law (pi0, pi1)."""
+    a_mant, a_expo = _powers(1.0 - a, n)
+    b_mant, b_expo = _powers(1.0 - b, n)
+    law = [math.ldexp(pi0 * a_mant[-1], a_expo[-1])]
+    half = n // 2
+    if half:
+        kappa = a * b / ((1.0 - a) * (1.0 - b))
+        c, beta, alpha = a * b / (a + b), b / (1.0 - a), a / (1.0 - b)
+        f, h, expo = _sweep(n, kappa, half)
+        low, high = [], []  # Pr(N_n = m) and Pr(N_n = n-m), for m = 1..half
+        h_prev = 0.0  # H(m-1), in the scale of H(m); H(0) is never used
+        for i in range(half):  # m = i + 1
+            e, j = expo[i], n - 2 - i  # j = n-m-1
+            if i:
+                h_prev = math.ldexp(h[i - 1], expo[i - 1] - e)
+            f2, g, g_mirror = 2.0 * f[i], j * h[i], i * h_prev  # 2F(m), G(m), G(n-m)
+            low.append(math.ldexp(c * (f2 + (beta * g + alpha * g_mirror))
+                                  * (a_mant[j] * b_mant[i]), e + a_expo[j] + b_expo[i]))
+            high.append(math.ldexp(c * (f2 + (beta * g_mirror + alpha * g))
+                                   * (a_mant[i] * b_mant[j]), e + a_expo[i] + b_expo[j]))
+        if n % 2 == 0:
+            high.pop()  # m = n/2 is in low
+        law += low + high[::-1]
+    law.append(math.ldexp(pi1 * b_mant[-1], b_expo[-1]))
+    return [p if p >= _TINY else 0.0 for p in law]
+
+
+def occupation_pmf(chain: ChainParams, n: int) -> list[float]:
+    """Exact PMF of N_n: entry m of the returned list is Pr(N_n = m), for m = 0..n.
+
     Every entry is either a normal float or exactly 0; probabilities below
-    the smallest normal float (about 2.2e-308) are flushed to 0.
+    the smallest normal float (about 2.2e-308) are flushed to 0.  The law is
+    computed with a <= b and reversed for the mirrored chain, so
+    occupation_pmf of (b, a) is exactly the reverse of that of (a, b).
 
     Raises
     ------
@@ -74,29 +163,27 @@ def occupation_pmf(chain: ChainParams, n: int) -> np.ndarray:
             f"blocklength n={n} exceeds the DP cap {DP_MAX_N}; use the "
             f"generating-function routes for large n"
         )
-    # Coefficient arrays of equal length in each matrix keep the sums aligned.
-    step = [
-        [np.array([1.0 - chain.a, 0.0]), np.array([0.0, chain.a])],
-        [np.array([chain.b, 0.0]), np.array([0.0, 1.0 - chain.b])],
-    ]
-    start = [[np.array([chain.pi0, 0.0]), np.array([0.0, chain.pi1])]]
-    ((in_state0, in_state1),) = _power(start, step, n - 1, _poly_mul)
-    return in_state0 + in_state1
+    if chain.a <= chain.b:
+        return _count_law(chain.a, chain.b, chain.pi0, chain.pi1, n)
+    law = _count_law(chain.b, chain.a, chain.pi1, chain.pi0, n)
+    law.reverse()
+    return law
 
 
-def jn_law(chain: ChainParams, d: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def jn_law(chain: ChainParams, d: float, n: int) -> tuple[list[float], list[float]]:
     """Exact law of the tilted block sum at distortion d and blocklength n, as (support, probs).
 
     Atom m of ``support`` is n*jtilt(d, 0) - ell*m and carries probs[m] = Pr(N_n = m), for
     m = 0..n.  For a symmetric chain (a == b) the slope -ell vanishes and the law is a single
-    point mass at n*mu_D: both arrays then have length one.
+    point mass at n*mu_D: both lists then have length one.
     """
     require_interior(chain, d)
     require_blocklength(n)
     if chain.symmetric:
-        return np.array([n * tilted_mean(chain, d)]), np.array([1.0])
-    probs = occupation_pmf(chain, n)  # checks the DP cap before any O(n) array is built
-    return n * jtilt(chain, d, 0) - chain.ell * np.arange(n + 1), probs
+        return [n * tilted_mean(chain, d)], [1.0]
+    probs = occupation_pmf(chain, n)  # checks the DP cap before any O(n) list is built
+    offset, ell = n * jtilt(chain, d, 0), chain.ell
+    return [offset - ell * m for m in range(n + 1)], probs
 
 
 def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
@@ -111,6 +198,6 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
         raise ValueError(f"threshold x={x!r} must be finite")
     if chain.symmetric:
         return 1.0 if n * x <= 0.0 else 0.0
-    probs = occupation_pmf(chain, n)  # before the O(n) atoms, as in jn_law
-    return float(probs[-chain.ell * (np.arange(n + 1) - n * chain.pi1) >= n * x].sum())
-
+    probs = occupation_pmf(chain, n)
+    slope, center, level = -chain.ell, n * chain.pi1, n * x
+    return math.fsum(p for m, p in enumerate(probs) if slope * (m - center) >= level)

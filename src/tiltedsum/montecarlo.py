@@ -191,7 +191,7 @@ def exact_normal_distance(chain: ChainParams, n: int) -> float:
     """
     if chain.symmetric:
         raise ValueError("symmetric chain: the centered sum is a point mass")
-    return _normal_distance(chain, n, occupation_pmf(chain, n))
+    return _normal_distance(chain, n, np.asarray(occupation_pmf(chain, n)))
 
 
 def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int) -> SimReport:
@@ -211,7 +211,7 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         raise ValueError(
             f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"
         )
-    support, probs = jn_law(chain, d, n)
+    support, probs = map(np.asarray, jn_law(chain, d, n))
     histogram = _count_histogram(chain, d, n, support, replications, seed)
     if chain.symmetric:
         # Degenerate law, one atom: standardization is undefined, and a

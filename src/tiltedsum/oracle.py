@@ -3,11 +3,12 @@
 The routes share none of the closed forms' algebra: the tilted information
 from its defining sum over reproduction letters, the operating point from
 the alternating update (to ``BA_TOL`` within ``BA_MAX_ITER`` steps), the
-variance from its double sum over lags, and the count law and the variance
-from exhaustive enumeration (n <= 20).  Enumeration visits every length-n
-path through its integer bit pattern and accumulates its stationary
-probability pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are positive, so
-float64 carries no cancellation.  :func:`verify_suites` runs the seven
+variance from its double sum over lags, the count law from powers of the
+polynomial transfer matrix (any n up to the cap), and the count law and
+the variance from exhaustive enumeration (n <= 20).  Enumeration visits
+every length-n path through its integer bit pattern and accumulates its
+stationary probability pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are
+positive, so float64 carries no cancellation.  :func:`verify_suites` runs the seven
 ``SUITES`` that hold the production routes to these.
 """
 
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
+from .cgf import _power, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
 from .exact import jn_law, occupation_pmf
 from .markov import (
     ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
@@ -25,6 +26,7 @@ from .markov import (
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
+_TINY = np.finfo(float).tiny  # the powered count law flushes entries below this to 0
 BA_TOL = 1e-12
 BA_MAX_ITER = 100_000
 
@@ -146,6 +148,38 @@ def enumerate_pmf(chain: ChainParams, n: int) -> np.ndarray:
     return np.array([prob[counts == m].sum() for m in range(n + 1)])
 
 
+def _poly_mul(x, y):
+    """Product of polynomial matrices, given as rows of coefficient arrays.
+
+    Every coefficient is a sum of nonnegative products, so np.convolve has
+    no cancellation; results below the smallest normal float become 0.
+    """
+    out = []
+    for row in x:
+        entries = [np.convolve(row[0], y[0][j]) + np.convolve(row[1], y[1][j]) for j in (0, 1)]
+        for entry in entries:
+            entry[entry < _TINY] = 0.0
+        out.append(entries)
+    return out
+
+
+def _powered_pmf(chain: ChainParams, n: int) -> np.ndarray:
+    """Occupation-count PMF, entry m for m = 0..n, from the polynomial transfer matrix.
+
+    Entry m is the coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 with
+    D(z) = diag(1, z), the power taken by binary powering with np.convolve:
+    O(n^2) flops, and none of the recurrences of ``exact``.
+    """
+    # Coefficient arrays of equal length in each matrix keep the sums aligned.
+    step = [
+        [np.array([1.0 - chain.a, 0.0]), np.array([0.0, chain.a])],
+        [np.array([chain.b, 0.0]), np.array([0.0, 1.0 - chain.b])],
+    ]
+    start = [[np.array([chain.pi0, 0.0]), np.array([0.0, chain.pi1])]]
+    ((in_state0, in_state1),) = _power(start, step, n - 1, _poly_mul)
+    return in_state0 + in_state1
+
+
 def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     """Var(J_n(D)) from exhaustive enumeration, in bits^2.
 
@@ -183,7 +217,8 @@ VERIFY_D_GRID = (0.05, 0.1, 0.2)
 
 def _oracle_pmf_tv(chain, distortion, perturb):
     for n in range(1, 13):
-        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum())
+        pmf = np.asarray(occupation_pmf(chain, n))
+        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - pmf).sum())
 
 
 def _variance_forms(chain, distortion, perturb):
@@ -209,7 +244,7 @@ def _oracle_variance(chain, distortion, perturb):
 
 def _pgf_pmf(chain, distortion, perturb):
     for n in (1, 2, 10, 50, 200):
-        pmf = occupation_pmf(chain, n)
+        pmf = np.asarray(occupation_pmf(chain, n))
         powers = np.arange(n + 1)
         for u in (0.5, 1.0, 2.0):
             direct = float(pmf @ (u**powers))
@@ -229,7 +264,7 @@ def _cgf_expectation(chain, distortion, perturb):
     d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
     mu = tilted_mean(chain, d)
     for n in (1, 4, 16):
-        support, probs = jn_law(chain, d, n)
+        support, probs = map(np.asarray, jn_law(chain, d, n))
         centered = support - n * mu
         for theta in (-1.0, -0.3, 0.3, 1.0):
             direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
@@ -248,7 +283,7 @@ def _d_invariance(chain, distortion, perturb):
         d_lo = distortion
     n = 20
     shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
-    atoms = jn_law(chain, d_lo, n)[0] - jn_law(chain, d_hi, n)[0]
+    atoms = np.asarray(jn_law(chain, d_lo, n)[0]) - np.asarray(jn_law(chain, d_hi, n)[0])
     yield float(np.max(np.abs(atoms - shift))) / n
 
 

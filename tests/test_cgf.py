@@ -159,7 +159,7 @@ class TestFiniteCGF:
     def test_matches_exact_expectation(self, moderate):
         mu = tilted_mean(moderate, 0.1)
         for n in (1, 2, 7, 16):
-            support, probs = jn_law(moderate, 0.1, n)
+            support, probs = map(np.asarray, jn_law(moderate, 0.1, n))
             centered = support - n * mu
             for theta in (-1.0, -0.3, 0.3, 1.0):
                 direct = math.log2(float(probs @ np.exp2(theta * centered))) / n

@@ -635,13 +635,15 @@ CHAIN = ("--a", "0.1", "--b", "0.3")
         (("paper-tables",), False),
         (("rate", *CHAIN, "--x-grid=-0.2,0.2"), False),
         (("cgf", *CHAIN, "--n", "1000000", "--theta-grid=-1,0,1"), False),
-        (("pmf", *CHAIN, "--distortion", "0.05", "--n", "6"), True),
+        (("pmf", *CHAIN, "--distortion", "0.05", "--n", "6"), False),
+        (("tail", *CHAIN, "--n", "200", "--x", "0.1"), False),
+        (("simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"), True),
     ],
     ids=lambda v: v[0] if isinstance(v, tuple) else None,
 )
 def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
     # Every format of the call exits 0; numpy is loaded only by a command
-    # that needs the array modules, and pmf shows the check can tell.
+    # that needs the array modules, and simulate shows the check can tell.
     script = (
         "import sys; from tiltedsum.cli import main; "
         f"codes = [main([*{list(argv)!r}, '--format', f]) for f in ('table', 'csv', 'json')]; "
@@ -694,6 +696,16 @@ class TestLazyPackage:
             "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
             "values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0), "
             "ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000)]; "
+            "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
+        )
+        assert fresh_python(script)[0] == "True False\n"
+
+    def test_count_law_leaves_numpy_unloaded(self):
+        script = (
+            "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
+            "support, probs = ts.jn_law(chain, 0.1, 300); "
+            "values = [*ts.occupation_pmf(chain, 300), *support, *probs, "
+            "ts.centered_tail_probability(chain, 300, 0.1)]; "
             "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
         )
         assert fresh_python(script)[0] == "True False\n"

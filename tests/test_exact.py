@@ -28,6 +28,8 @@ from tiltedsum import (
     variance_exact,
 )
 
+from tiltedsum.oracle import _powered_pmf
+
 from conftest import PAIR_GRID, exact_cumulants, path_cumulants
 
 VAR_PER_LETTER_MODERATE = {
@@ -39,6 +41,16 @@ VAR_PER_LETTER_MODERATE = {
 }
 CORRECTION_CONSTANT_MODERATE = 3.532649243473492
 TINY = np.finfo(float).tiny
+# The innermost chains derive_chain accepts, and chains near them.
+EDGE_LO, EDGE_HI = math.nextafter(1e-12, 1.0), math.nextafter(1.0 - 1e-12, 0.0)
+EDGE_CHAINS = [
+    (EDGE_LO, EDGE_LO),
+    (EDGE_HI, EDGE_HI),
+    (EDGE_HI, 0.5),
+    (0.3, 1.0 - 1e-9),
+    (2e-12, 0.3),
+    (0.9, 0.95),
+]
 # Fast, slow, boundary and anti-correlated chains for the cumulant checks.
 CUMULANT_GRID = [
     (0.1, 0.3),
@@ -169,7 +181,7 @@ def test_blocklength_beyond_float_range_rejected(moderate, call):
     ids=["jn_law", "centered_tail_probability"],
 )
 def test_dp_cap_checked_before_any_array(moderate, call):
-    # numpy refuses an array of 10**21 + 1 entries; the cap must speak first.
+    # No list of 10**21 + 1 entries can be built; the cap must speak first.
     with pytest.raises(ValueError, match="DP cap"):
         call(moderate, 10**21)
 
@@ -197,7 +209,7 @@ class TestOccupationPMF:
     def test_normalization_and_mean(self, a, b):
         chain = derive_chain(a, b)
         for n in (1, 7, 64, 300):
-            pmf = occupation_pmf(chain, n)
+            pmf = np.asarray(occupation_pmf(chain, n))
             assert np.all(pmf >= 0)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.arange(n + 1) @ pmf == pytest.approx(n * chain.pi1, abs=1e-9)
@@ -207,7 +219,7 @@ class TestOccupationPMF:
         chain = derive_chain(a, b)
         for n in (33, 200):
             exact = exact_count_law(chain, n)
-            probs = occupation_pmf(chain, n)
+            probs = np.asarray(occupation_pmf(chain, n))
             kept = exact >= 1e-250
             assert np.all(np.abs(probs[kept] - exact[kept]) <= 1e-12 * exact[kept])
 
@@ -215,7 +227,7 @@ class TestOccupationPMF:
         "a,b,n", [(0.1, 0.3, 6000), (0.6, 0.7, 4000), (0.02, 0.05, 2048), (2e-12, 0.3, 300)]
     )
     def test_no_subnormal_entries(self, a, b, n):
-        probs = occupation_pmf(derive_chain(a, b), n)
+        probs = np.asarray(occupation_pmf(derive_chain(a, b), n))
         assert not np.any((probs > 0.0) & (probs < TINY))
 
     def test_deep_tail_is_zero_not_stuck_at_subnormal(self, moderate):
@@ -225,6 +237,115 @@ class TestOccupationPMF:
     def test_cap_enforced(self, moderate):
         with pytest.raises(ValueError):
             occupation_pmf(moderate, DP_MAX_N + 1)
+
+    @pytest.mark.parametrize("a,b", EDGE_CHAINS)
+    def test_matches_exact_law_at_domain_edges(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (2, 3, 4, 5, 33, 60):
+            exact = exact_count_law(chain, n)
+            probs = np.asarray(occupation_pmf(chain, n))
+            kept = exact >= TINY
+            assert np.all(probs[~kept] == 0.0)
+            assert np.all(np.abs(probs[kept] - exact[kept]) <= 1e-13 * exact[kept])
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.1, 0.3), (0.6, 0.7), (0.9, 0.95), (0.02, 0.05), (EDGE_HI, 0.5), (1e-5, 1e-11)]
+    )
+    def test_matches_powered_kernel_at_large_n(self, a, b):
+        # (1e-5, 1e-11) has kappa near the unit roundoff, where the recurrences
+        # lose kappa's share of F and G unless they run on their steps.
+        chain = derive_chain(a, b)
+        for n in (2048, 8192):
+            kernel = _powered_pmf(chain, n)
+            probs = np.asarray(occupation_pmf(chain, n))
+            kept = kernel >= 1e-280
+            bound = 8 * n * np.finfo(float).eps
+            assert np.all(np.abs(probs[kept] - kernel[kept]) <= bound * kernel[kept])
+
+    @pytest.mark.parametrize(
+        "a,b", [*EDGE_CHAINS, (0.1, 0.3), (0.5, 0.5), (0.3, 0.30000000000000004)]
+    )
+    def test_mirrored_chain_reverses_the_law(self, a, b):
+        for n in (1, 2, 3, 8, 33, 2000):
+            law = occupation_pmf(derive_chain(a, b), n)
+            assert occupation_pmf(derive_chain(b, a), n) == law[::-1]
+
+
+def _f(n, m, kappa):
+    return sum(math.comb(n - m - 1, k) * math.comb(m - 1, k) * kappa**k for k in range(n))
+
+
+def _g(n, m, kappa):
+    if not 1 <= m <= n - 2:
+        return 0
+    return sum(math.comb(n - m - 1, k + 1) * math.comb(m - 1, k) * kappa**k for k in range(n))
+
+
+def _h(n, m, kappa):
+    return sum(
+        Fraction(math.comb(n - m - 2, k) * math.comb(m - 1, k), k + 1) * kappa**k for k in range(n)
+    )
+
+
+class TestCountLawIdentity:
+    """The run-count identity and the recurrences of ``exact``, in exact rationals."""
+
+    CHAINS = [(Fraction(1, 10), Fraction(3, 10)), (Fraction(9, 10), Fraction(19, 20)),
+              (Fraction(1, 7), Fraction(5, 11)), (Fraction(1, 10**6), Fraction(1, 2))]
+
+    @pytest.mark.parametrize("a,b", CHAINS, ids=lambda q: f"{float(q):g}")
+    def test_identity_equals_dp(self, a, b):
+        kappa, c = a * b / ((1 - a) * (1 - b)), a * b / (a + b)
+        for n in range(1, 41):
+            in0, in1 = [b / (a + b)] + [0] * n, [0, a / (a + b)] + [0] * (n - 1)
+            for _ in range(n - 1):
+                to0 = [x * (1 - a) + y * b for x, y in zip(in0, in1)]
+                to1 = [x * a + y * (1 - b) for x, y in zip(in0, in1)]
+                in0, in1 = to0, [0] + to1[:-1]
+            law = [x + y for x, y in zip(in0, in1)]
+            assert law[0] == b / (a + b) * (1 - a) ** (n - 1)
+            assert law[n] == a / (a + b) * (1 - b) ** (n - 1)
+            for m in range(1, n):
+                bracket = 2 * _f(n, m, kappa) + b / (1 - a) * _g(n, m, kappa) \
+                    + a / (1 - b) * _g(n, n - m, kappa)
+                assert law[m] == c * (1 - a) ** (n - m - 1) * (1 - b) ** (m - 1) * bracket
+
+    @pytest.mark.parametrize("a,b", CHAINS, ids=lambda q: f"{float(q):g}")
+    def test_recurrences_and_seeds(self, a, b):
+        kappa = a * b / ((1 - a) * (1 - b))
+        for n in range(3, 41):
+            assert _f(n, 1, kappa) == 1 and _f(n, 2, kappa) == 1 + (n - 3) * kappa
+            assert _h(n, 1, kappa) == 1
+            assert n < 4 or _h(n, 2, kappa) == 1 + Fraction(n - 4, 2) * kappa
+            assert _g(n, 1, kappa) == n - 2 and _g(n, n - 2, kappa) == 1
+            if n >= 4:
+                assert _g(n, 2, kappa) == (n - 3) + Fraction((n - 3) * (n - 4), 2) * kappa
+                assert _g(n, n - 3, kappa) == 2 + (n - 4) * kappa
+            for m in range(1, n - 1):
+                assert _g(n, m, kappa) == (n - m - 1) * _h(n, m, kappa)
+                assert _h(n, m, kappa) == _h(n, n - 1 - m, kappa)
+                assert _f(n, m, kappa) == _f(n, n - m, kappa)
+            for m in range(1, n - 2):  # F, and its step form below n/2
+                t = 2 * m - n
+                f0, f1, f2 = (_f(n, m + i, kappa) for i in range(3))
+                bracket = kappa * (t + 1) * (t + 3) + 2 * m * (n - m - 2) + n - 1
+                p0, p2 = m * (m - n + 1) * (t + 3), (m + 1) * (m - n + 2) * (t + 1)
+                assert p0 * f0 + (t + 2) * bracket * f1 + p2 * f2 == 0
+                if t + 1 < 0:
+                    step = m * (n - m - 1) * (t + 3) * (f1 - f0)
+                    step += kappa * (t + 1) * (t + 2) * (t + 3) * f1
+                    assert (f2 - f1) * (m + 1) * (n - m - 2) * (t + 1) == step
+            for m in range(1, n - 3):  # G, and the step form of H below n/2
+                t = 2 * m - n
+                g0, g1, g2 = (_g(n, m + i, kappa) for i in range(3))
+                bracket = kappa * (t + 2) * (t + 4) + 2 * m * (n - m - 3) + 2 * (n - 2)
+                p0, p2 = m * (m - n + 2) * (t + 4), (m + 2) * (m - n + 2) * (t + 2)
+                assert p0 * g0 + (t + 3) * bracket * g1 + p2 * g2 == 0
+                if t + 2 < 0:
+                    h0, h1, h2 = (_h(n, m + i, kappa) for i in range(3))
+                    step = m * (n - m - 1) * (t + 4) * (h1 - h0)
+                    step += kappa * (t + 2) * (t + 3) * (t + 4) * h1
+                    assert (h2 - h1) * (m + 2) * (n - m - 3) * (t + 2) == step
 
 
 class TestOccupationPGF:
@@ -272,8 +393,8 @@ class TestOccupationPGF:
 class TestJnLaw:
     def test_symmetric_point_mass(self, symmetric):
         support, probs = jn_law(symmetric, 0.2, 10)
-        assert support.tolist() == [10 * (1.0 - binary_entropy(0.2))]
-        assert probs.tolist() == [1.0]
+        assert support == [10 * (1.0 - binary_entropy(0.2))]
+        assert probs == [1.0]
 
     def test_n1_atoms(self, moderate):
         support, probs = jn_law(moderate, 0.1, 1)
@@ -282,18 +403,18 @@ class TestJnLaw:
         assert support[1] == pytest.approx(jtilt(moderate, 0.1, 1), abs=1e-14)
 
     def test_uniform_spacing(self, moderate):
-        support, _ = jn_law(moderate, 0.1, 20)
+        support = np.asarray(jn_law(moderate, 0.1, 20)[0])
         gaps = support[:-1] - support[1:]
         assert np.allclose(gaps, moderate.ell, atol=1e-12)
 
     def test_mean(self, moderate):
-        support, probs = jn_law(moderate, 0.1, 50)
+        support, probs = map(np.asarray, jn_law(moderate, 0.1, 50))
         assert support @ probs == pytest.approx(50 * tilted_mean(moderate, 0.1), abs=1e-9)
 
     def test_support_shift_between_distortions(self, moderate):
         n = 20
-        support_lo, probs_lo = jn_law(moderate, 0.05, n)
-        support_hi, probs_hi = jn_law(moderate, 0.2, n)
+        support_lo, probs_lo = map(np.asarray, jn_law(moderate, 0.05, n))
+        support_hi, probs_hi = map(np.asarray, jn_law(moderate, 0.2, n))
         shift = n * (binary_entropy(0.2) - binary_entropy(0.05))
         assert np.allclose(support_lo - support_hi, shift, atol=1e-12)
         assert np.array_equal(probs_lo, probs_hi)
