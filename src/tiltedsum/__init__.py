@@ -14,10 +14,10 @@ and load with the package; ``cgf`` also holds the O(log n) kernel of the
 PGF, the finite-n CGF and the cumulants, which needs no arrays.  The other
 modules are imported on first access to one of their names: ``exact``, the
 O(n) count law in plain floats, so that a command that never builds the law
-does not compile it, and the array modules ``montecarlo`` and ``oracle``,
-which bring numpy.  So a caller that needs neither the sampler nor the
-check routes, such as every CLI command but ``simulate`` and ``verify``,
-never pays numpy's start-up.  The three closed-form modules declare their
+does not compile it; ``oracle``, the check routes, also in plain floats
+but for the polynomial route of the tests; and ``montecarlo``, the sampler,
+which brings numpy.  So every CLI command but ``simulate`` runs without
+numpy's start-up.  The three closed-form modules declare their
 public names in their own ``__all__``; the package's ``__all__`` is the
 union of those and the keys of ``_LAZY``.
 """

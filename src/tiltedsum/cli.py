@@ -10,10 +10,10 @@ emits its three golden tables, and ``verify`` the suite rows of
 ``--theta-grid`` and ``rate``'s ``--x-grid`` (one value is a one-point
 grid), and ``verify --json`` is ``--format json``.
 
-Importing this module loads no numpy, so the closed-form commands, ``cgf``
-among them, start without it.  The four handlers that need the array
-modules (``pmf``, ``tail``, ``simulate``, ``verify``) import their function
-inside the handler, and so load numpy only when they run.
+Importing this module loads no numpy.  The handlers of ``pmf``, ``tail``,
+``simulate`` and ``verify`` import their function from ``exact``,
+``montecarlo`` or ``oracle`` inside the handler, and of these only
+``simulate`` loads numpy, when it runs.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -103,18 +103,6 @@ def _format_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def parse_cell(text: str):
-    """Inverse of _format_value: int if bare digits, float if numeric, else str."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def render_csv(columns: list[str], rows: list[dict]) -> str:

@@ -5,18 +5,22 @@ from its defining sum over reproduction letters, the operating point from
 the alternating update (to ``BA_TOL`` within ``BA_MAX_ITER`` steps), the
 variance from its double sum over lags, the count law from powers of the
 polynomial transfer matrix (any n up to the cap), and the count law and
-the variance from exhaustive enumeration (n <= 20).  Enumeration visits
-every length-n path through its integer bit pattern and accumulates its
-stationary probability pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are
-positive, so float64 carries no cancellation.  :func:`verify_suites` runs the seven
-``SUITES`` that hold the production routes to these.
+the variance from exhaustive enumeration (n <= 20).  Enumeration extends
+every path letter by letter and accumulates its stationary probability
+pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are positive, so float64
+carries no cancellation, and each count bin and moment is summed with
+``math.fsum``.  :func:`verify_suites` runs the seven ``SUITES`` that hold
+the production routes to these.
+
+Everything ``verify`` runs is plain Python floats and lists.  Only the
+polynomial route (``_powered_pmf``), which the tests take up to the cap,
+imports numpy, inside the function.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .cgf import _power, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
 from .exact import jn_law, occupation_pmf
@@ -26,7 +30,7 @@ from .markov import (
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
-_TINY = np.finfo(float).tiny  # the powered count law flushes entries below this to 0
+_TINY = sys.float_info.min  # the powered count law flushes entries below this to 0
 BA_TOL = 1e-12
 BA_MAX_ITER = 100_000
 
@@ -105,47 +109,62 @@ def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
 
 
 def variance_double_sum(chain: ChainParams, n: int) -> float:
-    """Var(J_n(D)) in bits^2, as ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k] term by term."""
+    """Var(J_n(D)) in bits^2, as ell^2*pi0*pi1*[n + 2*sum_{k<n} (n-k)*lambda2^k] term by term.
+
+    Lags k and k+1 enter as one term, lambda2^k*((n-k)(1+lambda2) - lambda2)
+    with 1+lambda2 formed as (1-a)+(1-b), so the alternating terms of a chain
+    near lambda2 = -1 do not cancel each other.  What remains is the leading
+    n cancelling the sum: the relative error grows like eps/(2-a-b), about
+    2e-8 at 2-a-b = 3e-9.
+    """
     require_blocklength(n)
-    k = np.arange(1, n)
-    bracket = n + 2.0 * float((n - k) @ (chain.lambda2**k))
-    return chain.ell**2 * chain.pi0 * chain.pi1 * bracket
+    lam, one_plus = chain.lambda2, (1.0 - chain.a) + (1.0 - chain.b)
+    # At k = n-1 the pair's second lag carries weight n-k-1 = 0.
+    pairs = math.fsum([lam**k * ((n - k) * one_plus - lam) for k in range(1, n, 2)])
+    return chain.ell**2 * chain.pi0 * chain.pi1 * (n + 2.0 * pairs)
 
 
-def _enumerate_paths(chain: ChainParams, n: int, letter_values: np.ndarray | None = None):
-    """Probability and occupation count of every length-n path, at once.
+def _enumerate_paths(chain: ChainParams, n: int, letter_values=None):
+    """Probability of every length-n path, as lists grouped by occupation count.
 
-    Path i reads its letters off the bits of i.  Given per-letter values,
-    each path's sum of them is also accumulated letter by letter; otherwise
-    that third result is None.  Refuses n > 20.
+    Entry m of the first result lists the probabilities of the paths with m
+    ones.  The paths grow letter by letter, those ending in state 0 and
+    those ending in state 1 held apart, so each step applies one transition
+    probability to a whole list.  Given per-letter values (any numbers that
+    add, Fractions too), the second result lists each path's sum of them,
+    accumulated letter by letter in the same order; otherwise it is None.
+    Refuses n > 20.
     """
     if not 1 <= n <= ENUM_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got n={n}")
-    index = np.arange(2**n, dtype=np.uint32)
-    trans = np.array([1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b])  # flat P, row-major
-    prev = (index & 1).astype(np.int64)
-    prob = np.where(prev == 0, chain.pi0, chain.pi1)
-    path_sum = None if letter_values is None else letter_values[prev]
-    counts = prev.copy()
-    for t in range(1, n):
-        cur = ((index >> t) & 1).astype(np.int64)
-        prob = prob * trans[2 * prev + cur]
-        if path_sum is not None:
-            path_sum = path_sum + letter_values[cur]
-        counts += cur
-        prev = cur
-    return prob, counts, path_sum
+    stay0, leave0, leave1, stay1 = 1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b
+    prob0, prob1 = [[chain.pi0], []], [[], [chain.pi1]]
+    sums0 = sums1 = None
+    if letter_values is not None:
+        value0, value1 = letter_values
+        sums0, sums1 = [[value0], []], [[], [value1]]
+    for _ in range(1, n):
+        # A 0 keeps a path's count and a 1 raises it, so the lists grow by one entry.
+        prob0, prob1 = (
+            [[p * stay0 for p in x] + [p * leave1 for p in y] for x, y in zip(prob0, prob1)] + [[]],
+            [[]] + [[p * leave0 for p in x] + [p * stay1 for p in y] for x, y in zip(prob0, prob1)],
+        )
+        if sums0 is not None:
+            ended = [x + y for x, y in zip(sums0, sums1)]
+            sums0 = [[s + value0 for s in e] for e in ended] + [[]]
+            sums1 = [[]] + [[s + value1 for s in e] for e in ended]
+    probs = [x + y for x, y in zip(prob0, prob1)]
+    return probs, None if sums0 is None else [x + y for x, y in zip(sums0, sums1)]
 
 
-def enumerate_pmf(chain: ChainParams, n: int) -> np.ndarray:
-    """Occupation-count PMF, entry m for m = 0..n, by summing all 2^n path probabilities.
+def enumerate_pmf(chain: ChainParams, n: int) -> list[float]:
+    """Occupation-count PMF as a list, entry m for m = 0..n, by summing all 2^n path probabilities.
 
-    Refuses n > 20.
+    Each entry is one ``math.fsum``, the correctly rounded sum of its paths'
+    float probabilities.  Refuses n > 20.
     """
-    prob, counts, _ = _enumerate_paths(chain, n)
-    # Pairwise sums per bin keep the total within ~1e-14 of 1 even at n = 20;
-    # bincount's sequential accumulation drifts past 1e-13 there.
-    return np.array([prob[counts == m].sum() for m in range(n + 1)])
+    probs, _ = _enumerate_paths(chain, n)
+    return [math.fsum(ps) for ps in probs]
 
 
 def _poly_mul(x, y):
@@ -154,6 +173,8 @@ def _poly_mul(x, y):
     Every coefficient is a sum of nonnegative products, so np.convolve has
     no cancellation; results below the smallest normal float become 0.
     """
+    import numpy as np
+
     out = []
     for row in x:
         entries = [np.convolve(row[0], y[0][j]) + np.convolve(row[1], y[1][j]) for j in (0, 1)]
@@ -163,13 +184,15 @@ def _poly_mul(x, y):
     return out
 
 
-def _powered_pmf(chain: ChainParams, n: int) -> np.ndarray:
+def _powered_pmf(chain: ChainParams, n: int):
     """Occupation-count PMF, entry m for m = 0..n, from the polynomial transfer matrix.
 
     Entry m is the coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 with
     D(z) = diag(1, z), the power taken by binary powering with np.convolve:
-    O(n^2) flops, and none of the recurrences of ``exact``.
+    O(n^2) flops, and none of the recurrences of ``exact``.  Returns a numpy array.
     """
+    import numpy as np
+
     # Coefficient arrays of equal length in each matrix keep the sums aligned.
     step = [
         [np.array([1.0 - chain.a, 0.0]), np.array([0.0, chain.a])],
@@ -190,13 +213,16 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     two must agree, which re-verifies the collapse pathwise.
     """
     require_interior(chain, d)
-    jvals = np.array([jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)])
-    prob, counts, path_sum = _enumerate_paths(chain, n, jvals)
-    mean = float(prob @ path_sum)
-    var_paths = float(prob @ (path_sum - mean) ** 2)
+    j0, j1 = jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)
+    probs, sums = _enumerate_paths(chain, n, (j0, j1))
+    prob = [p for ps in probs for p in ps]
+    path_sum = [s for ss in sums for s in ss]
+    mean = math.fsum([p * s for p, s in zip(prob, path_sum)])
+    var_paths = math.fsum([p * (s - mean) ** 2 for p, s in zip(prob, path_sum)])
 
-    count_mean = float(prob @ counts)
-    var_affine = (jvals[1] - jvals[0]) ** 2 * float(prob @ (counts - count_mean) ** 2)
+    law = [math.fsum(ps) for ps in probs]
+    count_mean = math.fsum(m * q for m, q in enumerate(law))
+    var_affine = (j1 - j0) ** 2 * math.fsum(q * (m - count_mean) ** 2 for m, q in enumerate(law))
 
     scale = max(1.0, abs(var_paths))
     if abs(var_paths - var_affine) > _INTERNAL_AGREEMENT * scale:
@@ -217,8 +243,8 @@ VERIFY_D_GRID = (0.05, 0.1, 0.2)
 
 def _oracle_pmf_tv(chain, distortion, perturb):
     for n in range(1, 13):
-        pmf = np.asarray(occupation_pmf(chain, n))
-        yield 0.5 * float(np.abs(enumerate_pmf(chain, n) - pmf).sum())
+        pairs = zip(enumerate_pmf(chain, n), occupation_pmf(chain, n))
+        yield 0.5 * math.fsum(abs(e - p) for e, p in pairs)
 
 
 def _variance_forms(chain, distortion, perturb):
@@ -244,10 +270,9 @@ def _oracle_variance(chain, distortion, perturb):
 
 def _pgf_pmf(chain, distortion, perturb):
     for n in (1, 2, 10, 50, 200):
-        pmf = np.asarray(occupation_pmf(chain, n))
-        powers = np.arange(n + 1)
+        pmf = occupation_pmf(chain, n)
         for u in (0.5, 1.0, 2.0):
-            direct = float(pmf @ (u**powers))
+            direct = math.fsum(p * u**m for m, p in enumerate(pmf))
             yield abs(2.0 ** occupation_log2_pgf(chain, n, u) - direct) / direct
 
 
@@ -264,10 +289,11 @@ def _cgf_expectation(chain, distortion, perturb):
     d = min(chain.pi0, chain.pi1) / 2 if distortion is None else distortion
     mu = tilted_mean(chain, d)
     for n in (1, 4, 16):
-        support, probs = map(np.asarray, jn_law(chain, d, n))
-        centered = support - n * mu
+        support, probs = jn_law(chain, d, n)
+        centered = [s - n * mu for s in support]
         for theta in (-1.0, -0.3, 0.3, 1.0):
-            direct = math.log2(float(probs @ np.exp2(theta * centered))) / n
+            mgf = math.fsum(p * 2.0 ** (theta * c) for p, c in zip(probs, centered))
+            direct = math.log2(mgf) / n
             yield abs(cgf_finite(chain, n, theta) - direct)
 
 
@@ -283,8 +309,8 @@ def _d_invariance(chain, distortion, perturb):
         d_lo = distortion
     n = 20
     shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
-    atoms = np.asarray(jn_law(chain, d_lo, n)[0]) - np.asarray(jn_law(chain, d_hi, n)[0])
-    yield float(np.max(np.abs(atoms - shift))) / n
+    atoms = zip(jn_law(chain, d_lo, n)[0], jn_law(chain, d_hi, n)[0])
+    yield max(abs(lo - hi - shift) for lo, hi in atoms) / n
 
 
 # (suite name, tolerance on its largest deviation, deviation generator)

@@ -92,7 +92,8 @@ def path_cumulants(chain, d, n):
     path's sum and the cumulants are formed in exact rationals, so the only
     rounding is in the letter values and path probabilities.
     """
-    letters = np.array([Fraction(jtilt_generic(chain, d, x)) for x in (0, 1)], dtype=object)
-    prob, _, path_sum = _enumerate_paths(chain, n, letters)
-    kappa = exact_cumulants([Fraction(p) for p in prob.tolist()], list(path_sum), 6)
+    letters = [Fraction(jtilt_generic(chain, d, x)) for x in (0, 1)]
+    probs, sums = _enumerate_paths(chain, n, letters)
+    weights = [Fraction(p) for ps in probs for p in ps]
+    kappa = exact_cumulants(weights, [s for ss in sums for s in ss], 6)
     return np.array([float(k) for k in kappa])

@@ -95,7 +95,7 @@ def test_criterion_04_oracle_equivalence():
             chain = derive_chain(a, b)
             for n in range(1, 17):
                 tv = 0.5 * float(
-                    np.abs(enumerate_pmf(chain, n) - occupation_pmf(chain, n)).sum()
+                    np.abs(np.subtract(enumerate_pmf(chain, n), occupation_pmf(chain, n))).sum()
                 )
                 worst_tv = max(worst_tv, tv)
             for d in (0.05, 0.1, 0.2):

@@ -9,7 +9,7 @@ import pytest
 
 import tiltedsum
 from tiltedsum import cli, oracle
-from tiltedsum.cli import main, parse_cell, render_csv
+from tiltedsum.cli import main, render_csv
 
 from conftest import decimal_limit
 
@@ -23,6 +23,18 @@ def run_cli(capsys, *argv):
 def reject_constant(name):
     """json.loads hook: Infinity, -Infinity and NaN are not valid JSON."""
     raise ValueError(f"{name} is not valid JSON")
+
+
+def parse_cell(text):
+    """Inverse of the CLI's cell formatting: int if bare digits, float if numeric, else str."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def parse_csv(text):
@@ -339,6 +351,14 @@ class TestVerifyCommand:
         code, out = run_cli(capsys, "verify", "--a", "0.2", "--b", "0.4")
         assert code == 0 and "ALL PASS" in out
 
+    def test_nearly_alternating_chain_passes(self, capsys):
+        # lambda2 = -0.9997: the double sum's alternating lags cancel unless
+        # they are added in pairs.
+        code, out = run_cli(capsys, "verify", "--a", "0.9999", "--b", "0.9998", "--json")
+        suites = json.loads(out)["suites"]
+        assert code == 0 and len(suites) == 7
+        assert all(s["pass"] for s in suites)
+
     def test_single_pair_with_distortion(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--a", "0.2", "--b", "0.4", "--distortion", "0.15"
@@ -637,6 +657,7 @@ CHAIN = ("--a", "0.1", "--b", "0.3")
         (("cgf", *CHAIN, "--n", "1000000", "--theta-grid=-1,0,1"), False),
         (("pmf", *CHAIN, "--distortion", "0.05", "--n", "6"), False),
         (("tail", *CHAIN, "--n", "200", "--x", "0.1"), False),
+        (("verify", *CHAIN), False),
         (("simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"), True),
     ],
     ids=lambda v: v[0] if isinstance(v, tuple) else None,
@@ -651,6 +672,19 @@ def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
     )
     out, err = fresh_python(script)
     assert out and err.splitlines()[-1] == f"[0, 0, 0] {needs_numpy}"
+
+
+def test_verify_suites_run_without_numpy():
+    # The routes verify runs are plain floats; the polynomial route of the tests loads numpy.
+    script = (
+        "import sys; from tiltedsum import derive_chain, verify_suites; "
+        "from tiltedsum.oracle import VERIFY_PAIRS, _powered_pmf; "
+        "passed = all(s['pass'] for s in verify_suites(VERIFY_PAIRS)); "
+        "before = 'numpy' in sys.modules; _powered_pmf(derive_chain(0.1, 0.3), 8); "
+        "print(passed, before, 'numpy' in sys.modules)"
+    )
+    out, _ = fresh_python(script)
+    assert out.split() == ["True", "False", "True"]
 
 
 class TestLazyPackage:

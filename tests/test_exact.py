@@ -201,7 +201,7 @@ class TestOccupationPMF:
         chain = derive_chain(a, b)
         for n in (1, 2, 3, 5, 8, 12, 16):
             tv = 0.5 * np.abs(
-                occupation_pmf(chain, n) - enumerate_pmf(chain, n)
+                np.subtract(occupation_pmf(chain, n), enumerate_pmf(chain, n))
             ).sum()
             assert tv < 1e-12
 

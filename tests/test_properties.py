@@ -58,7 +58,7 @@ def test_distortion_shift_is_state_free(a, b, d1, d2):
 @given(a=probabilities, b=probabilities, n=st.integers(min_value=1, max_value=12))
 def test_dp_matches_enumeration(a, b, n):
     chain = derive_chain(a, b)
-    tv = 0.5 * np.abs(occupation_pmf(chain, n) - enumerate_pmf(chain, n)).sum()
+    tv = 0.5 * np.abs(np.subtract(occupation_pmf(chain, n), enumerate_pmf(chain, n))).sum()
     assert tv < 1e-12
 
 

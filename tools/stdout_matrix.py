@@ -28,10 +28,11 @@ of ``CHAINS``, with arguments inside that chain's valid ranges; then
 exit 1 (invalid input) and 3 (unwritable output), ``simulate`` on a chain
 with ell > 0, the option spellings ``verify --format json``,
 ``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``, a ``tail``
-whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), and
-last a ``cgf`` at a blocklength beyond float range (exit 1) and a JSON
-``variance-table`` whose variance overflows to infinity.  Only the
-standard library is used, so the script runs against any checkout.
+whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
+``cgf`` at a blocklength beyond float range (exit 1), a JSON
+``variance-table`` whose variance overflows to infinity, and last a
+``verify`` on a nearly alternating chain.  Only the standard library is
+used, so the script runs against any checkout.
 """
 
 from __future__ import annotations
@@ -183,6 +184,8 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # Var(J_n) beyond float range: a non-finite cell, written as a string in JSON.
         ["variance-table", "--a", "0.1", "--b", "0.3", "--n-grid", str(10**308),
          "--format", "json"],
+        # A nearly alternating chain, lambda2 = -0.9997: the double sum's lags cancel in pairs.
+        ["verify", "--a", "0.9999", "--b", "0.9998"],
     ]
     return calls
 
