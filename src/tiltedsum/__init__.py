@@ -12,14 +12,14 @@ routes of ``oracle``, certifies the closed forms.
 The float closed forms (``markov``, ``tilting``, ``cgf``) import no numpy
 and load with the package; ``cgf`` also holds the O(log n) kernel of the
 PGF, the finite-n CGF and the cumulants, which needs no arrays.  The other
-modules are imported on first access to one of their names: ``exact``, the
-O(n) count law in plain floats, so that a command that never builds the law
-does not compile it; ``oracle``, the check routes, also in plain floats
-but for the polynomial route of the tests; and ``montecarlo``, the sampler,
-which brings numpy.  So every CLI command but ``simulate`` runs without
-numpy's start-up.  The three closed-form modules declare their
-public names in their own ``__all__``; the package's ``__all__`` is the
-union of those and the keys of ``_LAZY``.
+modules load on first access to one of their names: ``exact``, the O(n)
+count law, its tails and its normal distance, so that a command that never
+builds the law does not compile it; ``oracle``, the check routes; both in
+plain floats but for ``oracle``'s polynomial route of the tests.  Only
+``montecarlo``, the sampler, brings numpy, so every CLI command but
+``simulate`` runs without numpy's start-up.  The three closed-form modules
+declare their public names in their own ``__all__``; the package's
+``__all__`` is the union of those and the keys of ``_LAZY``.
 """
 
 import importlib
@@ -31,10 +31,9 @@ from .tilting import *
 
 # Public names of the modules imported on first access (PEP 562) -> their module.
 _LAZY = {
-    **dict.fromkeys(("DP_MAX_N", "centered_tail_probability", "jn_law", "occupation_pmf"),
-                    "exact"),
-    **dict.fromkeys(("SimReport", "exact_normal_distance", "sample_trajectory", "simulate"),
-                    "montecarlo"),
+    **dict.fromkeys(("DP_MAX_N", "centered_tail_probability", "exact_normal_distance", "jn_law",
+                     "occupation_pmf"), "exact"),
+    **dict.fromkeys(("SimReport", "sample_trajectory", "simulate"), "montecarlo"),
     **dict.fromkeys(("ENUM_MAX_N", "ConvergenceError", "ba_fixed_point_iterate", "enumerate_pmf",
                      "jtilt_generic", "oracle_variance", "variance_double_sum", "verify_suites"),
                     "oracle"),

@@ -30,6 +30,10 @@ The law costs O(n) float operations, with a power-of-two exponent carried
 beside every value, so nothing overflows or underflows before the last
 step.  The module imports no numpy; ``oracle`` keeps the polynomial
 transfer-matrix kernel as the independent check of this route.
+
+The centered sum puts count m at -ell*(m - n*pi1), so the atoms ascend over
+m = n..0 when ell > 0, else 0..n; :func:`exact_normal_distance` reads the
+law in that order for its sup-distance from the normal CDF.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, pairwise, repeat
 
 from .markov import ChainParams, require_blocklength
 from .tilting import jtilt, require_interior, tilted_mean
@@ -52,6 +56,7 @@ _TINY = sys.float_info.min
 
 # A sweep value past this is scaled down by a power of two, which is exact.
 _BIG = 2.0**600
+_SQRT2 = math.sqrt(2.0)
 
 
 def _powers(x: float, count: int) -> tuple[list[float], list[int]]:
@@ -201,3 +206,41 @@ def centered_tail_probability(chain: ChainParams, n: int, x: float) -> float:
     probs = occupation_pmf(chain, n)
     slope, center, level = -chain.ell, n * chain.pi1, n * x
     return math.fsum(p for m, p in enumerate(probs) if slope * (m - center) >= level)
+
+
+def _ascending(chain: ChainParams, values: list) -> list:
+    """Count-indexed ``values`` in ascending-atom order: atom m is offset - ell*m."""
+    return values[::-1] if chain.ell > 0 else values
+
+
+def _phi(z: float) -> float:
+    """Standard normal CDF 0.5*erfc(-z/sqrt(2)).
+
+    erfc keeps relative accuracy in the lower tail, where 1 + erf(z/sqrt(2))
+    would round to 0; the relative error stays below 1e-14 for |z| <= 10.
+    """
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _normal_distance(chain: ChainParams, n: int, probs: list[float]) -> float:
+    """Sup-distance from Phi of the standardized sum whose count m has mass probs[m].
+
+    The count m sits at -ell*(m - n*pi1)/sqrt(n*V_sl).  Standardizing the count,
+    not the rounded atoms offset - ell*m, keeps the distance meaningful on chains
+    a few ulps from symmetric, where ell is tiny.  The step CDF jumps at each atom
+    and Phi is continuous, so the supremum is at an atom or at its left limit.
+    """
+    slope, center, scale = -chain.ell, n * chain.pi1, math.sqrt(n * chain.v_sl)
+    phi = map(_phi, _ascending(chain, [slope * (m - center) / scale for m in range(n + 1)]))
+    steps = pairwise(accumulate(_ascending(chain, probs), initial=0.0))  # (left limit, CDF)
+    return max(max(abs(cdf - p), abs(left - p)) for (left, cdf), p in zip(steps, phi))
+
+
+def exact_normal_distance(chain: ChainParams, n: int) -> float:
+    """Sup-distance between the exact law, standardized by n*V_sl, and the normal CDF.
+
+    This isolates the CLT approximation error from sampling noise.
+    """
+    if chain.symmetric:
+        raise ValueError("symmetric chain: the centered sum is a point mass")
+    return _normal_distance(chain, n, occupation_pmf(chain, n))

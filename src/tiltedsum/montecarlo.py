@@ -8,24 +8,24 @@ alternating-row sums of those ends.  Two checks run on every path: n0 + n1
 must be n, and the per-letter sum j0*n0 + j1*n1 must match the exact law's
 atom at n1.  Only the histogram of n1 is kept; every statistic of the
 report is computed from it, so nothing of the size of the replication count
-is stored or sorted.  Atom m of the law is n*j0 - ell*m, so both distances
-read the count lattice in atom order taken from the sign of ell: n..0 when
-ell > 0, else 0..n.  Block generators are derived from (seed, block-index),
-so the report is a pure function of its inputs no matter how blocks would
-be scheduled.  :func:`exact_normal_distance` gives the normal approximation's
-error at one n free of sampling noise; a sweep over n is a loop over it and
-:func:`simulate`.  :func:`sample_trajectory` turns the runs of one path into
-its letters.
+is stored or sorted.  Both distances read the histogram in ``exact``'s
+atom order, and ``ks_normal`` is ``exact``'s normal distance of the
+empirical law.  Block generators are derived from (seed, block-index), so
+the report is a pure function of its inputs no matter how blocks would be
+scheduled.  :func:`sample_trajectory` turns the runs of one path into its
+letters.  numpy serves the sampler, its checks and the two moment sums.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .exact import jn_law, occupation_pmf
+from .exact import _ascending, _normal_distance, jn_law
 from .markov import ChainParams, require_blocklength
 from .tilting import jtilt, require_interior
 
@@ -34,8 +34,7 @@ MIN_REPLICATIONS = 100
 MAX_SAMPLE_BUDGET = 10**8  # replications * n
 _BLOCK_ROWS = 4096
 _CHUNK_ELEMENTS = 2**16  # runs per sampler chunk, across all of its rows
-_SQRT2 = math.sqrt(2.0)
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 
 
 def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
@@ -105,7 +104,7 @@ class SimReport:
 
 
 def _count_histogram(
-    chain: ChainParams, d: float, n: int, support: np.ndarray, replications: int, seed: int
+    chain: ChainParams, d: float, n: int, support: list[float], replications: int, seed: int
 ) -> np.ndarray:
     """Histogram of the occupation count n1 over the replications, pathwise-checked.
 
@@ -154,46 +153,6 @@ def _count_histogram(
     return histogram
 
 
-def _ascending(chain: ChainParams, values: np.ndarray) -> np.ndarray:
-    """Count-indexed ``values`` in ascending-atom order: atom m is offset - ell*m."""
-    return values[::-1] if chain.ell > 0 else values
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF 0.5*erfc(-z/sqrt(2)), elementwise.
-
-    erfc keeps relative accuracy in the lower tail, where 1 + erf(z/sqrt(2))
-    would round to 0; the relative error stays below 1e-14 for |z| <= 10.
-    """
-    return np.array([0.5 * math.erfc(-x / _SQRT2) for x in z.tolist()])
-
-
-def _normal_distance(chain: ChainParams, n: int, probs: np.ndarray) -> float:
-    """Sup-distance from Phi of the standardized sum whose count m has mass probs[m].
-
-    The count m sits at -ell*(m - n*pi1)/sqrt(n*V_sl).  Standardizing the
-    count, not the rounded atoms offset - ell*m, keeps the distance
-    meaningful on chains a few ulps from symmetric, where ell is tiny.  The
-    step CDF jumps at each atom and Phi is continuous, so the supremum is
-    attained at an atom or at its left limit.
-    """
-    z = -chain.ell * (np.arange(n + 1) - n * chain.pi1) / math.sqrt(n * chain.v_sl)
-    cum = np.cumsum(_ascending(chain, probs))
-    phi = _phi(_ascending(chain, z))
-    left = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.abs(cum - phi).max(), np.abs(left - phi).max()))
-
-
-def exact_normal_distance(chain: ChainParams, n: int) -> float:
-    """Sup-distance between the exact law, standardized by n*V_sl, and the normal CDF.
-
-    This isolates the CLT approximation error from sampling noise.
-    """
-    if chain.symmetric:
-        raise ValueError("symmetric chain: the centered sum is a point mass")
-    return _normal_distance(chain, n, np.asarray(occupation_pmf(chain, n)))
-
-
 def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int) -> SimReport:
     """Simulate the tilted block sum and compare with the exact theory.
 
@@ -211,7 +170,7 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
         raise ValueError(
             f"replications*n = {replications * n} exceeds the sample budget {MAX_SAMPLE_BUDGET}"
         )
-    support, probs = map(np.asarray, jn_law(chain, d, n))
+    support, probs = jn_law(chain, d, n)
     histogram = _count_histogram(chain, d, n, support, replications, seed)
     if chain.symmetric:
         # Degenerate law, one atom: standardization is undefined, and a
@@ -221,13 +180,14 @@ def simulate(chain: ChainParams, d: float, n: int, replications: int, seed: int)
     # Shifted moments: deviations from the most observed atom keep the
     # arithmetic well-scaled, and exact when every sample shares one atom.
     shift = float(support[np.argmax(histogram)])
-    dev = support - shift
+    dev = np.subtract(support, shift)
     dev_mean = float((histogram * dev).sum()) / replications
     emp_mean = shift + dev_mean
     emp_var = float((histogram * (dev - dev_mean) ** 2).sum()) / (replications - 1)
 
     # Both laws are step functions on one lattice, so the sup is taken at an atom.
-    seen = np.cumsum(_ascending(chain, histogram)) / replications
-    ks_exact = float(np.abs(seen - np.cumsum(_ascending(chain, probs))).max())
-    ks_normal = _normal_distance(chain, n, histogram / replications)
+    counts = histogram.tolist()
+    seen = (c / replications for c in accumulate(_ascending(chain, counts)))
+    ks_exact = max(abs(s - p) for s, p in zip(seen, accumulate(_ascending(chain, probs))))
+    ks_normal = _normal_distance(chain, n, [c / replications for c in counts])
     return SimReport(emp_mean=emp_mean, emp_var=emp_var, ks_exact=ks_exact, ks_normal=ks_normal)

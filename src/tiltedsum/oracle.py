@@ -20,17 +20,15 @@ imports numpy, inside the function.
 from __future__ import annotations
 
 import math
-import sys
 
 from .cgf import _power, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
-from .exact import jn_law, occupation_pmf
+from .exact import _TINY, jn_law, occupation_pmf  # _TINY: the flush threshold of both laws
 from .markov import (
     ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
 )
 from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
-_TINY = sys.float_info.min  # the powered count law flushes entries below this to 0
 BA_TOL = 1e-12
 BA_MAX_ITER = 100_000
 

@@ -223,12 +223,12 @@ class TestPoweredKernel:
             assert abs(cgf_finite(moderate, 10**9, theta) - cgf_limit(moderate, theta)) <= 1e-6
 
     @pytest.mark.parametrize("a,b", [(0.1, 0.3), (0.02, 0.05), (0.6, 0.7), (0.5, 0.5)])
-    def test_array_is_cgf_finite_on_each_theta(self, a, b):
+    def test_each_theta_gives_a_builtin_float(self, a, b):
         chain = derive_chain(a, b)
-        tilts = np.array([-900.0, -3.0, 0.0, 0.5, 7.0, 900.0])
-        thetas = tilts / chain.ell if chain.ell else tilts
+        tilts = (-900.0, -3.0, 0.0, 0.5, 7.0, 900.0)
+        thetas = tuple(tilt / chain.ell for tilt in tilts) if chain.ell else tilts
         for n in (1, 7, 10_000):
-            singles = [cgf_finite(chain, n, float(theta)) for theta in thetas]
+            singles = [cgf_finite(chain, n, theta) for theta in thetas]
             assert all(type(value) is float for value in singles)
 
 

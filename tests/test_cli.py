@@ -632,7 +632,8 @@ def fresh_python(script):
 def test_cli_imports_only_stdlib_and_numpy():
     # Only what the import adds counts: .pth files run at interpreter
     # start-up may load site packages of their own.  numpy is not among
-    # what it adds: the array modules are imported on first use.
+    # what it adds: montecarlo, the one module that needs it, is imported on
+    # first use.
     script = (
         "import sys; before = set(sys.modules); import tiltedsum.cli; "
         "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
@@ -739,7 +740,8 @@ class TestLazyPackage:
             "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
             "support, probs = ts.jn_law(chain, 0.1, 300); "
             "values = [*ts.occupation_pmf(chain, 300), *support, *probs, "
-            "ts.centered_tail_probability(chain, 300, 0.1)]; "
+            "ts.centered_tail_probability(chain, 300, 0.1), "
+            "ts.exact_normal_distance(chain, 300)]; "
             "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
         )
         assert fresh_python(script)[0] == "True False\n"

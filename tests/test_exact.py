@@ -440,6 +440,22 @@ class TestCenteredTailProbability:
             assert centered_tail_probability(symmetric, 10, x) == want
 
 
+# exact_normal_distance at n = 1, 100, 1600, to the bit: its CDF sums run in atom order.
+NORMAL_DISTANCE_BITS = {
+    (0.1, 0.3): (0.38641499634222376, 0.04578733125731593, 0.011399521555831016),
+    (0.3, 0.1): (0.3864149963422237, 0.0457873312573166, 0.011399521555833625),
+    (0.02, 0.05): (0.4520640504499468, 0.1142016424031829, 0.014577026881051891),
+    (0.3, 0.30000000000000004): (0.25634538013096175, 0.026058354833287, 0.0065283031882833464),
+}
+
+
+class TestExactNormalDistance:
+    @pytest.mark.parametrize("a,b", NORMAL_DISTANCE_BITS)
+    def test_bits_pinned(self, a, b):
+        got = tuple(exact_normal_distance(derive_chain(a, b), n) for n in (1, 100, 1600))
+        assert got == NORMAL_DISTANCE_BITS[a, b]
+
+
 class TestVarianceExact:
     def test_reference_table_values(self, moderate):
         for n, want in VAR_PER_LETTER_MODERATE.items():
