@@ -25,11 +25,13 @@ term is positive, so nothing cancels.  F is symmetric, F(m) = F(n-m), and
 so is H, H(m) = H(n-1-m), so G(n-m) = (m-1) H(m-1) and one forward sweep
 of F and H to n/2 gives the whole law.  Each satisfies a three-term
 recurrence in m, and is its dominant solution on the way to n/2 (Gautschi
-1967, SIAM Review 9); ``_sweep`` runs both in a form that never cancels.
-The law costs O(n) float operations, with a power-of-two exponent carried
-beside every value, so nothing overflows or underflows before the last
-step.  The module imports no numpy; ``oracle`` keeps the polynomial
-transfer-matrix kernel as the independent check of this route.
+1967, SIAM Review 9).  ``_count_law`` runs both, in a form that never
+cancels, in one loop that writes Pr(N_n = m) and Pr(N_n = n-m) as it
+reaches each m.  That costs O(n) float operations, with a power-of-two
+exponent beside every value, so nothing under- or overflows before the
+last step.  Swapping (a, pi0) with (b, pi1) only swaps operands, so the
+law of (b, a) is exactly the reverse of that of (a, b).  The module imports
+no numpy; ``oracle`` keeps the polynomial transfer-matrix kernel as its check.
 
 The centered sum puts count m at -ell*(m - n*pi1), so the atoms ascend over
 m = n..0 when ell > 0, else 0..n; :func:`exact_normal_distance` reads the
@@ -81,10 +83,10 @@ def _powers(x: float, count: int) -> tuple[list[float], list[int]]:
     return mant, expo
 
 
-def _sweep(n: int, kappa: float, count: int) -> tuple[list[float], list[float], list[int]]:
-    """(f, h, expo) with F(m) == f[m-1] * 2**expo[m-1] and H(m) likewise, for m = 1..count <= n/2.
+def _count_law(chain: ChainParams, n: int) -> list[float]:
+    """Pr(N_n = m) for m = 0..n, from one sweep of F and H over m = 1..n/2.
 
-    Both run forward from F(1) = H(1) = 1, F(2) = 1 + (n-3)*kappa and
+    F and H run forward from F(1) = H(1) = 1, F(2) = 1 + (n-3)*kappa and
     H(2) = 1 + (n-4)*kappa/2, carrying their steps dF(m) = F(m) - F(m-1)
     and dH(m) = H(m) - H(m-1), with t = 2m - n:
 
@@ -96,56 +98,42 @@ def _sweep(n: int, kappa: float, count: int) -> tuple[list[float], list[float], 
     toward n/2 every factor in t is at most 0 and no divisor vanishes, so
     the two terms of each numerator share the sign of the denominator and
     no step cancels, however small kappa is.  At m = n/2 the H step is 0,
-    as H(m) = H(n-1-m) requires.  H never exceeds F and falls at most about
-    a factor n^2*kappa below it, so F's exponent keeps both in range.
+    as H(m) = H(n-1-m) requires, so both writes of the middle entry agree.
+    H never exceeds F and falls at most about a factor n^2*kappa below it,
+    so F's exponent e keeps both in range.
     """
-    n = float(n)  # every integer factor is below 2^53, so exact as a float
-    df, dh = (n - 3.0) * kappa, (n - 4.0) * kappa / 2.0
-    f1, h1, e = 1.0 + df, 1.0 + dh, 0
-    f, h, expo = [1.0, f1], [1.0, h1], [0, 0]
-    for m in map(float, range(1, count - 1)):
-        t = 2.0 * m - n
-        df = (m * (n - m - 1.0) * (t + 3.0) * df + kappa * ((t + 1.0) * (t + 2.0) * (t + 3.0)) * f1
-              ) / ((m + 1.0) * (n - m - 2.0) * (t + 1.0))
-        dh = (m * (n - m - 1.0) * (t + 4.0) * dh + kappa * ((t + 2.0) * (t + 3.0) * (t + 4.0)) * h1
-              ) / ((m + 2.0) * (n - m - 3.0) * (t + 2.0))
-        f1 += df
-        h1 += dh
-        if f1 > _BIG:
-            _, k = math.frexp(f1)
-            f1, df = math.ldexp(f1, -k), math.ldexp(df, -k)
-            h1, dh, e = math.ldexp(h1, -k), math.ldexp(dh, -k), e + k
-        f.append(f1)
-        h.append(h1)
-        expo.append(e)
-    return f[:count], h[:count], expo[:count]
-
-
-def _count_law(a: float, b: float, pi0: float, pi1: float, n: int) -> list[float]:
-    """Pr(N_n = m) for m = 0..n on the chain (a, b) with stationary law (pi0, pi1)."""
+    a, b = chain.a, chain.b
     a_mant, a_expo = _powers(1.0 - a, n)
     b_mant, b_expo = _powers(1.0 - b, n)
-    law = [math.ldexp(pi0 * a_mant[-1], a_expo[-1])]
+    law = [0.0] * (n + 1)
+    law[0] = math.ldexp(chain.pi0 * a_mant[-1], a_expo[-1])
+    law[n] = math.ldexp(chain.pi1 * b_mant[-1], b_expo[-1])
+    kappa = a * b / ((1.0 - a) * (1.0 - b))
+    c, beta, alpha = a * b / (a + b), b / (1.0 - a), a / (1.0 - b)
+    f, h, h_prev, e = 1.0, 1.0, 0.0, 0  # F(m), H(m), H(m-1) times 2**-e; H(0) is never used
+    nf = float(n)  # every integer factor is below 2^53, so exact as a float
+    df, dh = (nf - 3.0) * kappa, (nf - 4.0) * kappa / 2.0  # dF(2), dH(2)
     half = n // 2
-    if half:
-        kappa = a * b / ((1.0 - a) * (1.0 - b))
-        c, beta, alpha = a * b / (a + b), b / (1.0 - a), a / (1.0 - b)
-        f, h, expo = _sweep(n, kappa, half)
-        low, high = [], []  # Pr(N_n = m) and Pr(N_n = n-m), for m = 1..half
-        h_prev = 0.0  # H(m-1), in the scale of H(m); H(0) is never used
-        for i in range(half):  # m = i + 1
-            e, j = expo[i], n - 2 - i  # j = n-m-1
-            if i:
-                h_prev = math.ldexp(h[i - 1], expo[i - 1] - e)
-            f2, g, g_mirror = 2.0 * f[i], j * h[i], i * h_prev  # 2F(m), G(m), G(n-m)
-            low.append(math.ldexp(c * (f2 + (beta * g + alpha * g_mirror))
-                                  * (a_mant[j] * b_mant[i]), e + a_expo[j] + b_expo[i]))
-            high.append(math.ldexp(c * (f2 + (beta * g_mirror + alpha * g))
-                                   * (a_mant[i] * b_mant[j]), e + a_expo[i] + b_expo[j]))
-        if n % 2 == 0:
-            high.pop()  # m = n/2 is in low
-        law += low + high[::-1]
-    law.append(math.ldexp(pi1 * b_mant[-1], b_expo[-1]))
+    for m in range(1, half + 1):
+        i, j = m - 1, n - m - 1
+        f2, g, g_mirror = 2.0 * f, j * h, i * h_prev  # 2F(m), G(m), G(n-m)
+        law[m] = math.ldexp(c * (f2 + (beta * g + alpha * g_mirror))
+                            * (a_mant[j] * b_mant[i]), e + a_expo[j] + b_expo[i])
+        law[n - m] = math.ldexp(c * (f2 + (beta * g_mirror + alpha * g))
+                                * (a_mant[i] * b_mant[j]), e + a_expo[i] + b_expo[j])
+        if m == half:
+            break
+        if i:  # from m = 2 on, the recurrences at m-1 give dF(m+1) and dH(m+1)
+            x, t = float(i), 2.0 * i - nf
+            df = (x * (nf - x - 1.0) * (t + 3.0) * df + kappa * ((t + 1.0) * (t + 2.0) * (t + 3.0)) * f
+                  ) / ((x + 1.0) * (nf - x - 2.0) * (t + 1.0))
+            dh = (x * (nf - x - 1.0) * (t + 4.0) * dh + kappa * ((t + 2.0) * (t + 3.0) * (t + 4.0)) * h
+                  ) / ((x + 2.0) * (nf - x - 3.0) * (t + 2.0))
+        h_prev, f, h = h, f + df, h + dh
+        if f > _BIG:
+            _, k = math.frexp(f)
+            f, df, h, dh, h_prev = (math.ldexp(v, -k) for v in (f, df, h, dh, h_prev))
+            e += k
     return [p if p >= _TINY else 0.0 for p in law]
 
 
@@ -153,8 +141,7 @@ def occupation_pmf(chain: ChainParams, n: int) -> list[float]:
     """Exact PMF of N_n: entry m of the returned list is Pr(N_n = m), for m = 0..n.
 
     Every entry is either a normal float or exactly 0; probabilities below
-    the smallest normal float (about 2.2e-308) are flushed to 0.  The law is
-    computed with a <= b and reversed for the mirrored chain, so
+    the smallest normal float (about 2.2e-308) are flushed to 0.
     occupation_pmf of (b, a) is exactly the reverse of that of (a, b).
 
     Raises
@@ -168,11 +155,7 @@ def occupation_pmf(chain: ChainParams, n: int) -> list[float]:
             f"blocklength n={n} exceeds the DP cap {DP_MAX_N}; use the "
             f"generating-function routes for large n"
         )
-    if chain.a <= chain.b:
-        return _count_law(chain.a, chain.b, chain.pi0, chain.pi1, n)
-    law = _count_law(chain.b, chain.a, chain.pi1, chain.pi0, n)
-    law.reverse()
-    return law
+    return _count_law(chain, n)
 
 
 def jn_law(chain: ChainParams, d: float, n: int) -> tuple[list[float], list[float]]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from decimal import Decimal, localcontext
@@ -61,6 +62,37 @@ CUMULANT_GRID = [
     (0.999, 0.5),
     (0.9, 0.95),
 ]
+
+
+# First 16 hex digits of sha256(repr(occupation_pmf(chain, n))) for n in
+# PMF_BITS_NS: a rewrite of the count law must keep every bit of it.
+PMF_BITS_NS = (1, 2, 3, 4, 33, 2000, 2001, DP_MAX_N)
+PMF_BITS = {
+    (0.1, 0.3): (
+        "a2d046e5b4ba8856", "449bfe9689956f8e", "32366d6a9d171851", "2ca61766f53ce832",
+        "03fcffd9cea4036d", "f27168616b93f7b6", "5dd994d604b04030", "2b54763e032b0b07",
+    ),
+    (0.3, 0.1): (
+        "4c94da30863c5faf", "ae96025681ac9e2b", "b166132e0165dd27", "46edd87ec9507ad9",
+        "7e700233bb2d9519", "59bcdb16574c60b2", "e30b51a49a59eb55", "30dc6d7be0a597d7",
+    ),
+    (0.5, 0.5): (
+        "01a59a9c423ad34f", "924da9c90692d7bb", "7dd2d46694cf4f97", "22e91724926cbec9",
+        "aca76c60ca404e7c", "c9e0f3cdba58ea48", "857cad60c57602b5", "d99308cd1640dfa3",
+    ),
+    (9.56e-6, 1.33e-11): (
+        "0e5ec9f826378e1f", "5577eeddcb8959ab", "542e55c4723ce184", "79a936b85ca8df80",
+        "7421662feab3b59d", "0cc3e487a01ee933", "8b2e472ab49cb116", "e7c8ca20ef366ff2",
+    ),
+    (1.0 - 1e-9, 1.0 - 2e-9): (
+        "f63e3a232b3639e0", "519f444aa3f3d227", "f17bc0e3e0e10c30", "fd04f0330578c420",
+        "c85b25d6a0965a3d", "cc99c424600c17af", "dc76be0e7c5eb4fe", "47d0e9442af57166",
+    ),
+    (EDGE_HI, 0.5): (
+        "9961cfdfca673329", "042c9395fd1294ab", "e38ddfeb17467793", "f83760af1b08e378",
+        "a7fa67faed3d28eb", "ac77d1055c688259", "d2014df126ebbe8e", "65645914c22725ca",
+    ),
+}
 
 
 def exact_count_law(chain, n):
@@ -263,12 +295,30 @@ class TestOccupationPMF:
             assert np.all(np.abs(probs[kept] - kernel[kept]) <= bound * kernel[kept])
 
     @pytest.mark.parametrize(
-        "a,b", [*EDGE_CHAINS, (0.1, 0.3), (0.5, 0.5), (0.3, 0.30000000000000004)]
+        "a,b",
+        [
+            *EDGE_CHAINS,
+            (0.1, 0.3),
+            (0.5, 0.5),
+            (0.3, 0.30000000000000004),
+            (9.56e-6, 1.33e-11),
+            (1.0 - 1e-9, 1.0 - 2e-9),
+        ],
     )
     def test_mirrored_chain_reverses_the_law(self, a, b):
-        for n in (1, 2, 3, 8, 33, 2000):
+        # Both orientations run the same float operations up to operand order.
+        for n in (1, 2, 3, 8, 33, 2000, 2001, DP_MAX_N):
             law = occupation_pmf(derive_chain(a, b), n)
             assert occupation_pmf(derive_chain(b, a), n) == law[::-1]
+
+    @pytest.mark.parametrize("a,b", PMF_BITS)
+    def test_bits_pinned(self, a, b):
+        chain = derive_chain(a, b)
+        got = tuple(
+            hashlib.sha256(repr(occupation_pmf(chain, n)).encode()).hexdigest()[:16]
+            for n in PMF_BITS_NS
+        )
+        assert got == PMF_BITS[a, b]
 
 
 def _f(n, m, kappa):

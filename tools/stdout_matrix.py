@@ -30,8 +30,9 @@ with ell > 0, the option spellings ``verify --format json``,
 ``cgf --theta`` and ``rate --x`` and an empty ``--n-grid=``, a ``tail``
 whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 ``cgf`` at a blocklength beyond float range (exit 1), a JSON
-``variance-table`` whose variance overflows to infinity, and last a
-``verify`` on a nearly alternating chain.  Only the standard library is
+``variance-table`` whose variance overflows to infinity, a ``verify`` on a
+nearly alternating chain, and last ``pmf`` and ``tail`` on the chain
+(0.3, 0.1), with a > b, at n = 33 and 2001.  Only the standard library is
 used, so the script runs against any checkout.
 """
 
@@ -186,6 +187,12 @@ def matrix(missing_dir: str) -> list[list[str]]:
          "--format", "json"],
         # A nearly alternating chain, lambda2 = -0.9997: the double sum's lags cancel in pairs.
         ["verify", "--a", "0.9999", "--b", "0.9998"],
+        # The count law of a chain with a > b, at an odd n and at a larger n than the calls above.
+        ["pmf", "--a", "0.3", "--b", "0.1", "--distortion", "0.0625", "--n", "33",
+         "--format", "csv"],
+        ["pmf", "--a", "0.3", "--b", "0.1", "--distortion", "0.0625", "--n", "2001",
+         "--format", "json"],
+        ["tail", "--a", "0.3", "--b", "0.1", "--n", "2001", "--x", "0.05", "--format", "csv"],
     ]
     return calls
 
