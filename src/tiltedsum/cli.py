@@ -120,9 +120,7 @@ def render_table(columns: list[str], rows: list[dict], decimals: int | None = No
 
     cells = [[show(row[c]) for c in columns] for row in rows]
     widths = [max(len(c), *(len(r[i]) for r in cells)) for i, c in enumerate(columns)]
-    out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for r in cells:
-        out.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    out = ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in (columns, *cells)]
     return "\n".join(out) + "\n"
 
 
@@ -172,8 +170,7 @@ def cmd_stats(args, chain) -> list[dict]:
     row = {name: getattr(chain, name) for name in STATS_FIELDS}
     d = args.distortion
     if d is not None:
-        point = ba_operating_point(chain, d)
-        row.update(mu_d=tilted_mean(chain, d), beta=point.beta, q0=point.q0, q1=point.q1)
+        row.update(mu_d=tilted_mean(chain, d), **ba_operating_point(chain, d)._asdict())
     return [row]
 
 

@@ -7,8 +7,8 @@ The chain lives on {0, 1} with transition matrix
 
 stationary distribution pi = (b/(a+b), a/(a+b)), second eigenvalue
 lambda2 = 1 - a - b, and log-ratio ell = log2(a/b).  All logarithms
-exposed by this package are base 2.  Every per-letter quantity that does
-not depend on the distortion level is a property of :class:`ChainParams`.
+exposed by this package are base 2.  Every per-letter quantity free of the
+distortion level is a property of the named tuple :class:`ChainParams`.
 
 Var(J_n(D)) and its deficit below n*V_sl depend on the chain and n alone,
 so they live here too, as the geometric-sum reduction of the double sum
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ChainParams", "binary_entropy", "derive_chain", "variance_correction", "variance_exact",
@@ -40,8 +40,7 @@ LN2 = math.log(2.0)
 _SERIES_MAX_NS = 0.5
 
 
-@dataclass(frozen=True)
-class ChainParams:
+class ChainParams(NamedTuple):
     """Transition parameters (a, b) with derived stationary/spectral fields.
 
     a is the 0->1 transition probability, b the 1->0 probability.
@@ -129,11 +128,8 @@ def derive_chain(a: float, b: float) -> ChainParams:
                 f"transition probability {name}={p!r} must lie strictly inside "
                 f"(0, 1) with margin {BOUNDARY_MARGIN:g}"
             )
-    pi0 = b / (a + b)
-    pi1 = a / (a + b)
-    lambda2 = 1.0 - a - b
-    ell = math.log2(a) - math.log2(b)
-    return ChainParams(a=a, b=b, pi0=pi0, pi1=pi1, lambda2=lambda2, ell=ell)
+    return ChainParams(a=a, b=b, pi0=b / (a + b), pi1=a / (a + b), lambda2=1.0 - a - b,
+                       ell=math.log2(a) - math.log2(b))
 
 
 def require_blocklength(n: int) -> None:

@@ -6,9 +6,9 @@ n1, so a replication only needs n1.  Paths are drawn block by block as runs
 place, and each path's letters n0, n1 in state 0 and 1 come from
 alternating-row sums of those ends.  Two checks run on every path: n0 + n1
 must be n, and the per-letter sum j0*n0 + j1*n1 must match the exact law's
-atom at n1.  Only the histogram of n1 is kept; every statistic of the
-report is computed from it, so nothing of the size of the replication count
-is stored or sorted.  Both distances read the histogram in ``exact``'s
+atom at n1.  Only the histogram of n1 is kept; the report, the named tuple
+:class:`SimReport`, comes from it, so nothing of the replication count's
+size is stored or sorted.  Both distances read the histogram in ``exact``'s
 atom order, and ``ks_normal`` is ``exact``'s normal distance of the
 empirical law.  Block generators are derived from (seed, block-index), so
 the report is a pure function of its inputs no matter how blocks would be
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +93,7 @@ def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     """Empirical summary of one simulation run."""
 
     emp_mean: float

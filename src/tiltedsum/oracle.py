@@ -96,7 +96,10 @@ def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
 
     Computes -log2( sum_xh q(xh) e^{-beta (d(x,xh) - D)} ) at the closed-form
     operating point.  Used as the independent route in cross-checks and by
-    the exhaustive oracle.
+    the exhaustive oracle.  Rounded near |j| bits, j1 - j0 cannot resolve an
+    ell of a few ulps: on (0.3, 0.30000000000000004), ell = -4.4e-16 but
+    j1 - j0 = 2.2e-16, so ``verify`` fails ``oracle-variance`` there, though
+    the closed forms are right.
     """
     point = ba_operating_point(chain, d)
     if x not in (0, 1):
@@ -208,7 +211,10 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     (:func:`jtilt_generic`), never the collapsed closed form, and
     accumulated letter by letter along every path.  The same variance is
     recomputed through the affine image of the enumerated count law; the
-    two must agree, which re-verifies the collapse pathwise.
+    two must agree, which re-verifies the collapse pathwise.  Path sums of
+    about n*|j| bits cancel in ``s - mean`` when ell is small against j: on
+    (0.999999, 0.999998) at D = 0.05, n = 9, the result is 6.2e-10 off
+    relative, so ``verify`` fails ``oracle-variance`` (tol 1e-10) there.
     """
     require_interior(chain, d)
     j0, j1 = jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)

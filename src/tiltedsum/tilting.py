@@ -14,14 +14,14 @@ state x collapses to
 so the distortion level enters only through the additive constant h2(D),
 and so does the mean mu_D = h2(pi1) - h2(D) (:func:`tilted_mean`).  The
 per-letter statistics free of D are properties of ``ChainParams``.  Only
-the closed forms live here; their check routes, the defining sum over
-reproduction letters and the alternating update, are in ``oracle``.
+the closed forms and the named tuple :class:`BAOperatingPoint` live here;
+their check routes (defining sum, alternating update) are in ``oracle``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .markov import ChainParams, binary_entropy
 
@@ -32,8 +32,7 @@ class RegimeError(ValueError):
     """Distortion level outside the interior regime 0 < D < min(pi0, pi1)."""
 
 
-@dataclass(frozen=True)
-class BAOperatingPoint:
+class BAOperatingPoint(NamedTuple):
     """Slope and output marginals at distortion D."""
 
     beta: float

@@ -24,6 +24,22 @@ class TestDeriveChain:
         assert symmetric.lambda2 == pytest.approx(0.0, abs=1e-15)
         assert symmetric.ell == 0.0
 
+    def test_record_is_immutable(self):
+        chain = derive_chain(0.1, 0.3)
+        with pytest.raises(AttributeError):
+            chain.a = 0.2
+        assert chain.a == 0.1
+
+    def test_equal_records_hash_equal(self):
+        assert derive_chain(0.1, 0.3) == derive_chain(0.1, 0.3)
+        assert hash(derive_chain(0.1, 0.3)) == hash(derive_chain(0.1, 0.3))
+
+    def test_repr(self):
+        assert repr(derive_chain(0.1, 0.3)) == (
+            "ChainParams(a=0.1, b=0.3, pi0=0.7499999999999999, pi1=0.25, "
+            "lambda2=0.6000000000000001, ell=-1.5849625007211559)"
+        )
+
     @pytest.mark.parametrize("a,b", [(0.0, 0.5), (1.0, 0.5), (0.5, -0.1), (0.5, 1.5),
                                      (1e-13, 0.5), (0.5, 1 - 1e-13)])
     def test_rejects_boundary(self, a, b):

@@ -7,6 +7,7 @@ import pytest
 
 from tiltedsum import (
     DP_MAX_N,
+    SimReport,
     centered_cumulants,
     derive_chain,
     exact_normal_distance,
@@ -56,6 +57,10 @@ class TestSimulate:
         assert report.emp_mean == support[0]
         assert report.ks_exact == 0.0
         assert report.ks_normal == 0.5
+
+    def test_positional_fields(self):
+        # simulate's symmetric branch builds its report positionally.
+        assert SimReport(1.0, 2.0, 3.0, 4.0).ks_normal == 4.0
 
     @pytest.mark.parametrize(
         "a, b, d, n",

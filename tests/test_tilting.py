@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tiltedsum import (
+    BAOperatingPoint,
     ConvergenceError,
     RegimeError,
     ba_fixed_point_iterate,
@@ -62,6 +63,9 @@ class TestOperatingPoint:
     def test_symmetric(self, symmetric):
         point = ba_operating_point(symmetric, 0.2)
         assert point.q0 == point.q1 == 0.5
+
+    def test_positional_fields(self):
+        assert BAOperatingPoint(1.0, 0.25, 0.75).q1 == 0.75
 
     @pytest.mark.parametrize("d", [0.0, -0.1, 0.25, 0.3, 0.9])
     def test_regime_rejected(self, moderate, d):
