@@ -22,10 +22,11 @@ rescaled by an exact power of two.  Its entries are jets, truncated Taylor
 series in t of E[u^N_n e^{t(N_n - n*pi1)}]; order 0 gives G_n and L_n, and
 at u = 1 the higher orders give the cumulants of ``centered_cumulants`` at
 any n.  Every function in this module is float arithmetic, one tilt at a
-time, and the module imports no numpy.  Each tilt is checked once, where it
-enters: theta*ell in ``_log2_tilt``, u in ``perron_root`` and
-``occupation_log2_pgf``; n by ``markov.require_blocklength``, in the kernel
-and in each function that may return without running it.
+time, and the module imports no numpy; in the package only ``montecarlo``
+does.  Each tilt is checked once, where it enters: theta*ell in
+``_log2_tilt``, u in ``perron_root`` and ``occupation_log2_pgf``; n by
+``markov.require_blocklength``, in the kernel and in each function that
+may return without running it.
 
 The rate function I(x) is the Legendre-Fenchel transform of L, with the
 optimal tilt theta* in closed form from the contraction of the pair
@@ -52,9 +53,7 @@ def _power(acc, step, e: int, mul):
     """acc * step**e by binary powering under the associative product ``mul``.
 
     It raises the transfer matrix with jet entries for the generating
-    function and the cumulants; ``oracle`` also uses it with polynomial
-    entries for its check route of the count law.  At most 2*log2(e)
-    products are formed.
+    function and the cumulants.  At most 2*log2(e) products are formed.
     """
     while e:
         if e & 1:

@@ -3,26 +3,24 @@
 The routes share none of the closed forms' algebra: the tilted information
 from its defining sum over reproduction letters, the operating point from
 the alternating update (to ``BA_TOL`` within ``BA_MAX_ITER`` steps), the
-variance from its double sum over lags, the count law from powers of the
-polynomial transfer matrix (any n up to the cap), and the count law and
-the variance from exhaustive enumeration (n <= 20).  Enumeration extends
+variance from its double sum over lags, and the count law and the
+variance from exhaustive enumeration (n <= 20).  Enumeration extends
 every path letter by letter and accumulates its stationary probability
 pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are positive, so float64
 carries no cancellation, and each count bin and moment is summed with
 ``math.fsum``.  :func:`verify_suites` runs the seven ``SUITES`` that hold
 the production routes to these.
 
-Everything ``verify`` runs is plain Python floats and lists.  Only the
-polynomial route (``_powered_pmf``), which the tests take up to the cap,
-imports numpy, inside the function.
+The module is plain Python floats and lists and imports no numpy; in the
+package only ``montecarlo`` does.
 """
 
 from __future__ import annotations
 
 import math
 
-from .cgf import _power, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
-from .exact import _TINY, jn_law, occupation_pmf  # _TINY: the flush threshold of both laws
+from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
+from .exact import jn_law, occupation_pmf
 from .markov import (
     ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
 )
@@ -166,42 +164,6 @@ def enumerate_pmf(chain: ChainParams, n: int) -> list[float]:
     """
     probs, _ = _enumerate_paths(chain, n)
     return [math.fsum(ps) for ps in probs]
-
-
-def _poly_mul(x, y):
-    """Product of polynomial matrices, given as rows of coefficient arrays.
-
-    Every coefficient is a sum of nonnegative products, so np.convolve has
-    no cancellation; results below the smallest normal float become 0.
-    """
-    import numpy as np
-
-    out = []
-    for row in x:
-        entries = [np.convolve(row[0], y[0][j]) + np.convolve(row[1], y[1][j]) for j in (0, 1)]
-        for entry in entries:
-            entry[entry < _TINY] = 0.0
-        out.append(entries)
-    return out
-
-
-def _powered_pmf(chain: ChainParams, n: int):
-    """Occupation-count PMF, entry m for m = 0..n, from the polynomial transfer matrix.
-
-    Entry m is the coefficient of z^m in pi^T D(z) (P D(z))^{n-1} 1 with
-    D(z) = diag(1, z), the power taken by binary powering with np.convolve:
-    O(n^2) flops, and none of the recurrences of ``exact``.  Returns a numpy array.
-    """
-    import numpy as np
-
-    # Coefficient arrays of equal length in each matrix keep the sums aligned.
-    step = [
-        [np.array([1.0 - chain.a, 0.0]), np.array([0.0, chain.a])],
-        [np.array([chain.b, 0.0]), np.array([0.0, 1.0 - chain.b])],
-    ]
-    start = [[np.array([chain.pi0, 0.0]), np.array([0.0, chain.pi1])]]
-    ((in_state0, in_state1),) = _power(start, step, n - 1, _poly_mul)
-    return in_state0 + in_state1
 
 
 def oracle_variance(chain: ChainParams, d: float, n: int) -> float:

@@ -45,23 +45,54 @@ with localcontext() as _ctx:
     LN2_DECIMAL = Decimal(2).ln()
 
 
-def decimal_limit(chain, theta):
-    """L(theta) and L'(theta) from the Perron root in 50-digit decimals.
+def decimal_tilted(chain, log2_u):
+    """lambda~, g, c, L and L' at u = 2^log2_u, as 60-digit Decimals.
 
-    The chain's float a, b and ell are taken as exact, pi1 is a/(a+b);
-    L'(theta) = ell*(pi1 - u*lambda'(u)/lambda(u)) at u = 2^(-theta*ell).
+    lambda~ = lambda_plus/max(1, u), g = u*lambda'/lambda and c = u*g'(u),
+    from the Perron root formula differentiated directly, whose
+    cancellations near u = 1 cost digits that 60 afford.  u > 1 is relabeled
+    to 1/u: lambda_plus(u; a, b) = u*lambda_plus(1/u; b, a), which maps g to
+    1 - g and keeps c.  The limit CGF and its slope at theta = -log2_u/ell
+    follow as L = theta*ell*pi1 + max(0, log2 u) + log2 lambda~ and
+    L' = ell*(pi1 - g).  The chain's float a, b and ell are taken as exact,
+    pi1 is a/(a+b).
     """
     with localcontext() as ctx:
-        ctx.prec = 50
-        a, b, ell = Decimal(chain.a), Decimal(chain.b), Decimal(chain.ell)
-        log2_u = -Decimal(theta) * ell
-        u = (log2_u * LN2_DECIMAL).exp()
+        ctx.prec = 60
+        log2_u = Decimal(log2_u)
+        a, b = Decimal(chain.a), Decimal(chain.b)
+        pi1 = a / (a + b)
+        if log2_u > 0:
+            a, b = b, a
+        u = (-abs(log2_u) * LN2_DECIMAL).exp()
         gap = (1 - a) - (1 - b) * u
         disc = (gap * gap + 4 * a * b * u).sqrt()
+        ddisc = (2 * a * b - (1 - b) * gap) / disc
         lam = ((1 - a) + (1 - b) * u + disc) / 2
-        dlam = ((1 - b) + (2 * a * b - (1 - b) * gap) / disc) / 2
-        pi1 = a / (a + b)
-        return -log2_u * pi1 + lam.ln() / LN2_DECIMAL, ell * (pi1 - u * dlam / lam)
+        dlam = ((1 - b) + ddisc) / 2
+        d2lam = ((1 - b) ** 2 - ddisc * ddisc) / (2 * disc)
+        g = u * dlam / lam
+        c = u * ((dlam + u * d2lam) / lam - u * (dlam / lam) ** 2)
+        if log2_u > 0:
+            g = 1 - g
+        limit = -log2_u * pi1 + max(log2_u, 0) + lam.ln() / LN2_DECIMAL
+        return lam, g, c, limit, Decimal(chain.ell) * (pi1 - g)
+
+
+def count_law_dp(a, b, n, dtype=object):
+    """Pr(N_n = m) for m = 0..n by the forward DP over the transfer matrix.
+
+    It runs in the arithmetic that a and b carry: Fractions for an exact
+    law, Decimals in the caller's context, or float64 with dtype=float.
+    Entry m of in0 (in1) is the probability of m ones with the path in
+    state 0 (1); each step applies P and shifts what lands in state 1.
+    """
+    in0, in1 = np.zeros(n + 1, dtype), np.zeros(n + 1, dtype)
+    in0[0], in1[1] = b / (a + b), a / (a + b)
+    for _ in range(n - 1):
+        in0, to1 = (1 - a) * in0 + b * in1, a * in0 + (1 - b) * in1
+        in1[1:] = to1[:-1]
+    return in0 + in1
 
 
 def exact_cumulants(weights, values, max_order):

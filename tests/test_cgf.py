@@ -23,7 +23,7 @@ from tiltedsum import (
 
 from tiltedsum.cgf import _tilted
 
-from conftest import LN2_DECIMAL, PAIR_GRID, decimal_limit
+from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -71,31 +71,6 @@ def decimal_tilt(chain, x):
         r = 2 * kappa * q * (1 - q) / (kappa + disc.sqrt())
         u = (q - r) * (1 - q) * (1 - a) / ((1 - q - r) * q * (1 - b))
         return float(-u.ln() / (ell * LN2_DECIMAL))
-
-
-def decimal_tilted(chain, log2_u):
-    """lambda~ = lambda_plus/max(1, u), g = u*lambda'/lambda and c = u*g'(u) at u = 2^log2_u.
-
-    In 60-digit decimals, differentiating the Perron root formula directly,
-    whose cancellations near u = 1 cost digits that 60 afford.  u > 1 is
-    relabeled to 1/u: lambda_plus(u; a, b) = u*lambda_plus(1/u; b, a), which
-    maps g to 1 - g and keeps c.
-    """
-    with localcontext() as ctx:
-        ctx.prec = 60
-        a, b = Decimal(chain.a), Decimal(chain.b)
-        if log2_u > 0:
-            a, b = b, a
-        u = (-abs(Decimal(log2_u)) * LN2_DECIMAL).exp()
-        gap = (1 - a) - (1 - b) * u
-        disc = (gap * gap + 4 * a * b * u).sqrt()
-        ddisc = (2 * a * b - (1 - b) * gap) / disc
-        lam = ((1 - a) + (1 - b) * u + disc) / 2
-        dlam = ((1 - b) + ddisc) / 2
-        d2lam = ((1 - b) ** 2 - ddisc * ddisc) / (2 * disc)
-        g = u * dlam / lam
-        c = u * ((dlam + u * d2lam) / lam - u * (dlam / lam) ** 2)
-        return float(lam), float(1 - g if log2_u > 0 else g), float(c)
 
 
 # Fractions of the achievable interval at which the rate is swept; None
@@ -335,8 +310,11 @@ class TestRateFunction:
                     theta_star, rate = rate_function(chain, x)
                     if x == 0.0:
                         continue
-                    legendre, _ = decimal_limit(chain, theta_star)
-                    legendre = Decimal(theta_star) * Decimal(x) - legendre
+                    # log2_u rounds theta*ell, which moves the Legendre value
+                    # by |theta*x|*eps/2 at most.
+                    log2_u = -theta_star * chain.ell
+                    lam_want, *want, limit, _ = decimal_tilted(chain, log2_u)
+                    legendre = Decimal(theta_star) * Decimal(x) - limit
                     dev = abs(rate - float(legendre)) / max(1.0, abs(theta_star * x))
                     worst_rate = max(worst_rate, (dev, (chain.a, chain.b, x)))
                     theta = decimal_tilt(chain, x)
@@ -344,12 +322,10 @@ class TestRateFunction:
                     worst_theta = max(worst_theta, (dev, (chain.a, chain.b, x)))
                     # The factored Perron root behind L, and the tilted
                     # occupancy and its log-slope behind L' and L''.
-                    log2_u = -theta_star * chain.ell
                     lam, *got = _tilted(chain, log2_u)
-                    lam_want, *want = decimal_tilted(chain, log2_u)
-                    dev = abs(lam / lam_want - 1.0)
+                    dev = abs(lam / float(lam_want) - 1.0)
                     worst_root = max(worst_root, (dev, (chain.a, chain.b, x)))
-                    dev = max(abs(g / w - 1.0) for g, w in zip(got, want))
+                    dev = max(abs(g / float(w) - 1.0) for g, w in zip(got, want))
                     worst_occupancy = max(worst_occupancy, (dev, (chain.a, chain.b, x)))
         assert worst_rate[0] <= 1e-13, worst_rate
         assert worst_theta[0] <= 1e-7, worst_theta

@@ -11,7 +11,7 @@ import tiltedsum
 from tiltedsum import cli, oracle
 from tiltedsum.cli import main, render_csv
 
-from conftest import decimal_limit
+from conftest import decimal_tilted
 
 
 def run_cli(capsys, *argv):
@@ -468,7 +468,7 @@ class TestRateDomain:
         _, rows = parse_csv(out)
         chain = tiltedsum.derive_chain(float(argv[2]), float(argv[4]))
         for row in rows:
-            _, slope = decimal_limit(chain, row["theta_star"])
+            *_, slope = decimal_tilted(chain, -row["theta_star"] * chain.ell)
             assert abs(float(slope) - row["x"]) <= 1e-9
 
     def test_past_the_interval_end_exits_1(self, capsys):
@@ -678,16 +678,19 @@ def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
 
 
 def test_verify_suites_run_without_numpy():
-    # The routes verify runs are plain floats; the polynomial route of the tests loads numpy.
+    # The suites and every check route of oracle are plain floats.
     script = (
-        "import sys; from tiltedsum import derive_chain, verify_suites; "
-        "from tiltedsum.oracle import VERIFY_PAIRS, _powered_pmf; "
+        "import sys; from tiltedsum import derive_chain; from tiltedsum.oracle import ("
+        "VERIFY_PAIRS, ba_fixed_point_iterate, enumerate_pmf, jtilt_generic, "
+        "oracle_variance, variance_double_sum, verify_suites); "
         "passed = all(s['pass'] for s in verify_suites(VERIFY_PAIRS)); "
-        "before = 'numpy' in sys.modules; _powered_pmf(derive_chain(0.1, 0.3), 8); "
-        "print(passed, before, 'numpy' in sys.modules)"
+        "chain = derive_chain(0.1, 0.3); enumerate_pmf(chain, 8); "
+        "oracle_variance(chain, 0.05, 8); variance_double_sum(chain, 8); "
+        "ba_fixed_point_iterate(chain, 0.05); jtilt_generic(chain, 0.05, 1); "
+        "print(passed, 'numpy' in sys.modules)"
     )
     out, _ = fresh_python(script)
-    assert out.split() == ["True", "False", "True"]
+    assert out.split() == ["True", "False"]
 
 
 class TestLazyPackage:

@@ -29,9 +29,7 @@ from tiltedsum import (
     variance_exact,
 )
 
-from tiltedsum.oracle import _powered_pmf
-
-from conftest import PAIR_GRID, exact_cumulants, path_cumulants
+from conftest import PAIR_GRID, count_law_dp, exact_cumulants, path_cumulants
 
 VAR_PER_LETTER_MODERATE = {
     1: 0.4710198991297989,
@@ -95,42 +93,24 @@ PMF_BITS = {
 }
 
 
-def exact_count_law(chain, n):
-    """Pr(N_n = m) for m = 0..n, each correctly rounded from its exact value.
+def decimal_count_law(chain, n):
+    """Pr(N_n = m) for m = 0..n as 80-digit Decimals, the chain's float a and b taken as exact.
 
-    a and b are dyadic, so the larger of their denominators, D, is common
-    to both; the DP runs on integer numerators scaled by D^t and divides
-    once at the end.
-    """
-    fa, fb = Fraction(chain.a), Fraction(chain.b)
-    den = max(fa.denominator, fb.denominator)
-    a, b = int(fa * den), int(fb * den)
-    in0, in1 = [b] + [0] * n, [0, a] + [0] * (n - 1)
-    for _ in range(n - 1):
-        to0 = [x * (den - a) + y * b for x, y in zip(in0, in1)]
-        to1 = [x * a + y * (den - b) for x, y in zip(in0, in1)]
-        in0, in1 = to0, [0] + to1[:-1]
-    total = (a + b) * den ** (n - 1)
-    return np.array([(x + y) / total for x, y in zip(in0, in1)])
-
-
-def decimal_cumulants(chain, n, max_order):
-    """kappa_2..kappa_max_order of J_n - n*mu_D from an 80-digit count-law DP.
-
-    The chain's float a, b and ell are taken as exact.  Each entry of the
-    law carries 80 digits, and the cumulant step is exact, taken about the
-    integer nearest n*pi1 so that the rationals stay small.
+    At the n used here, 80 digits leave each entry's float conversion
+    correctly rounded.
     """
     with localcontext() as ctx:
         ctx.prec = 80
-        a, b, zero = Decimal(chain.a), Decimal(chain.b), Decimal(0)
-        in0 = [b / (a + b)] + [zero] * n
-        in1 = [zero, a / (a + b)] + [zero] * (n - 1)
-        for _ in range(n - 1):
-            to0 = [(1 - a) * x + b * y for x, y in zip(in0, in1)]
-            to1 = [a * x + (1 - b) * y for x, y in zip(in0, in1)]
-            in0, in1 = to0, [zero] + to1[:-1]
-        law = [Fraction(x + y) for x, y in zip(in0, in1)]
+        return count_law_dp(Decimal(chain.a), Decimal(chain.b), n)
+
+
+def decimal_cumulants(chain, n, max_order):
+    """kappa_2..kappa_max_order of J_n - n*mu_D from the 80-digit count law.
+
+    The chain's float ell is taken as exact.  The cumulant step is exact,
+    taken about the integer nearest n*pi1 so that the rationals stay small.
+    """
+    law = [Fraction(p) for p in decimal_count_law(chain, n)]
     center = round(n * chain.pi1)
     kappa = exact_cumulants(law, range(-center, n + 1 - center), max_order)
     return np.array([float(k * Fraction(-chain.ell) ** r) for r, k in enumerate(kappa, start=2)])
@@ -250,7 +230,7 @@ class TestOccupationPMF:
     def test_matches_exact_rational_law(self, a, b):
         chain = derive_chain(a, b)
         for n in (33, 200):
-            exact = exact_count_law(chain, n)
+            exact = decimal_count_law(chain, n).astype(float)
             probs = np.asarray(occupation_pmf(chain, n))
             kept = exact >= 1e-250
             assert np.all(np.abs(probs[kept] - exact[kept]) <= 1e-12 * exact[kept])
@@ -274,7 +254,7 @@ class TestOccupationPMF:
     def test_matches_exact_law_at_domain_edges(self, a, b):
         chain = derive_chain(a, b)
         for n in (2, 3, 4, 5, 33, 60):
-            exact = exact_count_law(chain, n)
+            exact = decimal_count_law(chain, n).astype(float)
             probs = np.asarray(occupation_pmf(chain, n))
             kept = exact >= TINY
             assert np.all(probs[~kept] == 0.0)
@@ -284,11 +264,12 @@ class TestOccupationPMF:
         "a,b", [(0.1, 0.3), (0.6, 0.7), (0.9, 0.95), (0.02, 0.05), (EDGE_HI, 0.5), (1e-5, 1e-11)]
     )
     def test_matches_powered_kernel_at_large_n(self, a, b):
+        # The kernel is the transfer matrix applied n-1 times in float64.
         # (1e-5, 1e-11) has kappa near the unit roundoff, where the recurrences
         # lose kappa's share of F and G unless they run on their steps.
         chain = derive_chain(a, b)
         for n in (2048, 8192):
-            kernel = _powered_pmf(chain, n)
+            kernel = count_law_dp(chain.a, chain.b, n, float)
             probs = np.asarray(occupation_pmf(chain, n))
             kept = kernel >= 1e-280
             bound = 8 * n * np.finfo(float).eps
@@ -347,18 +328,27 @@ class TestCountLawIdentity:
     def test_identity_equals_dp(self, a, b):
         kappa, c = a * b / ((1 - a) * (1 - b)), a * b / (a + b)
         for n in range(1, 41):
-            in0, in1 = [b / (a + b)] + [0] * n, [0, a / (a + b)] + [0] * (n - 1)
-            for _ in range(n - 1):
-                to0 = [x * (1 - a) + y * b for x, y in zip(in0, in1)]
-                to1 = [x * a + y * (1 - b) for x, y in zip(in0, in1)]
-                in0, in1 = to0, [0] + to1[:-1]
-            law = [x + y for x, y in zip(in0, in1)]
+            law = count_law_dp(a, b, n)
             assert law[0] == b / (a + b) * (1 - a) ** (n - 1)
             assert law[n] == a / (a + b) * (1 - b) ** (n - 1)
             for m in range(1, n):
                 bracket = 2 * _f(n, m, kappa) + b / (1 - a) * _g(n, m, kappa) \
                     + a / (1 - b) * _g(n, n - m, kappa)
                 assert law[m] == c * (1 - a) ** (n - m - 1) * (1 - b) ** (m - 1) * bracket
+
+    def test_reference_dp(self):
+        # The DP behind every reference law here: exact mass and mean in
+        # Fractions, and float64 within 8*n*eps of its 80-digit form.
+        a, b = self.CHAINS[0]
+        for n in (1, 2, 5, 17):
+            law = count_law_dp(a, b, n)
+            assert sum(law) == 1
+            assert sum(m * p for m, p in enumerate(law)) == n * a / (a + b)
+        n = 200
+        for chain in (derive_chain(0.1, 0.3), derive_chain(2e-12, 0.3)):
+            want = decimal_count_law(chain, n).astype(float)
+            got = count_law_dp(chain.a, chain.b, n, float)
+            assert np.all(np.abs(got - want) <= 8 * n * np.finfo(float).eps * want)
 
     @pytest.mark.parametrize("a,b", CHAINS, ids=lambda q: f"{float(q):g}")
     def test_recurrences_and_seeds(self, a, b):
