@@ -13,7 +13,10 @@ grid), and ``verify --json`` is ``--format json``.
 Importing this module loads no numpy.  The handlers of ``pmf``, ``tail``,
 ``simulate`` and ``verify`` import their function from ``exact``,
 ``montecarlo`` or ``oracle`` inside the handler, and of these only
-``simulate`` loads numpy, when it runs.
+``simulate`` loads numpy, when it runs.  Before that import it sets
+``OPENBLAS_NUM_THREADS`` to 1 unless the variable is already set, so
+numpy's OpenBLAS starts no pool of worker threads for a sampler that never
+calls BLAS.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -29,6 +32,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import (
@@ -228,6 +232,9 @@ def cmd_tail(args, chain) -> list[dict]:
 
 
 def cmd_simulate(args, chain) -> list[dict]:
+    # numpy's OpenBLAS starts a pool of worker threads when it loads, and the
+    # sampler never calls BLAS; a value the caller set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .montecarlo import simulate
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {

@@ -14,6 +14,7 @@ empirical law.  Block generators are derived from (seed, block-index), so
 the report is a pure function of its inputs no matter how blocks would be
 scheduled.  :func:`sample_trajectory` turns the runs of one path into its
 letters.  numpy serves the sampler, its checks and the two moment sums.
+Each chunk's run ends are summed down its columns by a log-step scan.
 """
 
 from __future__ import annotations
@@ -45,13 +46,19 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
     chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  ``ends`` is one
     (k, rows) float64 buffer, path r in column r, that is filled with uniforms and turned
     in place into the path's cumulative letter count at the end of each of its next k
-    runs, clipped at n.  ``start`` is each path's letter count before the chunk and
-    ``first`` its state in the chunk's row 0; row j is in state first ^ (j & 1).  The
-    ``ends`` buffer is overwritten by the next chunk; ``first`` and ``start`` are not.
-    All entries are integers below k*n < 2**53, so they and their sums are exact.  A
-    chunk holds k <= n runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and
-    k <= E + 4*sqrt(E) for the expected run count E = 1 + (n-1)*2ab/(a+b) of a path,
-    so a short path draws few more runs than it uses.
+    runs, clipped at n.  The running sums down each column come from a log-step
+    (Hillis-Steele) scan: for step = 1, 2, 4, ... below k, each row from row ``step`` on
+    adds the row ``step`` above it (numpy buffers the overlapping input), each pass one
+    contiguous add, where ``np.cumsum`` along axis 0 is a strided loop.  ``start`` is each
+    path's letter count before the chunk and ``first`` its state in the chunk's row 0;
+    row j is in state first ^ (j & 1).  The ``ends`` buffer is overwritten by the next
+    chunk; ``first`` and ``start`` are not.  All entries are integers below k*n < 2**53,
+    so they and their sums are exact in any order of addition.  A chunk holds k <= n
+    runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and k <= E + 4*sqrt(E) for the
+    expected run count E = 1 + (n-1)*2ab/(a+b) of a path.  Every path of a block draws
+    k runs per chunk until the block's last path is full, so short paths on a sticky
+    chain leave most draws unused: on (0.02, 0.05) at n = 16, k = 7 against E = 1.43,
+    and 80% of the uniforms go unused.
     """
     runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
     k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
@@ -68,7 +75,10 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
         np.floor(ends, out=ends)
         ends += 1.0
         ends[0] += start
-        np.cumsum(ends, axis=0, out=ends)
+        step = 1  # a log-step scan: row j becomes the sum of rows 0..j
+        while step < k:
+            ends[step:] += ends[:-step]
+            step *= 2
         np.minimum(ends, n, out=ends)
         yield first, start, ends
         start = ends[-1].copy()

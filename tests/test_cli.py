@@ -677,6 +677,33 @@ def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
     assert out and err.splitlines()[-1] == f"[0, 0, 0] {needs_numpy}"
 
 
+def test_simulate_loads_numpy_with_one_blas_thread():
+    # simulate sets OPENBLAS_NUM_THREADS to 1 before it imports numpy, so OpenBLAS starts
+    # no worker threads; a value the caller set is kept, and other commands leave the
+    # variable unset.  The thread count is read where /proc exists.  On a 1-vCPU host
+    # OpenBLAS starts no workers either way, so there it cannot tell the default from
+    # its absence.
+    simulate = ["simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"]
+    script = (
+        "import os, sys; from tiltedsum.cli import main; "
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None); "
+        f"main(['stats', *{CHAIN!r}]); stats = os.environ.get('OPENBLAS_NUM_THREADS'); "
+        f"main({simulate!r}); sim = os.environ.get('OPENBLAS_NUM_THREADS'); "
+        "status = '/proc/self/status'; "
+        "threads = [line.split()[1] for line in open(status) if line.startswith('Threads:')] "
+        "if os.path.exists(status) else ['absent']; "
+        "print(stats, sim, *threads, file=sys.stderr)"
+    )
+    threads = "1" if os.path.exists("/proc/self/status") else "absent"
+    assert fresh_python(script)[1].splitlines()[-1] == f"None 1 {threads}"
+    preset = (
+        "import os, sys; from tiltedsum.cli import main; "
+        f"os.environ['OPENBLAS_NUM_THREADS'] = '2'; main({simulate!r}); "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], file=sys.stderr)"
+    )
+    assert fresh_python(preset)[1].splitlines()[-1] == "2"
+
+
 def test_verify_suites_run_without_numpy():
     # The suites and every check route of oracle are plain floats.
     script = (

@@ -31,9 +31,10 @@ with ell > 0, the option spellings ``verify --format json``,
 whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 ``cgf`` at a blocklength beyond float range (exit 1), a JSON
 ``variance-table`` whose variance overflows to infinity, a ``verify`` on a
-nearly alternating chain, and last ``pmf`` and ``tail`` on the chain
-(0.3, 0.1), with a > b, at n = 33 and 2001.  Only the standard library is
-used, so the script runs against any checkout.
+nearly alternating chain, ``pmf`` and ``tail`` on the chain (0.3, 0.1),
+with a > b, at n = 33 and 2001, and last a ``simulate`` of 8193 paths,
+which spans three sampler blocks.  Only the standard library is used, so
+the script runs against any checkout.
 """
 
 from __future__ import annotations
@@ -193,6 +194,10 @@ def matrix(missing_dir: str) -> list[list[str]]:
         ["pmf", "--a", "0.3", "--b", "0.1", "--distortion", "0.0625", "--n", "2001",
          "--format", "json"],
         ["tail", "--a", "0.3", "--b", "0.1", "--n", "2001", "--x", "0.05", "--format", "csv"],
+        # simulate over three blocks: two full ones of 16 runs per chunk, whose paths span
+        # chunks, then a one-path block of 250 runs per chunk.
+        ["simulate", "--a", "0.6", "--b", "0.7", "--distortion", "0.2", "--n", "300",
+         "--reps", "8193", "--seed", "3", "--format", "csv"],
     ]
     return calls
 
