@@ -49,38 +49,12 @@ __all__ = [
 ]
 
 
-def _power(acc, step, e: int, mul):
-    """acc * step**e by binary powering under the associative product ``mul``.
-
-    It raises the transfer matrix with jet entries for the generating
-    function and the cumulants.  At most 2*log2(e) products are formed.
-    """
-    while e:
-        if e & 1:
-            acc = mul(acc, step)
-        e >>= 1
-        if e:
-            step = mul(step, step)
-    return acc
-
-
 def _series_log(q: list[float]) -> list[float]:
     """Taylor coefficients of ln q, for a series q with q[0] == 1."""
     log_q = [0.0] * len(q)
     for k in range(1, len(q)):
         log_q[k] = q[k] - sum(j * log_q[j] * q[k - j] for j in range(1, k)) / k
     return log_q
-
-
-def _mat_mul(x, y):
-    """x @ y for a matrix x of one or two rows and a 2x2 matrix y, each a list of (c0, c1) rows."""
-    (y00, y01), (y10, y11) = y
-    return [(x0 * y00 + x1 * y10, x0 * y01 + x1 * y11) for x0, x1 in x]
-
-
-def _add(x, y, c: float = 1.0):
-    """x + c*y for matrices of equal shape."""
-    return [(x0 + c * y0, x1 + c * y1) for (x0, x1), (y0, y1) in zip(x, y)]
 
 
 def _rescale(coeffs: list, log2_scale: list[float], pi: tuple[float, float]):
@@ -97,20 +71,25 @@ def _rescale(coeffs: list, log2_scale: list[float], pi: tuple[float, float]):
     q = [t / total[0] for t in total]
     for k in range(1, len(q)):
         for j in range(k):
-            coeffs[k] = _add(coeffs[k], coeffs[j], -q[k - j])
+            c, lower = -q[k - j], coeffs[j]
+            coeffs[k] = [(x0 + c * y0, x1 + c * y1) for (x0, x1), (y0, y1) in zip(coeffs[k], lower)]
     log2_t = [c / LN2 for c in _series_log(q)]
     log2_t[0] = shift
     return coeffs, [s + t for s, t in zip(log2_scale, log2_t)]
 
 
 def _jet_mul(x, y, pi: tuple[float, float]):
-    """Cauchy product of jets, each (matrices per order, log2 scales per order), then rescaled."""
+    """Cauchy product of jets, each (matrices per order, log2 scales per order), then rescaled.
+
+    A matrix is a list of (c0, c1) rows: one or two in x, two in y.
+    """
     (xs, x_scale), (ys, y_scale) = x, y
     prod = []
     for k in range(len(ys)):
-        acc = _mat_mul(xs[0], ys[k])
-        for p in range(1, k + 1):
-            acc = _add(acc, _mat_mul(xs[p], ys[k - p]))
+        for p in range(k + 1):
+            (y00, y01), (y10, y11) = ys[k - p]
+            term = [(x0 * y00 + x1 * y10, x0 * y01 + x1 * y11) for x0, x1 in xs[p]]
+            acc = [(a0 + t0, a1 + t1) for (a0, a1), (t0, t1) in zip(acc, term)] if p else term
         prod.append(acc)
     return _rescale(prod, [s + t for s, t in zip(x_scale, y_scale)], pi)
 
@@ -119,9 +98,11 @@ def _log2_mgf(chain: ChainParams, n: int, log2_u: float, order: int = 0) -> list
     """Taylor coefficients in t, orders 0..order, of log2 E[u^N_n e^{t(N_n - n*pi1)}].
 
     The one entry to the jet kernel, at one finite log2 u, with n*max(0, log2 u) taken off
-    order 0.  Its weights, the tilt rule's (w0, w1) = 2^min(0, (-log2 u, log2 u)) times the
-    centered jets (-pi1, pi0)^r/r!, are rescaled after every product, so no finite log2 u over-
-    or underflows; a weight w that underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2
+    order 0.  Its loop applies the jet of P D(u) n-1 times to the start jet pi^T D(u) by
+    binary powering, in at most 2*log2(n-1) calls of :func:`_jet_mul`.  The weights, the
+    tilt rule's (w0, w1) = 2^min(0, (-log2 u, log2 u)) times the centered jets
+    (-pi1, pi0)^r/r!, are rescaled after every product, so no finite log2 u over- or
+    underflows; a weight w that underflows to 0 drops a share of order n*w/min(1-a, 1-b)^2
     of the sum.  Order 0 does no series work.  Against 50-digit decimals, order 0 is within
     3e-16*max(1, |log2 u|) in L_n at n up to 10**6 and |log2 u| up to 1100.  Orders >= 1 are
     certified only at u = 1, by the tests of :func:`centered_cumulants`.  Raises ValueError
@@ -136,9 +117,16 @@ def _log2_mgf(chain: ChainParams, n: int, log2_u: float, order: int = 0) -> list
     pi = (chain.pi0, chain.pi1)
     rows = ((1.0 - chain.a, chain.a), (chain.b, 1.0 - chain.b))
     zeros = [0.0] * (order + 1)
-    start = _rescale([[(pi[0] * v0, pi[1] * v1)] for v0, v1 in weights], zeros, pi)
+    acc = _rescale([[(pi[0] * v0, pi[1] * v1)] for v0, v1 in weights], zeros, pi)
     step = _rescale([[(p0 * v0, p1 * v1) for p0, p1 in rows] for v0, v1 in weights], zeros, pi)
-    coeffs, log2_series = _power(start, step, n - 1, lambda x, y: _jet_mul(x, y, pi))
+    e = n - 1
+    while e:
+        if e & 1:
+            acc = _jet_mul(acc, step, pi)
+        e >>= 1
+        if e:
+            step = _jet_mul(step, step, pi)
+    coeffs, log2_series = acc
     total = [sum(c0 + c1 for c0, c1 in m) for m in coeffs]
     log2_total = [c / LN2 for c in _series_log([t / total[0] for t in total])]
     log2_total[0] = math.log2(total[0])

@@ -16,7 +16,8 @@ Importing this module loads no numpy.  The handlers of ``pmf``, ``tail``,
 ``simulate`` loads numpy, when it runs.  Before that import it sets
 ``OPENBLAS_NUM_THREADS`` to 1 unless the variable is already set, so
 numpy's OpenBLAS starts no pool of worker threads for a sampler that never
-calls BLAS.
+calls BLAS, and it removes that default right after the import, so the
+caller's environment is left as it was.
 
 Machine-readable output is deterministic: floats are written with their
 shortest round-trip representation, CSV uses LF line endings and a ``.``
@@ -233,9 +234,13 @@ def cmd_tail(args, chain) -> list[dict]:
 
 def cmd_simulate(args, chain) -> list[dict]:
     # numpy's OpenBLAS starts a pool of worker threads when it loads, and the
-    # sampler never calls BLAS; a value the caller set still wins.
+    # sampler never calls BLAS; a value the caller set still wins.  OpenBLAS
+    # reads the variable only as it loads, so the default goes again after.
+    preset = "OPENBLAS_NUM_THREADS" in os.environ
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .montecarlo import simulate
+    if not preset:
+        del os.environ["OPENBLAS_NUM_THREADS"]
     report = simulate(chain, args.distortion, args.n, args.reps, args.seed)
     row = {
         "n": args.n,

@@ -95,9 +95,10 @@ def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
     Computes -log2( sum_xh q(xh) e^{-beta (d(x,xh) - D)} ) at the closed-form
     operating point.  Used as the independent route in cross-checks and by
     the exhaustive oracle.  Rounded near |j| bits, j1 - j0 cannot resolve an
-    ell of a few ulps: on (0.3, 0.30000000000000004), ell = -4.4e-16 but
-    j1 - j0 = 2.2e-16, so ``verify`` fails ``oracle-variance`` there, though
-    the closed forms are right.
+    ell of a few ulps, and neither can the chain's ell = log2 a - log2 b: on
+    (0.3, 0.30000000000000004), j1 - j0 = 2.2e-16 and ell = -4.4e-16 against
+    a true -2.67e-16, so ``variance_exact`` is 2.77 times the true variance
+    and ``verify`` fails ``oracle-variance`` there.
     """
     point = ba_operating_point(chain, d)
     if x not in (0, 1):

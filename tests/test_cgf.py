@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -12,8 +13,10 @@ from tiltedsum import (
     cgf_limit,
     cgf_limit_derivative,
     cgf_limit_second_derivative,
+    centered_cumulants,
     derive_chain,
     jn_law,
+    occupation_log2_pgf,
     perron_root,
     rate_function,
     saddlepoint_tail,
@@ -27,6 +30,24 @@ from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
+
+
+# KERNEL_BITS: a rewrite of the jet kernel must keep every bit of what it returns, at order 0
+# (cgf_finite at theta*ell in KERNEL_TILTS, occupation_log2_pgf at u in KERNEL_US) and at
+# orders up to 10 (centered_cumulants at n <= 1000).  One digest per function and chain.
+KERNEL_NS = (1, 2, 3, 7, 64, 1000, 10**6)
+KERNEL_TILTS = (0.0, 1e-9, -1e-9, 1.0, -1.0, 20.0, -20.0, 600.0, -600.0, 1100.0, -1100.0)
+KERNEL_US = (0.5, 2.0, 1e-3)
+KERNEL_BITS = {
+    (0.1, 0.3): ("d90cd305729ee523", "5946dba1234ad64f", "f1ae51102c5c97aa"),
+    (0.3, 0.1): ("32be66ef65500f84", "0381c0d02c24c6a8", "490cc0b8e9a88f66"),
+    (0.02, 0.05): ("58aaccfad5212ce8", "81c092edf3b73f90", "3c91848721e2d795"),
+    (0.6, 0.7): ("2ccce7ee91b63ff1", "46b4ea1d5d006bce", "f7fe796ee12013fe"),
+    (0.95, 0.85): ("c40f502d76f3a6ae", "2cbf3fcb22d5df57", "fc16855568d3ff68"),
+    (2e-12, 0.3): ("30b8d0ec89957291", "070187d509bafd11", "9169ca558a604907"),
+    (1e-9, 2e-9): ("f71dacc1603e22fc", "2c72edf9d966a510", "d377134f576155fd"),
+    (0.3, 0.30000000000000004): ("f2617c9b3eb7aeb1", "cd01fa8b6d8ce896", "1002377ee57c1503"),
+}
 
 
 def decimal_cgf(chain, n, theta):
@@ -205,6 +226,17 @@ class TestPoweredKernel:
         for n in (1, 7, 10_000):
             singles = [cgf_finite(chain, n, theta) for theta in thetas]
             assert all(type(value) is float for value in singles)
+
+    @pytest.mark.parametrize("a,b", KERNEL_BITS)
+    def test_bits_pinned(self, a, b):
+        chain = derive_chain(a, b)
+        values = (
+            [cgf_finite(chain, n, tilt / chain.ell) for n in KERNEL_NS for tilt in KERNEL_TILTS],
+            [occupation_log2_pgf(chain, n, u) for n in KERNEL_NS for u in KERNEL_US],
+            [centered_cumulants(chain, n, max_order=10) for n in KERNEL_NS if n <= 1000],
+        )
+        got = tuple(hashlib.sha256(repr(v).encode()).hexdigest()[:16] for v in values)
+        assert got == KERNEL_BITS[a, b]
 
 
 class TestLimitCGF:

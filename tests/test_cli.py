@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -86,6 +87,18 @@ class TestPaperTables:
                 for row in want
             ]
         assert lines == []
+
+
+def test_installed_entry_point_is_cli_main(capsys):
+    # The console script of pyproject.toml, resolved as an installer would and run in process.
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["tiltedsum"]
+    module, attr = target.split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main
+    assert entry(["paper-tables", "--format", "csv"]) == 0
+    assert capsys.readouterr().out
 
 
 class TestFigure:
@@ -678,11 +691,12 @@ def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
 
 
 def test_simulate_loads_numpy_with_one_blas_thread():
-    # simulate sets OPENBLAS_NUM_THREADS to 1 before it imports numpy, so OpenBLAS starts
-    # no worker threads; a value the caller set is kept, and other commands leave the
-    # variable unset.  The thread count is read where /proc exists.  On a 1-vCPU host
-    # OpenBLAS starts no workers either way, so there it cannot tell the default from
-    # its absence.
+    # simulate sets OPENBLAS_NUM_THREADS to 1 while it imports numpy, so OpenBLAS starts
+    # no worker threads, and unsets it after; a value the caller set is kept, and other
+    # commands leave the variable unset.  The thread count is read where /proc exists,
+    # after the variable is gone, as OpenBLAS reads it only when it loads.  On a 1-vCPU
+    # host OpenBLAS starts no workers either way, so there it cannot tell the default
+    # from its absence.
     simulate = ["simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"]
     script = (
         "import os, sys; from tiltedsum.cli import main; "
@@ -695,7 +709,7 @@ def test_simulate_loads_numpy_with_one_blas_thread():
         "print(stats, sim, *threads, file=sys.stderr)"
     )
     threads = "1" if os.path.exists("/proc/self/status") else "absent"
-    assert fresh_python(script)[1].splitlines()[-1] == f"None 1 {threads}"
+    assert fresh_python(script)[1].splitlines()[-1] == f"None None {threads}"
     preset = (
         "import os, sys; from tiltedsum.cli import main; "
         f"os.environ['OPENBLAS_NUM_THREADS'] = '2'; main({simulate!r}); "

@@ -205,6 +205,15 @@ class TestCountHistogram:
         with pytest.raises(RuntimeError, match="pathwise identity violated"):
             montecarlo._count_histogram(moderate, d, n, support, 1000, 5)
 
+    def test_short_paths_trip_the_length_check(self, moderate, monkeypatch):
+        # A sampler that stops one letter short must be caught before any count is used.
+        runs = montecarlo._runs
+        monkeypatch.setattr(montecarlo, "_runs", lambda chain, n, *rest: runs(chain, n - 1, *rest))
+        d, n = 0.1, 40
+        support, _ = jn_law(moderate, d, n)
+        with pytest.raises(RuntimeError, match=f"sampled paths do not all have n={n} letters"):
+            montecarlo._count_histogram(moderate, d, n, support, 1000, 5)
+
     @pytest.mark.parametrize("a, b", [(0.02, 0.05), (0.6, 0.7)])
     @pytest.mark.parametrize("n", [40, 2000])
     def test_columns_are_independent_paths(self, a, b, n):

@@ -11,6 +11,7 @@ from tiltedsum import (
     variance_exact,
     verify_suites,
 )
+from tiltedsum import oracle
 from tiltedsum.oracle import SUITES, VERIFY_D_GRID
 
 from conftest import PAIR_GRID, path_cumulants
@@ -43,6 +44,12 @@ class TestOracleVariance:
 
     def test_symmetric_zero(self, symmetric):
         assert oracle_variance(symmetric, 0.2, 4) == pytest.approx(0.0, abs=1e-18)
+
+    def test_disagreeing_routes_raise(self, moderate, monkeypatch):
+        # A negative bound makes any pair of routes disagree, so the guard must fire.
+        monkeypatch.setattr(oracle, "_INTERNAL_AGREEMENT", -1.0)
+        with pytest.raises(RuntimeError, match="oracle variance routes disagree"):
+            oracle_variance(moderate, 0.1, 5)
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_per_path_route_matches_closed_form(self, a, b):
