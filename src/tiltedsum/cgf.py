@@ -36,8 +36,6 @@ correspondence through u_theta.)  theta carries units 1/bits and L, I are
 in bits, so tail probabilities decay like 2^(-n*I(x)).
 """
 
-from __future__ import annotations
-
 import math
 
 from .markov import LN2, ChainParams, require_blocklength

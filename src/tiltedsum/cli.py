@@ -27,8 +27,6 @@ byte.  JSON stays valid: a non-finite float cell is written as the string
 error, 2 verification failure, 3 I/O error.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json

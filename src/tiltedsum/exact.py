@@ -38,8 +38,6 @@ m = n..0 when ell > 0, else 0..n; :func:`exact_normal_distance` reads the
 law in that order for its sup-distance from the normal CDF.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys

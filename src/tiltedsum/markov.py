@@ -21,8 +21,6 @@ over lags whose term-by-term form is the check route in ``oracle``:
 Everything here is a float closed form; this module holds no array code.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple
@@ -128,8 +126,10 @@ def derive_chain(a: float, b: float) -> ChainParams:
                 f"transition probability {name}={p!r} must lie strictly inside "
                 f"(0, 1) with margin {BOUNDARY_MARGIN:g}"
             )
-    return ChainParams(a=a, b=b, pi0=b / (a + b), pi1=a / (a + b), lambda2=1.0 - a - b,
-                       ell=math.log2(a) - math.log2(b))
+    ell = math.log2(a) - math.log2(b)
+    if ell == 0.0 and a != b:  # a, b within ulps: a - b is exact (Sterbenz)
+        ell = math.log1p((a - b) / b) / LN2
+    return ChainParams(a=a, b=b, pi0=b / (a + b), pi1=a / (a + b), lambda2=1.0 - a - b, ell=ell)
 
 
 def require_blocklength(n: int) -> None:

@@ -17,8 +17,6 @@ letters.  numpy serves the sampler, its checks and the two moment sums.
 Each chunk's run ends are summed down its columns by a log-step scan.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from itertools import accumulate

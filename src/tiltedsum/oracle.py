@@ -15,8 +15,6 @@ The module is plain Python floats and lists and imports no numpy; in the
 package only ``montecarlo`` does.
 """
 
-from __future__ import annotations
-
 import math
 
 from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root

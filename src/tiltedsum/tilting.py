@@ -18,8 +18,6 @@ the closed forms and the named tuple :class:`BAOperatingPoint` live here;
 their check routes (defining sum, alternating update) are in ``oracle``.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

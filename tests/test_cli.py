@@ -498,6 +498,23 @@ class TestRateDomain:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: x=1e-17 is too close to 0: its optimal tilt rounds to 0\n"
 
+    def test_chain_whose_logs_round_equal(self, capsys):
+        # log2(0.2) and log2(0.20000000000000004) round equal, yet ell != 0, so no call
+        # divides by it; x = 0.1 lies outside the interval of half-width about 1e-16.
+        for argv, want in (
+            (("rate", "--x", "0.0"), 0),
+            (("tail", "--n", "10", "--x", "1e-17"), 0),
+            (("tail", "--n", "10", "--x", "0.1"), 1),
+            (("simulate", "--distortion", "0.05", "--n", "6", "--reps", "100", "--seed", "1"), 0),
+        ):
+            code = main([*argv, "--a", "0.2", "--b", "0.20000000000000004", "--format", "csv"])
+            captured = capsys.readouterr()
+            assert code == want, argv
+            if code:
+                assert captured.out == "" and captured.err.startswith("error: x=0.1 outside")
+            else:
+                assert captured.err == "" and captured.out.count("\n") == 2, argv
+
 
 class TestCgfTilts:
     def test_infinite_tilt_exits_1(self, capsys):
@@ -648,6 +665,7 @@ def test_cli_imports_only_stdlib_and_numpy():
     # what it adds: montecarlo, the one module that needs it, is imported on
     # first use.  Nor is any code generation or introspection module: the
     # value types are named tuples, so nothing is built with exec at import.
+    # Nor is __future__: every annotation in the package evaluates as written.
     script = (
         "import sys; before = set(sys.modules); import tiltedsum.cli; "
         "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
@@ -655,7 +673,8 @@ def test_cli_imports_only_stdlib_and_numpy():
     loaded = fresh_python(script)[0].split()
     assert "tiltedsum" in loaded
     assert [m for m in loaded if m not in sys.stdlib_module_names | {"tiltedsum"}] == []
-    assert [m for m in loaded if m in {"dataclasses", "inspect", "ast", "dis", "tokenize"}] == []
+    kept_out = {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert [m for m in loaded if m in kept_out] == []
 
 
 CHAIN = ("--a", "0.1", "--b", "0.3")

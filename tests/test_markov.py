@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ class TestDeriveChain:
         assert symmetric.pi1 == 0.5
         assert symmetric.lambda2 == pytest.approx(0.0, abs=1e-15)
         assert symmetric.ell == 0.0
+
+    def test_logs_that_round_equal(self):
+        # log2 a - log2 b is exactly 0 here while a != b; ell then comes from log1p.
+        a, b = 0.2, 0.20000000000000004
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = float((Decimal(a) / Decimal(b)).ln() / Decimal(2).ln())
+        assert math.log2(a) == math.log2(b)
+        assert math.isclose(derive_chain(a, b).ell, want, rel_tol=1e-15)
 
     def test_record_is_immutable(self):
         chain = derive_chain(0.1, 0.3)

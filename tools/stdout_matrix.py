@@ -32,12 +32,11 @@ whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 ``cgf`` at a blocklength beyond float range (exit 1), a JSON
 ``variance-table`` whose variance overflows to infinity, a ``verify`` on a
 nearly alternating chain, ``pmf`` and ``tail`` on the chain (0.3, 0.1),
-with a > b, at n = 33 and 2001, and last a ``simulate`` of 8193 paths,
-which spans three sampler blocks.  Only the standard library is used, so
-the script runs against any checkout.
+with a > b, at n = 33 and 2001, a ``simulate`` of 8193 paths, which
+spans three sampler blocks, and last ``rate``, ``tail`` and ``simulate``
+on (0.2, 0.20000000000000004), whose two logs round equal.  Only the
+standard library is used, so the script runs against any checkout.
 """
-
-from __future__ import annotations
 
 import argparse
 import hashlib
@@ -198,6 +197,15 @@ def matrix(missing_dir: str) -> list[list[str]]:
         # chunks, then a one-path block of 250 runs per chunk.
         ["simulate", "--a", "0.6", "--b", "0.7", "--distortion", "0.2", "--n", "300",
          "--reps", "8193", "--seed", "3", "--format", "csv"],
+    ]
+    # A chain whose two logs round equal, so ell comes from log1p (exits 0, 0, 1, 0).
+    near = ["--a", "0.2", "--b", "0.20000000000000004"]
+    calls += [
+        ["rate", *near, "--x", "0.0", "--format", "csv"],
+        ["tail", *near, "--n", "10", "--x", "1e-17", "--format", "csv"],
+        ["tail", *near, "--n", "10", "--x", "0.1", "--format", "csv"],
+        ["simulate", *near, "--distortion", "0.05", "--n", "6", "--reps", "100", "--seed", "1",
+         "--format", "csv"],
     ]
     return calls
 
