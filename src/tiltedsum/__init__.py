@@ -33,9 +33,9 @@ _LAZY = {
     **dict.fromkeys(("DP_MAX_N", "centered_tail_probability", "exact_normal_distance", "jn_law",
                      "occupation_pmf"), "exact"),
     **dict.fromkeys(("SimReport", "sample_trajectory", "simulate"), "montecarlo"),
-    **dict.fromkeys(("ENUM_MAX_N", "ConvergenceError", "ba_fixed_point_iterate", "enumerate_pmf",
-                     "jtilt_generic", "oracle_variance", "variance_double_sum", "verify_suites"),
-                    "oracle"),
+    **dict.fromkeys(("ENUM_MAX_N", "ConvergenceError", "ba_fixed_point_iterate",
+                     "cgf_limit_derivative", "enumerate_pmf", "jtilt_generic", "oracle_variance",
+                     "variance_double_sum", "verify_suites"), "oracle"),
 }
 
 

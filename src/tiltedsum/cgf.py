@@ -41,8 +41,7 @@ import math
 from .markov import LN2, ChainParams, require_blocklength
 
 __all__ = [
-    "achievable_interval", "centered_cumulants", "cgf_finite", "cgf_limit",
-    "cgf_limit_derivative", "cgf_limit_second_derivative", "occupation_log2_pgf", "perron_root",
+    "centered_cumulants", "cgf_finite", "cgf_limit", "occupation_log2_pgf", "perron_root",
     "rate_function", "saddlepoint_tail",
 ]
 
@@ -231,30 +230,6 @@ def cgf_limit(chain: ChainParams, theta: float) -> float:
     return theta * chain.pi1 * chain.ell + (max(log2_u, 0.0) + math.log2(lam))
 
 
-def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
-    """dL/dtheta, analytic: ell * (pi1 - g(u_theta))."""
-    _, g, _ = _tilted(chain, _log2_tilt(chain, theta))
-    return chain.ell * (chain.pi1 - g)
-
-
-def cgf_limit_second_derivative(chain: ChainParams, theta: float) -> float:
-    """d^2 L / dtheta^2, analytic: ell^2 * ln 2 * u g'(u) at u_theta."""
-    _, _, c = _tilted(chain, _log2_tilt(chain, theta))
-    return chain.ell**2 * LN2 * c
-
-
-def achievable_interval(chain: ChainParams) -> tuple[float, float]:
-    """Open interval of centered per-letter values x with a finite optimal tilt.
-
-    x = ell*(pi1 - q) for the tilted occupancy q of state 1, which any
-    finite tilt puts in (0, 1): the ends are ell*pi1 and -ell*pi0, sorted.
-    """
-    if chain.symmetric:
-        raise ValueError("symmetric chain: the centered sum is a point mass at 0")
-    lo, hi = sorted((chain.ell * chain.pi1, -chain.ell * chain.pi0))
-    return lo, hi
-
-
 def _log_share(share: float, r: float, total: float) -> float:
     """ln(share/total) for share = total - r, in the form that keeps more digits."""
     return math.log1p(-r / total) if 2.0 * r < total else math.log(share / total)
@@ -284,14 +259,20 @@ def rate_function(chain: ChainParams, x: float) -> tuple[float, float]:
     1-2q comes from (b-a)/(a+b), not the rounded q).  The rounding of q
     itself remains: a relative error in theta* of up to about
     eps*max(pi0, pi1)/min(q, 1-q) near the interval ends and eps*pi1*|ell/x|
-    as x -> 0.  Raises ValueError for a symmetric chain or x outside the
-    open interval of :func:`achievable_interval`.
+    as x -> 0.
+
+    Raises ValueError for a symmetric chain, whose centered sum is a point
+    mass at 0, and for x outside the open interval of achievable values: any
+    finite tilt puts q in (0, 1), so x = ell*(pi1 - q) lies strictly between
+    ell*pi1 and -ell*pi0, the two ends the message names in ascending order.
     """
-    lo_x, hi_x = achievable_interval(chain)
+    if chain.symmetric:
+        raise ValueError("symmetric chain: the centered sum is a point mass at 0")
     a, b = chain.a, chain.b
     y = x / chain.ell
     q, p = chain.pi1 - y, chain.pi0 + y  # tilted occupancies of states 1 and 0
     if not (q > 0.0 and p > 0.0):
+        lo_x, hi_x = sorted((chain.ell * chain.pi1, -chain.ell * chain.pi0))
         raise ValueError(f"x={x!r} outside the achievable open interval ({lo_x!r}, {hi_x!r})")
     if x == 0.0:
         return 0.0, 0.0
@@ -314,7 +295,8 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> float:
         Pr ~ 2^(-n*I(x)) / (theta_star * ln2 * sigma_star * sqrt(2*pi*n)),
 
     where sigma_star^2 = L''(theta_star)/ln2 is the natural-log CGF
-    curvature.  This is an approximation, not an exact quantity: it ignores
+    curvature, with L'' = ell^2*ln2*u*g'(u) at u_theta from the tilted
+    chain of :func:`_tilted`.  This is an approximation, not an exact quantity: it ignores
     the lattice structure of the sum (span |ell|).  The test suite holds it
     to a factor-two envelope against exact tail sums only on fast- and
     moderate-mixing chains; on slowly relaxing ones it can be far off (at
@@ -328,5 +310,7 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> float:
     theta_star, rate = rate_function(chain, x)
     if theta_star == 0.0:
         raise ValueError(f"x={x!r} is too close to 0: its optimal tilt rounds to 0")
-    sigma_star = math.sqrt(cgf_limit_second_derivative(chain, theta_star) / LN2)
+    _, _, c = _tilted(chain, _log2_tilt(chain, theta_star))
+    curvature = chain.ell**2 * LN2 * c  # L''(theta_star)
+    sigma_star = math.sqrt(curvature / LN2)
     return 2.0 ** (-n * rate) / (theta_star * LN2 * sigma_star * math.sqrt(2.0 * math.pi * n))

@@ -10,9 +10,9 @@ lambda2 = 1 - a - b, and log-ratio ell = log2(a/b).  All logarithms
 exposed by this package are base 2.  Every per-letter quantity free of the
 distortion level is a property of the named tuple :class:`ChainParams`.
 
-Var(J_n(D)) and its deficit below n*V_sl depend on the chain and n alone,
-so they live here too, as the geometric-sum reduction of the double sum
-over lags whose term-by-term form is the check route in ``oracle``:
+Var(J_n(D)) depends on the chain and n alone, so it lives here too, as the
+geometric-sum reduction of the double sum over lags whose term-by-term form
+is the check route in ``oracle``:
 
     Var(J_n) = ell^2*pi0*pi1 * [ n + 2*sum_{k=1}^{n-1} (n-k)*lambda2^k ]
              = ell^2*pi0*pi1 * [ n(1+lambda2)/(1-lambda2)
@@ -26,7 +26,7 @@ import sys
 from typing import NamedTuple
 
 __all__ = [
-    "ChainParams", "binary_entropy", "derive_chain", "variance_correction", "variance_exact",
+    "ChainParams", "binary_entropy", "derive_chain", "variance_exact",
 ]
 
 # Parameters this close to {0, 1} are rejected: the closed forms divide by
@@ -188,14 +188,3 @@ def variance_exact(chain: ChainParams, n: int) -> float:
     """
     require_blocklength(n)
     return chain.ell**2 * chain.pi0 * chain.pi1 * _variance_bracket(chain, n)
-
-
-def variance_correction(chain: ChainParams, n: int) -> float:
-    """Finite-n variance deficit n*V_sl - Var(J_n), in bits^2.
-
-    The deficit equals 2*ell^2*pi0*pi1*lambda2*(1-lambda2^n)/s^2 with
-    s = a + b = 1 - lambda2, which tends to ``chain.deficit_constant`` as n
-    grows.
-    """
-    require_blocklength(n)
-    return chain.deficit_constant * _one_minus_power(chain, n)

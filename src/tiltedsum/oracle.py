@@ -1,10 +1,13 @@
 """Independent check routes, one per closed form, and the ``verify`` suites built on them.
 
-The routes share none of the closed forms' algebra: the tilted information
-from its defining sum over reproduction letters, the operating point from
-the alternating update (to ``BA_TOL`` within ``BA_MAX_ITER`` steps), the
-variance from its double sum over lags, and the count law and the
-variance from exhaustive enumeration (n <= 20).  Enumeration extends
+The routes share none of the algebra of the closed forms they check: the
+tilted information from its defining sum over reproduction letters, the
+operating point from the alternating update (to ``BA_TOL`` within
+``BA_MAX_ITER`` steps), the variance from its double sum over lags, the
+count law and the variance from exhaustive enumeration (n <= 20), and the
+rate function's optimal tilt from the slope x = L'(theta*) of the limiting
+CGF, which comes from the tilted Perron root, not from the pair-measure
+contraction that ``cgf.rate_function`` solves.  Enumeration extends
 every path letter by letter and accumulates its stationary probability
 pi_{x1} * prod_t P[x_t, x_{t+1}]; all terms are positive, so float64
 carries no cancellation, and each count bin and moment is summed with
@@ -17,7 +20,7 @@ package only ``montecarlo`` does.
 
 import math
 
-from .cgf import cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
+from .cgf import _log2_tilt, _tilted, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
 from .exact import jn_law, occupation_pmf
 from .markov import (
     ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
@@ -120,6 +123,17 @@ def variance_double_sum(chain: ChainParams, n: int) -> float:
     # At k = n-1 the pair's second lag carries weight n-k-1 = 0.
     pairs = math.fsum([lam**k * ((n - k) * one_plus - lam) for k in range(1, n, 2)])
     return chain.ell**2 * chain.pi0 * chain.pi1 * (n + 2.0 * pairs)
+
+
+def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
+    """dL/dtheta of the limiting CGF, analytic: ell*(pi1 - g(u_theta)).
+
+    g is the tilted occupancy of state 1 from ``cgf._tilted``; at the optimal tilt of
+    :func:`tiltedsum.cgf.rate_function` the slope must equal x.  Raises ValueError if theta or
+    theta*ell is not finite.
+    """
+    _, g, _ = _tilted(chain, _log2_tilt(chain, theta))
+    return chain.ell * (chain.pi1 - g)
 
 
 def _enumerate_paths(chain: ChainParams, n: int, letter_values=None):

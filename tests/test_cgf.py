@@ -1,18 +1,16 @@
 import hashlib
 import math
 import random
+import re
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from tiltedsum import (
-    achievable_interval,
     centered_tail_probability,
     cgf_finite,
     cgf_limit,
-    cgf_limit_derivative,
-    cgf_limit_second_derivative,
     centered_cumulants,
     derive_chain,
     jn_law,
@@ -24,7 +22,8 @@ from tiltedsum import (
     variance_exact,
 )
 
-from tiltedsum.cgf import _tilted
+from tiltedsum.cgf import _log2_tilt, _tilted
+from tiltedsum.oracle import cgf_limit_derivative
 
 from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
 
@@ -92,6 +91,17 @@ def decimal_tilt(chain, x):
         r = 2 * kappa * q * (1 - q) / (kappa + disc.sqrt())
         u = (q - r) * (1 - q) * (1 - a) / ((1 - q - r) * q * (1 - b))
         return float(-u.ln() / (ell * LN2_DECIMAL))
+
+
+def curvature(chain, theta):
+    """L''(theta) = ell^2 * ln2 * u*g'(u) at u_theta, from the tilted chain's c."""
+    _, _, c = _tilted(chain, _log2_tilt(chain, theta))
+    return chain.ell**2 * LN2 * c
+
+
+def achievable_interval(chain):
+    """The open interval of x with a finite optimal tilt: x = ell*(pi1 - q), q in (0, 1)."""
+    return sorted((chain.ell * chain.pi1, -chain.ell * chain.pi0))
 
 
 # Fractions of the achievable interval at which the rate is swept; None
@@ -181,7 +191,7 @@ class TestFiniteCGF:
         # repr tells +0.0, which the CLI writes, from -0.0.
         chain = derive_chain(a, a)
         for theta in (-1e308, -2.0, -1e-9, 0.0, 1e-9, 2.0, 1e308):
-            for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
+            for func in (cgf_limit, cgf_limit_derivative, curvature):
                 assert repr(func(chain, theta)) == "0.0"
 
     def test_extreme_tilt_finite(self, moderate):
@@ -280,7 +290,7 @@ class TestLimitCGF:
                  for chain in (moderate, symmetric)]
         cases += [(theta, derive_chain(1e-9, 0.5)) for theta in (1e308, -1e308)]
         for theta, chain in cases:
-            for func in (cgf_limit, cgf_limit_derivative, cgf_limit_second_derivative):
+            for func in (cgf_limit, cgf_limit_derivative, curvature):
                 with pytest.raises(ValueError, match="theta"):
                     func(chain, theta)
             with pytest.raises(ValueError, match="theta"):
@@ -300,9 +310,7 @@ class TestLimitCGF:
                 - 2 * cgf_limit(moderate, theta)
                 + cgf_limit(moderate, theta - h2)
             ) / h2**2
-            assert cgf_limit_second_derivative(moderate, theta) == pytest.approx(
-                numeric2, rel=1e-4
-            )
+            assert curvature(moderate, theta) == pytest.approx(numeric2, rel=1e-4)
 
 
 class TestRateFunction:
@@ -372,8 +380,10 @@ class TestRateFunction:
             assert abs(cgf_limit_derivative(chain, theta_star) - x) <= 1e-10
 
     def test_interval_is_exact(self, moderate):
-        # q = pi1 - x/ell runs over (0, 1): x in (ell*pi1, -ell*pi0).
-        lo, hi = achievable_interval(moderate)
+        # q = pi1 - x/ell runs over (0, 1): x in (ell*pi1, -ell*pi0), the ends the error names.
+        with pytest.raises(ValueError, match="outside the achievable open interval") as error:
+            rate_function(moderate, 5.0)
+        lo, hi = map(float, re.search(r"\((\S+), (\S+)\)$", str(error.value)).groups())
         assert lo == pytest.approx(-0.25 * math.log2(3.0), rel=1e-15)
         assert hi == pytest.approx(0.75 * math.log2(3.0), rel=1e-15)
 

@@ -24,10 +24,11 @@ from tiltedsum import (
     sample_trajectory,
     simulate,
     tilted_mean,
-    variance_correction,
     variance_double_sum,
     variance_exact,
 )
+
+from tiltedsum.markov import _one_minus_power
 
 from conftest import PAIR_GRID, count_law_dp, exact_cumulants, path_cumulants
 
@@ -154,7 +155,6 @@ BLOCKLENGTH_CALLS = {
     "occupation_pmf": lambda chain, n: occupation_pmf(chain, n),
     "jn_law": lambda chain, n: jn_law(chain, 0.1, n),
     "variance_exact": lambda chain, n: variance_exact(chain, n),
-    "variance_correction": lambda chain, n: variance_correction(chain, n),
     "saddlepoint_tail": lambda chain, n: saddlepoint_tail(chain, n, 0.1),
     "simulate": lambda chain, n: simulate(chain, 0.1, n, 200, 1),
     "variance_double_sum": lambda chain, n: variance_double_sum(chain, n),
@@ -540,39 +540,44 @@ class TestVarianceExact:
 
 
 class TestVarianceCorrection:
+    # The deficit n*V_sl - Var(J_n) = deficit_constant*(1 - lambda2^n) that variance_exact's
+    # bracket subtracts from n*V_sl.
     def test_constant(self, moderate):
         assert moderate.deficit_constant == pytest.approx(
             CORRECTION_CONSTANT_MODERATE, rel=1e-12
         )
 
     def test_iid_no_correction(self, iid_quarter):
+        assert iid_quarter.deficit_constant == 0.0
         for n in (1, 10, 1000):
-            assert variance_correction(iid_quarter, n) == 0.0
+            assert variance_exact(iid_quarter, n) == n * iid_quarter.v_sl
 
     def test_geometric_approach(self, moderate):
         want = moderate.deficit_constant * (1.0 - 0.6**200)
-        assert abs(variance_correction(moderate, 200) - want) < 1e-6
+        assert abs(200 * moderate.v_sl - variance_exact(moderate, 200) - want) < 1e-6
 
     def test_consistent_with_variance(self, moderate):
         for n in (1, 7, 40):
-            deficit = n * moderate.v_sl - variance_exact(moderate, n)
-            assert variance_correction(moderate, n) == pytest.approx(
-                deficit, rel=1e-10
+            deficit = moderate.deficit_constant * (1.0 - moderate.lambda2**n)
+            assert variance_exact(moderate, n) == pytest.approx(
+                n * moderate.v_sl - deficit, rel=1e-10
             )
 
     def test_matches_exact_rational_deficit(self):
+        # The deficit term of variance_exact's bracket, 1 - lambda2^n from _one_minus_power,
+        # against the rational deficit, also where it cancels (lambda2 near +-1).
         rng = random.Random(7)
         for _ in range(20):
             a, b = (10 ** rng.uniform(math.log10(2e-12), 0.0) for _ in "ab")
             for chain in (derive_chain(a, b), derive_chain(1.0 - a, 1.0 - b)):
                 for n in (1, 2, 10, 1000, 10_000):
                     want = chain.v_iid * exact_closed_form_brackets(chain, n)[1]
-                    got = variance_correction(chain, n)
+                    got = chain.deficit_constant * _one_minus_power(chain, n)
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_negative_for_anticorrelated(self):
         chain = derive_chain(0.7, 0.6)  # a + b > 1, lambda2 < 0
-        assert variance_correction(chain, 10) < 0.0
+        assert variance_exact(chain, 10) > 10 * chain.v_sl
         assert chain.deficit_constant < 0.0
 
 
