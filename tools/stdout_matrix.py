@@ -75,7 +75,11 @@ def chain_calls(a: float, b: float) -> list[list[str]]:
     chain = ["--a", repr(a), "--b", repr(b)]
     pi0, pi1 = b / (a + b), a / (a + b)
     d = repr(min(pi0, pi1) / 4)
-    ell = math.log2(a) - math.log2(b)
+    # ell by derive_chain's rule, so that the grids lie inside the chain's own interval.
+    if b / 2 <= a <= 2 * b:
+        ell = math.log1p((a - b) / b) / math.log(2.0)
+    else:
+        ell = math.log2(a) - math.log2(b)
     if ell:
         thetas = ",".join(repr(t / ell) for t in TILTS)
         lo, hi = sorted((ell * pi1, -ell * pi0))
