@@ -41,11 +41,11 @@ KERNEL_BITS = {
     (0.1, 0.3): ("d90cd305729ee523", "5946dba1234ad64f", "f1ae51102c5c97aa"),
     (0.3, 0.1): ("32be66ef65500f84", "0381c0d02c24c6a8", "490cc0b8e9a88f66"),
     (0.02, 0.05): ("58aaccfad5212ce8", "81c092edf3b73f90", "3c91848721e2d795"),
-    (0.6, 0.7): ("2ccce7ee91b63ff1", "46b4ea1d5d006bce", "f7fe796ee12013fe"),
-    (0.95, 0.85): ("c40f502d76f3a6ae", "2cbf3fcb22d5df57", "fc16855568d3ff68"),
+    (0.6, 0.7): ("1a90851998eae43e", "46b4ea1d5d006bce", "c695ed824711e1f1"),
+    (0.95, 0.85): ("5fdc4c891dc4dfc7", "2cbf3fcb22d5df57", "998479144e3e81db"),
     (2e-12, 0.3): ("30b8d0ec89957291", "070187d509bafd11", "9169ca558a604907"),
     (1e-9, 2e-9): ("f71dacc1603e22fc", "2c72edf9d966a510", "d377134f576155fd"),
-    (0.3, 0.30000000000000004): ("f2617c9b3eb7aeb1", "cd01fa8b6d8ce896", "1002377ee57c1503"),
+    (0.3, 0.30000000000000004): ("37de0d13084321c5", "cd01fa8b6d8ce896", "996b3ecea3d56870"),
 }
 
 

@@ -485,7 +485,7 @@ NORMAL_DISTANCE_BITS = {
     (0.1, 0.3): (0.38641499634222376, 0.04578733125731593, 0.011399521555831016),
     (0.3, 0.1): (0.3864149963422237, 0.0457873312573166, 0.011399521555833625),
     (0.02, 0.05): (0.4520640504499468, 0.1142016424031829, 0.014577026881051891),
-    (0.3, 0.30000000000000004): (0.25634538013096175, 0.026058354833287, 0.0065283031882833464),
+    (0.3, 0.30000000000000004): (0.2563453801309617, 0.026058354833287, 0.0065283031882833464),
 }
 
 
