@@ -295,9 +295,9 @@ def saddlepoint_tail(chain: ChainParams, n: int, x: float) -> float:
         Pr ~ 2^(-n*I(x)) / (theta_star * ln2 * sigma_star * sqrt(2*pi*n)),
 
     where sigma_star^2 = L''(theta_star)/ln2 is the natural-log CGF
-    curvature, with L'' = ell^2*ln2*u*g'(u) at u_theta from the tilted
-    chain of :func:`_tilted`.  This is an approximation, not an exact quantity: it ignores
-    the lattice structure of the sum (span |ell|).  The test suite holds it
+    curvature, with L'' = ell^2*ln2*u*g'(u) at u_theta from the tilted chain
+    of :func:`_tilted`.  This is an approximation, not an exact quantity: it
+    ignores the lattice structure of the sum (span |ell|).  The test suite holds it
     to a factor-two envelope against exact tail sums only on fast- and
     moderate-mixing chains; on slowly relaxing ones it can be far off (at
     a = 0.00972356736242579, b = 6.3573332322043285e-12, n = 100,
