@@ -25,7 +25,7 @@ from .exact import jn_law, occupation_pmf
 from .markov import (
     ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
 )
-from .tilting import BAOperatingPoint, ba_operating_point, require_interior, tilted_mean
+from .tilting import BAOperatingPoint, ba_operating_point, jtilt, require_interior, tilted_mean
 
 ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
 BA_TOL = 1e-12
@@ -276,9 +276,11 @@ def _cgf_expectation(chain, distortion, perturb):
 
 
 def _d_invariance(chain, distortion, perturb):
-    """One case per chain: the shift of the atoms between two distortions.
+    """One case per chain: the atoms' shift error or the change of j1 - j0, whichever is larger.
 
-    They are two default levels, or the given distortion and the upper one.
+    Both are taken between two distortions: two default levels, or the given one and the upper
+    one.  The atoms read only j0, since ell carries no D, so the paper's claim that j1 - j0 does
+    not depend on D is checked on ``jtilt`` itself.
     """
     d_lo, d_hi = 0.05, 0.2
     if not d_hi < min(chain.pi0, chain.pi1):
@@ -288,7 +290,9 @@ def _d_invariance(chain, distortion, perturb):
     n = 20
     shift = n * (binary_entropy(d_hi) - binary_entropy(d_lo))
     atoms = zip(jn_law(chain, d_lo, n)[0], jn_law(chain, d_hi, n)[0])
-    yield max(abs(lo - hi - shift) for lo, hi in atoms) / n
+    atom_error = max(abs(lo - hi - shift) for lo, hi in atoms) / n
+    gap_lo, gap_hi = (jtilt(chain, d, 1) - jtilt(chain, d, 0) for d in (d_lo, d_hi))
+    yield max(atom_error, abs(gap_lo - gap_hi))
 
 
 # (suite name, tolerance on its largest deviation, deviation generator)

@@ -7,8 +7,6 @@ import pytest
 
 from tiltedsum import derive_chain, sample_trajectory
 
-from conftest import PAIR_GRID
-
 EPS = 2.0**-52
 
 
@@ -81,21 +79,6 @@ class TestDeriveChain:
     def test_rejects_boundary(self, a, b):
         with pytest.raises(ValueError):
             derive_chain(a, b)
-
-    @pytest.mark.parametrize("a,b", PAIR_GRID)
-    def test_stationarity_and_spectrum(self, a, b):
-        chain = derive_chain(a, b)
-        P = np.array([[1.0 - a, a], [b, 1.0 - b]])
-        pi = np.array([chain.pi0, chain.pi1])
-        assert np.allclose(P.sum(axis=1), 1.0, atol=1e-15)
-        assert chain.pi0 + chain.pi1 == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(pi @ P - pi)) < 1e-14
-        # Both eigenvalues, via the characteristic polynomial of P.
-        for lam in (1.0, chain.lambda2):
-            char = lam**2 - np.trace(P) * lam + np.linalg.det(P)
-            assert abs(char) < 1e-14
-        eig = np.sort(np.linalg.eigvals(P).real)
-        assert np.allclose(eig, np.sort([1.0, 1.0 - a - b]), atol=1e-14)
 
 
 class TestIndicatorAutocov:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tiltedsum import (
     verify_suites,
 )
 from tiltedsum import oracle
-from tiltedsum.oracle import SUITES, VERIFY_D_GRID
+from tiltedsum.oracle import SUITES, VERIFY_D_GRID, VERIFY_PAIRS
 
 from conftest import PAIR_GRID, path_cumulants
 
@@ -111,3 +112,36 @@ class TestVerifySuites:
         assert [s["name"] for s in suites] == [name for name, _, _ in SUITES] == list(want)
         assert {s["name"]: s["cases"] for s in suites} == want
         assert all(s["pass"] for s in suites)
+
+
+# Small mutants of production functions, each with the verify suites that must fail on it: a
+# suite that no wrong answer can fail certifies nothing.  verify still misses cgf_limit,
+# perron_root, rate_function, saddlepoint_tail, centered_cumulants, jtilt(., 1) + 1e-6,
+# centered_tail_probability and exact_normal_distance; a suite that catches one adds its row.
+MUTANTS = {  # id: (name, the mutant's value from the true value and the arguments, suites)
+    "variance_exact*(1+1e-6)": ("variance_exact", lambda v, chain, n: v * (1 + 1e-6),
+                                {"variance-forms", "oracle-variance"}),
+    "occupation_pmf 1e-6 of m=0 to m=n": (
+        "occupation_pmf", lambda p, chain, n: [p[0] * (1 - 1e-6), *p[1:-1], p[-1] + p[0] * 1e-6],
+        {"oracle-pmf-tv", "pgf-pmf", "cgf-expectation"}),
+    "cgf_finite+1e-6*theta^2": ("cgf_finite", lambda v, chain, n, theta: v + 1e-6 * theta**2,
+                                {"cgf-expectation"}),
+    "occupation_log2_pgf+1e-6*(u-1)": (
+        "occupation_log2_pgf", lambda v, chain, n, u: v + 1e-6 * (u - 1), {"pgf-pmf"}),
+    "ba_operating_point q+-1e-6": (
+        "ba_operating_point", lambda p, chain, d: p._replace(q0=p.q0 + 1e-6, q1=p.q1 - 1e-6),
+        {"oracle-variance"}),
+    "tilted_mean+1e-6": ("tilted_mean", lambda v, chain, d: v + 1e-6, {"cgf-expectation"}),
+    "jtilt+1e-6*D*x": ("jtilt", lambda v, chain, d, x: v + 1e-6 * d * x, {"d-invariance"}),
+}
+
+
+@pytest.mark.parametrize("name, mutate, failing", MUTANTS.values(), ids=MUTANTS)
+def test_mutant_fails_its_suites(monkeypatch, name, mutate, failing):
+    # The mutant replaces the name in every module of the package that holds it.
+    original = getattr(oracle, name)
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "tiltedsum" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, lambda *args: mutate(original(*args), *args))
+    failed = {suite["name"] for suite in verify_suites(VERIFY_PAIRS) if not suite["pass"]}
+    assert failing <= failed, failed

@@ -1,4 +1,4 @@
-"""The CLI's stdout over the call matrix of ``tools/stdout_matrix.py``, and the tool's runner."""
+"""The CLI's stdout and the library rows of ``tools/stdout_matrix.py``, and the tool's runner."""
 
 import importlib.util
 import os
@@ -22,7 +22,8 @@ def calls(text):
 
 def test_stdout_matches_manifest():
     # Every call of the matrix, run in this process through cli.main, must print the bytes
-    # whose digest the committed manifest holds, and exit with its code.
+    # whose digest the committed manifest holds, and exit with its code; every row must give
+    # the values whose repr's digest it holds.
     pinned, want = calls(MANIFEST.read_text())
     running, got = calls(stdout_matrix.manifest())
     moved = [
@@ -31,12 +32,13 @@ def test_stdout_matches_manifest():
         if want.get(key) != got.get(key)
     ]
     assert not moved, (
-        f"{len(moved)} of {len(got)} calls differ from {MANIFEST.name} "
-        "(number, exit code, SHA-256 of stdout, arguments):\n" + "\n".join(moved) + "\n"
+        f"{len(moved)} of {len(got)} calls and rows differ from {MANIFEST.name} (number, exit "
+        "code or `value`, SHA-256 of stdout or value, arguments or label):\n"
+        + "\n".join(moved) + "\n"
         f"The digests pin CPython 3.11 and numpy 2.4.6 (manifest {pinned[2:]}; this run "
         f"{running[2:]}), since other builds may round differently.  If the change of output "
         "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
-        "tests/stdout_manifest.txt` and name the moved calls in CHANGES.md."
+        "tests/stdout_manifest.txt` and name the moved calls and rows in CHANGES.md."
     )
 
 
@@ -56,17 +58,36 @@ def test_crash_is_recorded_against_its_call(monkeypatch):
 def test_file_mode_writes_one_file_per_call(monkeypatch, tmp_path, capsys):
     argv = [["stats", "--a", "0.1", "--b", "0.3", "--format", "csv"], ["--help"],
             ["stats", "--a", "1.5", "--b", "0.3"]]
+    rows = [("occupation_pmf 0.1 0.3 n=1", [0.7499999999999999, 0.25]),
+            ("exact_normal_distance 0.1 0.3 n=1", 0.38641499634222376)]
     monkeypatch.setattr(stdout_matrix, "matrix", lambda missing_dir: argv)
+    monkeypatch.setattr(stdout_matrix, "value_rows", lambda: rows)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first on it
     assert stdout_matrix.main([str(ROOT / "src"), str(tmp_path)]) == 0
-    assert capsys.readouterr().out == f"3 calls written to {tmp_path}\n"
+    assert capsys.readouterr().out == f"5 calls and rows written to {tmp_path}\n"
     files = sorted(tmp_path.iterdir())
-    assert [f.name for f in files] == ["000-stats.txt", "001-help.txt", "002-stats.txt"]
+    assert [f.name for f in files] == [
+        "000-stats.txt", "001-help.txt", "002-stats.txt", "003-occupation_pmf.txt",
+        "004-exact_normal_distance.txt",
+    ]
     for path, call in zip(files, argv):
         code, stdout = stdout_matrix.run_in_process(call)
         header = f"$ tiltedsum {' '.join(call)}\nexit {code}\n---\n".encode()
         assert path.read_bytes() == header + stdout
     assert files[2].read_bytes() == b"$ tiltedsum stats --a 1.5 --b 0.3\nexit 1\n---\n"
+    # A row's file holds one value per line, so that a diff names the values that moved.
+    assert files[3].read_text() == "= occupation_pmf 0.1 0.3 n=1\n---\n0.7499999999999999\n0.25\n"
+    assert files[4].read_text() == "= exact_normal_distance 0.1 0.3 n=1\n---\n0.38641499634222376\n"
+
+
+def test_chain_rule_matches_derive_chain():
+    # The call list takes pi and ell from the tool's own copy of derive_chain's rule, so that it
+    # depends on no checkout; the copy must still give the library's bits.
+    from tiltedsum import derive_chain
+
+    for a, b in stdout_matrix.CHAINS:
+        chain = derive_chain(a, b)
+        assert stdout_matrix.chain_rule(a, b) == (chain.pi0, chain.pi1, chain.ell)
 
 
 def test_module_entry_point_matches_in_process_run(tmp_path):

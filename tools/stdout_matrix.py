@@ -1,4 +1,4 @@
-"""Record the CLI's stdout and exit code over a fixed matrix of calls.
+"""Record the CLI's stdout and exit code over a fixed matrix of calls, and library values.
 
 Usage::
 
@@ -8,19 +8,25 @@ Usage::
 Both forms import ``tiltedsum`` from ``SRC`` (a checkout's ``src``
 directory) and run every call of the matrix in this process through
 ``tiltedsum.cli.main``, with ``COLUMNS`` pinned to 80, the width ``--help``
-takes when stdout is not a terminal; a run takes a few seconds.  The first
-form writes one file per call to ``OUTDIR``: the argument list, the exit
-code and the exact stdout.  Two runs, say of a parent checkout and of a
-change, compare with ``diff -r``; the call list and the file names depend
-on nothing but this script, so the same call lands in the same file on
-both sides.  The second form writes the manifest ``FILE``: a header naming
-the Python and numpy versions, then one line per call with its number,
-exit code, the SHA-256 of its stdout and its arguments.
+takes when stdout is not a terminal.  After the calls come the rows of
+``value_rows``: library values that no call prints in full, each a float
+or a list.  A run takes a few seconds.  The first form writes one file
+per call to ``OUTDIR``, with the argument list, the exit code and the exact
+stdout, then one file per row, with its label and the ``repr`` of each
+value on a line of its own.  Two runs, say of a parent checkout and of a
+change, compare with ``diff -r``; the call list, the rows and the file
+names depend on nothing but this script, so the same call lands in the
+same file on both sides, and a diff names each value that moved.  The
+second form writes the manifest ``FILE``: a header naming the Python and
+numpy versions, then one line per call with its number, exit code, the
+SHA-256 of its stdout and its arguments, then one line per row with its
+number, ``value``, the SHA-256 of the ``repr`` of its value and its label.
 ``tests/stdout_manifest.txt`` is such a manifest, and a test recomputes it;
-a change that moves output rewrites it, and the manifest's diff names the
-calls that moved.  A call that raises out of ``main`` is recorded with the
-exception's type name, such as ``OverflowError``, in place of its exit
-code, and with the stdout written before the exception.
+a change that moves output or a pinned value rewrites it, and the
+manifest's diff names the calls and rows that moved.  A call that raises
+out of ``main`` is recorded with the exception's type name, such as
+``OverflowError``, in place of its exit code, and with the stdout written
+before the exception.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
@@ -69,17 +75,41 @@ TILTS = (-1100.0, -600.0, -20.0, -1.0, -1e-9, 0.0, 1e-9, 1.0, 20.0, 600.0, 1100.
 # Fractions of the achievable interval (lo, hi) at which the rate is taken.
 RATE_FRACTIONS = (1e-8, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-8)
 
+# The rows: the jet kernel at order 0 (cgf_finite at theta*ell in KERNEL_TILTS,
+# occupation_log2_pgf at u in KERNEL_US) and at orders up to 10 (centered_cumulants at
+# n <= 1000), one row per function and chain over KERNEL_NS; the count law, one row per chain
+# and n of PMF_NS; the exact normal distance, one row per chain and n of DISTANCE_NS.
+KERNEL_CHAINS = [
+    (0.1, 0.3), (0.3, 0.1), (0.02, 0.05), (0.6, 0.7), (0.95, 0.85), (2e-12, 0.3), (1e-9, 2e-9),
+    (0.3, 0.30000000000000004),
+]
+KERNEL_NS = (1, 2, 3, 7, 64, 1000, 10**6)
+KERNEL_TILTS = (0.0, 1e-9, -1e-9, 1.0, -1.0, 20.0, -20.0, 600.0, -600.0, 1100.0, -1100.0)
+KERNEL_US = (0.5, 2.0, 1e-3)
+PMF_CHAINS = [
+    (0.1, 0.3), (0.3, 0.1), (0.5, 0.5), (9.56e-6, 1.33e-11), (1.0 - 1e-9, 1.0 - 2e-9),
+    (math.nextafter(1.0 - 1e-12, 0.0), 0.5),
+]
+PMF_NS = (1, 2, 3, 4, 33, 2000, 2001, 32768)
+DISTANCE_CHAINS = [(0.1, 0.3), (0.3, 0.1), (0.02, 0.05), (0.3, 0.30000000000000004)]
+DISTANCE_NS = (1, 100, 1600)
 
-def chain_calls(a: float, b: float) -> list[list[str]]:
-    """Argument lists of the chain subcommands for (a, b), without --format."""
-    chain = ["--a", repr(a), "--b", repr(b)]
-    pi0, pi1 = b / (a + b), a / (a + b)
-    d = repr(min(pi0, pi1) / 4)
-    # ell by derive_chain's rule, so that the grids lie inside the chain's own interval.
+
+def chain_rule(a: float, b: float) -> tuple[float, float, float]:
+    """(pi0, pi1, ell) by derive_chain's rule, kept here so the call list needs no checkout."""
     if b / 2 <= a <= 2 * b:
         ell = math.log1p((a - b) / b) / math.log(2.0)
     else:
         ell = math.log2(a) - math.log2(b)
+    return b / (a + b), a / (a + b), ell
+
+
+def chain_calls(a: float, b: float) -> list[list[str]]:
+    """Argument lists of the chain subcommands for (a, b), without --format."""
+    chain = ["--a", repr(a), "--b", repr(b)]
+    # The chain's own pi and ell, so that the grids lie inside its achievable interval.
+    pi0, pi1, ell = chain_rule(a, b)
+    d = repr(min(pi0, pi1) / 4)
     if ell:
         thetas = ",".join(repr(t / ell) for t in TILTS)
         lo, hi = sorted((ell * pi1, -ell * pi0))
@@ -214,6 +244,34 @@ def matrix(missing_dir: str) -> list[list[str]]:
     return calls
 
 
+def value_rows() -> list[tuple[str, float | list]]:
+    """(label, value) of every row, in order; the label names the function, chain and n."""
+    from tiltedsum import (
+        centered_cumulants, cgf_finite, derive_chain, exact_normal_distance, occupation_log2_pgf,
+        occupation_pmf,
+    )
+
+    rows = []
+    for a, b in KERNEL_CHAINS:
+        chain, name = derive_chain(a, b), f"{a!r} {b!r}"
+        rows += [
+            (f"cgf_finite {name}",
+             [cgf_finite(chain, n, tilt / chain.ell) for n in KERNEL_NS for tilt in KERNEL_TILTS]),
+            (f"occupation_log2_pgf {name}",
+             [occupation_log2_pgf(chain, n, u) for n in KERNEL_NS for u in KERNEL_US]),
+            (f"centered_cumulants {name}",
+             [centered_cumulants(chain, n, max_order=10) for n in KERNEL_NS if n <= 1000]),
+        ]
+    for a, b in PMF_CHAINS:
+        chain = derive_chain(a, b)
+        rows += [(f"occupation_pmf {a!r} {b!r} n={n}", occupation_pmf(chain, n)) for n in PMF_NS]
+    for a, b in DISTANCE_CHAINS:
+        chain = derive_chain(a, b)
+        rows += [(f"exact_normal_distance {a!r} {b!r} n={n}", exact_normal_distance(chain, n))
+                 for n in DISTANCE_NS]
+    return rows
+
+
 def shown(argv: list[str]) -> str:
     """The call as written in a file header or manifest line.
 
@@ -248,19 +306,22 @@ def results() -> list[tuple[list[str], int | str, bytes]]:
 
 
 def manifest() -> str:
-    """The manifest text: a version header, then one line per call."""
+    """The manifest text: a version header, then one line per call and one per row."""
     lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
-    for i, (argv, code, stdout) in enumerate(results()):
+    calls = results()
+    for i, (argv, code, stdout) in enumerate(calls):
         lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
+    for i, (label, value) in enumerate(value_rows(), len(calls)):
+        lines.append(f"{i:03d} value {hashlib.sha256(repr(value).encode()).hexdigest()} {label}")
     return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--manifest", action="store_true",
-                        help="write a digest manifest to OUT instead of one file per call")
+                        help="write a digest manifest to OUT instead of one file per entry")
     parser.add_argument("src", help="the src directory of the checkout to run")
-    parser.add_argument("out", help="directory for one file per call (created), or the manifest")
+    parser.add_argument("out", help="directory for one file per entry (created), or the manifest")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     if args.manifest:
@@ -274,8 +335,12 @@ def main(argv: list[str] | None = None) -> int:
         for i, (argv, code, stdout) in enumerate(calls):
             header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
             (out / f"{i:03d}-{argv[0].lstrip('-')}.txt").write_bytes(header + stdout)
-        count = len(calls)
-    print(f"{count} calls written to {args.out}")
+        rows = value_rows()
+        for i, (label, value) in enumerate(rows, len(calls)):
+            lines = "".join(f"{v!r}\n" for v in (value if isinstance(value, list) else [value]))
+            (out / f"{i:03d}-{label.split()[0]}.txt").write_text(f"= {label}\n---\n{lines}")
+        count = len(calls) + len(rows)
+    print(f"{count} calls and rows written to {args.out}")
     return 0
 
 
