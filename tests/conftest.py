@@ -1,12 +1,37 @@
+import importlib.util
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiltedsum import derive_chain
 from tiltedsum.oracle import _enumerate_paths, jtilt_generic
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "stdout_manifest.txt"
+
+_spec = importlib.util.spec_from_file_location("stdout_matrix", ROOT / "tools" / "stdout_matrix.py")
+stdout_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stdout_matrix)
+
+
+def check_rows_pinned(rows):
+    """Each (label, value) row of ``tools/stdout_matrix.py`` must give the value whose digest
+    the manifest's row of that label holds: a rewrite must keep every bit of it."""
+    pinned = {}
+    for line in MANIFEST.read_text().splitlines()[1:]:
+        _, kind, sha, label = line.split(" ", 3)
+        if kind == "value":
+            pinned[label] = sha
+    moved = [label for label, value in rows if pinned.get(label) != stdout_matrix.digest(value)]
+    assert not moved, (
+        f"{moved} differ from {MANIFEST.name}.  If the change of value is meant, rewrite the "
+        "manifest with `python3 tools/stdout_matrix.py --manifest src tests/stdout_manifest.txt` "
+        "and name the moved rows in CHANGES.md; the file form of the tool writes the values."
+    )
 
 
 @pytest.fixture

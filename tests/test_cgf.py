@@ -22,7 +22,8 @@ from tiltedsum import (
 from tiltedsum.cgf import _log2_tilt, _tilted
 from tiltedsum.oracle import cgf_limit_derivative
 
-from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
+from conftest import LN2_DECIMAL, PAIR_GRID, check_rows_pinned, decimal_tilted, stdout_matrix
+from test_properties import check_cgf_origin, check_perron_root
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -99,6 +100,11 @@ class TestPerronRoot:
     def test_stochastic_fixed_point(self, a, b):
         assert perron_root(derive_chain(a, b), 1.0) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    @pytest.mark.parametrize("u", [0.01, 0.5, 1.0, 3.0, 40.0])
+    def test_characteristic_polynomial(self, a, b, u):
+        check_perron_root(a, b, u)
+
     @pytest.mark.parametrize("u", [0.25, 1.0, 7.0])
     def test_matches_eigensolver(self, moderate, u):
         tilted = np.array(
@@ -125,6 +131,12 @@ class TestPerronRoot:
 
 
 class TestFiniteCGF:
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_zero_at_origin(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (1, 16, 256):
+            check_cgf_origin(chain, n)
+
     def test_matches_exact_expectation(self, moderate):
         mu = tilted_mean(moderate, 0.1)
         for n in (1, 2, 7, 16):
@@ -199,6 +211,12 @@ class TestPoweredKernel:
         for n in (1, 7, 10_000):
             singles = [cgf_finite(chain, n, theta) for theta in thetas]
             assert all(type(value) is float for value in singles)
+
+    # The jet kernel at order 0 (cgf_finite, occupation_log2_pgf) and at orders up to 10
+    # (centered_cumulants), to the bit, as the manifest's rows of each chain pin it.
+    @pytest.mark.parametrize("a,b", stdout_matrix.KERNEL_CHAINS)
+    def test_bits_pinned(self, a, b):
+        check_rows_pinned(stdout_matrix.kernel_rows(a, b))
 
 
 class TestLimitCGF:

@@ -29,7 +29,10 @@ from tiltedsum import (
 
 from tiltedsum.markov import _one_minus_power
 
-from conftest import PAIR_GRID, count_law_dp, exact_cumulants, path_cumulants
+from conftest import (
+    PAIR_GRID, check_rows_pinned, count_law_dp, exact_cumulants, path_cumulants, stdout_matrix,
+)
+from test_properties import check_dp_enumeration, check_pgf, check_variance_forms
 
 VAR_PER_LETTER_MODERATE = {
     1: 0.4710198991297989,
@@ -177,6 +180,12 @@ class TestOccupationPMF:
         )
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_matches_enumeration(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (1, 2, 3, 5, 8, 12, 16):
+            check_dp_enumeration(chain, n)
+
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_normalization_and_mean(self, a, b):
         chain = derive_chain(a, b)
         for n in (1, 7, 64, 300):
@@ -250,6 +259,11 @@ class TestOccupationPMF:
         for n in (1, 2, 3, 8, 33, 2000, 2001, DP_MAX_N):
             law = occupation_pmf(derive_chain(a, b), n)
             assert occupation_pmf(derive_chain(b, a), n) == law[::-1]
+
+    # The count law to the bit, as the manifest's rows of each chain pin it.
+    @pytest.mark.parametrize("a,b", stdout_matrix.PMF_CHAINS)
+    def test_bits_pinned(self, a, b):
+        check_rows_pinned(stdout_matrix.pmf_rows(a, b))
 
 
 def _f(n, m, kappa):
@@ -354,6 +368,13 @@ class TestOccupationPGF:
         want = moderate.pi0 * (1 - moderate.a) ** (n - 1)
         assert 2.0 ** occupation_log2_pgf(moderate, n, 1e-8) == pytest.approx(want, rel=1e-6)
 
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_matches_pmf_sum(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (1, 2, 17, 200):
+            for u in (0.5, 1.0, 2.0):
+                check_pgf(chain, n, u)
+
     def test_rejects_nonpositive_u(self, moderate):
         with pytest.raises(ValueError):
             occupation_log2_pgf(moderate, 5, 0.0)
@@ -419,12 +440,26 @@ class TestCenteredTailProbability:
             assert centered_tail_probability(symmetric, 10, x) == want
 
 
+class TestExactNormalDistance:
+    # exact_normal_distance to the bit, as the manifest's rows of each chain pin it: its CDF
+    # sums run in atom order.
+    @pytest.mark.parametrize("a,b", stdout_matrix.DISTANCE_CHAINS)
+    def test_bits_pinned(self, a, b):
+        check_rows_pinned(stdout_matrix.distance_rows(a, b))
+
+
 class TestVarianceExact:
     def test_reference_table_values(self, moderate):
         for n, want in VAR_PER_LETTER_MODERATE.items():
             assert variance_exact(moderate, n) / n == pytest.approx(want, rel=1e-12)
             # published to three decimals
             assert variance_exact(moderate, n) / n == pytest.approx(round(want, 3), abs=5e-4)
+
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_forms_agree(self, a, b):
+        chain = derive_chain(a, b)
+        for n in (1, 2, 10, 100, 10_000):
+            check_variance_forms(chain, n)
 
     def test_symmetric_zero(self, symmetric):
         for n in (1, 5, 100):
@@ -454,7 +489,7 @@ class TestVarianceExact:
         assert all(v <= v_sl for v in values)
 
 
-class TestDeficitConstant:
+class TestVarianceCorrection:
     # The deficit n*V_sl - Var(J_n) = deficit_constant*(1 - lambda2^n) that variance_exact's
     # bracket subtracts from n*V_sl.
     def test_constant(self, moderate):

@@ -7,6 +7,9 @@ import pytest
 
 from tiltedsum import derive_chain, sample_trajectory
 
+from conftest import PAIR_GRID
+from test_properties import check_stationary
+
 EPS = 2.0**-52
 
 
@@ -79,6 +82,10 @@ class TestDeriveChain:
     def test_rejects_boundary(self, a, b):
         with pytest.raises(ValueError):
             derive_chain(a, b)
+
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_stationarity_and_spectrum(self, a, b):
+        check_stationary(a, b)
 
 
 class TestIndicatorAutocov:

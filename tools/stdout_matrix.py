@@ -21,12 +21,14 @@ second form writes the manifest ``FILE``: a header naming the Python and
 numpy versions, then one line per call with its number, exit code, the
 SHA-256 of its stdout and its arguments, then one line per row with its
 number, ``value``, the SHA-256 of the ``repr`` of its value and its label.
-``tests/stdout_manifest.txt`` is such a manifest, and a test recomputes it;
-a change that moves output or a pinned value rewrites it, and the
-manifest's diff names the calls and rows that moved.  A call that raises
-out of ``main`` is recorded with the exception's type name, such as
-``OverflowError``, in place of its exit code, and with the stdout written
-before the exception.
+``tests/stdout_manifest.txt`` is such a manifest, and tests recompute it:
+``tests/test_stdout_manifest.py`` its calls, and the ``test_bits_pinned``
+tests of ``tests/test_cgf.py`` and ``tests/test_exact.py`` its rows, one
+chain at a time; a change that moves output or a pinned value rewrites
+it, and the manifest's diff names the calls and rows that moved.  A call
+that raises out of ``main`` is recorded with the exception's type name,
+such as ``OverflowError``, in place of its exit code, and with the stdout
+written before the exception.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
@@ -244,32 +246,50 @@ def matrix(missing_dir: str) -> list[list[str]]:
     return calls
 
 
+def kernel_rows(a: float, b: float) -> list[tuple[str, list]]:
+    """The jet kernel's rows of one chain: cgf_finite, occupation_log2_pgf, centered_cumulants."""
+    from tiltedsum import centered_cumulants, cgf_finite, derive_chain, occupation_log2_pgf
+
+    chain, name = derive_chain(a, b), f"{a!r} {b!r}"
+    return [
+        (f"cgf_finite {name}",
+         [cgf_finite(chain, n, tilt / chain.ell) for n in KERNEL_NS for tilt in KERNEL_TILTS]),
+        (f"occupation_log2_pgf {name}",
+         [occupation_log2_pgf(chain, n, u) for n in KERNEL_NS for u in KERNEL_US]),
+        (f"centered_cumulants {name}",
+         [centered_cumulants(chain, n, max_order=10) for n in KERNEL_NS if n <= 1000]),
+    ]
+
+
+def pmf_rows(a: float, b: float) -> list[tuple[str, list]]:
+    """The count law's rows of one chain, one per n of PMF_NS."""
+    from tiltedsum import derive_chain, occupation_pmf
+
+    chain = derive_chain(a, b)
+    return [(f"occupation_pmf {a!r} {b!r} n={n}", occupation_pmf(chain, n)) for n in PMF_NS]
+
+
+def distance_rows(a: float, b: float) -> list[tuple[str, float]]:
+    """The exact normal distance's rows of one chain, one per n of DISTANCE_NS."""
+    from tiltedsum import derive_chain, exact_normal_distance
+
+    chain = derive_chain(a, b)
+    return [(f"exact_normal_distance {a!r} {b!r} n={n}", exact_normal_distance(chain, n))
+            for n in DISTANCE_NS]
+
+
 def value_rows() -> list[tuple[str, float | list]]:
     """(label, value) of every row, in order; the label names the function, chain and n."""
-    from tiltedsum import (
-        centered_cumulants, cgf_finite, derive_chain, exact_normal_distance, occupation_log2_pgf,
-        occupation_pmf,
+    return (
+        [row for a, b in KERNEL_CHAINS for row in kernel_rows(a, b)]
+        + [row for a, b in PMF_CHAINS for row in pmf_rows(a, b)]
+        + [row for a, b in DISTANCE_CHAINS for row in distance_rows(a, b)]
     )
 
-    rows = []
-    for a, b in KERNEL_CHAINS:
-        chain, name = derive_chain(a, b), f"{a!r} {b!r}"
-        rows += [
-            (f"cgf_finite {name}",
-             [cgf_finite(chain, n, tilt / chain.ell) for n in KERNEL_NS for tilt in KERNEL_TILTS]),
-            (f"occupation_log2_pgf {name}",
-             [occupation_log2_pgf(chain, n, u) for n in KERNEL_NS for u in KERNEL_US]),
-            (f"centered_cumulants {name}",
-             [centered_cumulants(chain, n, max_order=10) for n in KERNEL_NS if n <= 1000]),
-        ]
-    for a, b in PMF_CHAINS:
-        chain = derive_chain(a, b)
-        rows += [(f"occupation_pmf {a!r} {b!r} n={n}", occupation_pmf(chain, n)) for n in PMF_NS]
-    for a, b in DISTANCE_CHAINS:
-        chain = derive_chain(a, b)
-        rows += [(f"exact_normal_distance {a!r} {b!r} n={n}", exact_normal_distance(chain, n))
-                 for n in DISTANCE_NS]
-    return rows
+
+def digest(value: float | list) -> str:
+    """SHA-256 of a row value's ``repr``, as the manifest holds it."""
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def shown(argv: list[str]) -> str:
@@ -305,14 +325,14 @@ def results() -> list[tuple[list[str], int | str, bytes]]:
         return [(argv, *run_in_process(argv)) for argv in matrix(os.path.join(scratch, "missing"))]
 
 
-def manifest() -> str:
-    """The manifest text: a version header, then one line per call and one per row."""
+def manifest(rows: bool = True) -> str:
+    """The manifest text: a version header, one line per call, then one per row if ``rows``."""
     lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
     calls = results()
     for i, (argv, code, stdout) in enumerate(calls):
         lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
-    for i, (label, value) in enumerate(value_rows(), len(calls)):
-        lines.append(f"{i:03d} value {hashlib.sha256(repr(value).encode()).hexdigest()} {label}")
+    for i, (label, value) in enumerate(value_rows() if rows else [], len(calls)):
+        lines.append(f"{i:03d} value {digest(value)} {label}")
     return "\n".join(lines) + "\n"
 
 
