@@ -18,15 +18,13 @@ stdout_matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stdout_matrix)
 
 
-def check_rows_pinned(rows):
-    """Each (label, value) row of ``tools/stdout_matrix.py`` must give the value whose digest
-    the manifest's row of that label holds: a rewrite must keep every bit of it."""
-    pinned = {}
-    for line in MANIFEST.read_text().splitlines()[1:]:
-        _, kind, sha, label = line.split(" ", 3)
-        if kind == "value":
-            pinned[label] = sha
-    moved = [label for label, value in rows if pinned.get(label) != stdout_matrix.digest(value)]
+def check_rows_pinned(names, a, b):
+    """The rows of ``tools/stdout_matrix.py`` for the functions ``names`` on chain (a, b) must give
+    the values whose digests the manifest holds: a rewrite must keep every bit of them."""
+    m = stdout_matrix
+    _, pinned = m.parse(MANIFEST.read_text())
+    keys = [key for key in m.row_keys() if key[0] in names and key[1:3] == (a, b)]
+    moved = [m.row_label(k) for k in keys if pinned.get(m.row_label(k)) != m.digest(m.row_value(k))]
     assert not moved, (
         f"{moved} differ from {MANIFEST.name}.  If the change of value is meant, rewrite the "
         "manifest with `python3 tools/stdout_matrix.py --manifest src tests/stdout_manifest.txt` "

@@ -216,7 +216,7 @@ class TestPoweredKernel:
     # (centered_cumulants), to the bit, as the manifest's rows of each chain pin it.
     @pytest.mark.parametrize("a,b", stdout_matrix.KERNEL_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(stdout_matrix.kernel_rows(a, b))
+        check_rows_pinned(stdout_matrix.KERNEL_FUNCTIONS, a, b)
 
 
 class TestLimitCGF:

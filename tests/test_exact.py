@@ -263,7 +263,7 @@ class TestOccupationPMF:
     # The count law to the bit, as the manifest's rows of each chain pin it.
     @pytest.mark.parametrize("a,b", stdout_matrix.PMF_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(stdout_matrix.pmf_rows(a, b))
+        check_rows_pinned(("occupation_pmf",), a, b)
 
 
 def _f(n, m, kappa):
@@ -445,7 +445,7 @@ class TestExactNormalDistance:
     # sums run in atom order.
     @pytest.mark.parametrize("a,b", stdout_matrix.DISTANCE_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(stdout_matrix.distance_rows(a, b))
+        check_rows_pinned(("exact_normal_distance",), a, b)
 
 
 class TestVarianceExact:

@@ -10,23 +10,20 @@ import sys
 from conftest import MANIFEST, ROOT, stdout_matrix
 
 
-def calls(text):
-    """Manifest header and {number: line} for the calls of a manifest's text."""
-    header, *lines = text.splitlines()
+def calls(lines):
+    """Header and {number: line} of a manifest's call lines."""
+    header, *lines = lines
     return header, {line.split(" ", 1)[0]: line for line in lines}
 
 
 def test_stdout_matches_manifest():
     # Every call of the matrix, run in this process through cli.main, must print the bytes
     # whose digest the committed manifest holds, and exit with its code.
-    pinned, want = calls(MANIFEST.read_text())
+    lines, rows = stdout_matrix.parse(MANIFEST.read_text())
     # The test_bits_pinned tests check each row by its label; the manifest must hold no others.
-    rows = [line for line in want.values() if line.split(" ", 2)[1] == "value"]
-    m = stdout_matrix
-    assert len(rows) == (3 * len(m.KERNEL_CHAINS) + len(m.PMF_CHAINS) * len(m.PMF_NS)
-                         + len(m.DISTANCE_CHAINS) * len(m.DISTANCE_NS))
-    want = {key: line for key, line in want.items() if line not in rows}
-    running, got = calls(stdout_matrix.manifest(rows=False))
+    assert list(rows) == [stdout_matrix.row_label(key) for key in stdout_matrix.row_keys()]
+    pinned, want = calls(lines)
+    running, got = calls(stdout_matrix.call_lines(stdout_matrix.results()))
     moved = [
         f"  {want.get(key, '(none)')}\n    now {got.get(key, '(none)')}"
         for key in sorted(want.keys() | got.keys())
@@ -58,10 +55,9 @@ def test_crash_is_recorded_against_its_call(monkeypatch):
 def test_file_mode_writes_one_file_per_call(monkeypatch, tmp_path, capsys):
     argv = [["stats", "--a", "0.1", "--b", "0.3", "--format", "csv"], ["--help"],
             ["stats", "--a", "1.5", "--b", "0.3"]]
-    rows = [("occupation_pmf 0.1 0.3 n=1", [0.7499999999999999, 0.25]),
-            ("exact_normal_distance 0.1 0.3 n=1", 0.38641499634222376)]
+    keys = [("occupation_pmf", 0.1, 0.3, 1), ("exact_normal_distance", 0.1, 0.3, 1)]
     monkeypatch.setattr(stdout_matrix, "matrix", lambda missing_dir: argv)
-    monkeypatch.setattr(stdout_matrix, "value_rows", lambda: rows)
+    monkeypatch.setattr(stdout_matrix, "row_keys", lambda: keys)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first on it
     assert stdout_matrix.main([str(ROOT / "src"), str(tmp_path)]) == 0
     assert capsys.readouterr().out == f"5 calls and rows written to {tmp_path}\n"

@@ -9,7 +9,7 @@ Both forms import ``tiltedsum`` from ``SRC`` (a checkout's ``src``
 directory) and run every call of the matrix in this process through
 ``tiltedsum.cli.main``, with ``COLUMNS`` pinned to 80, the width ``--help``
 takes when stdout is not a terminal.  After the calls come the rows of
-``value_rows``: library values that no call prints in full, each a float
+``row_keys``: library values that no call prints in full, each a float
 or a list.  A run takes a few seconds.  The first form writes one file
 per call to ``OUTDIR``, with the argument list, the exit code and the exact
 stdout, then one file per row, with its label and the ``repr`` of each
@@ -81,6 +81,7 @@ RATE_FRACTIONS = (1e-8, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-8)
 # occupation_log2_pgf at u in KERNEL_US) and at orders up to 10 (centered_cumulants at
 # n <= 1000), one row per function and chain over KERNEL_NS; the count law, one row per chain
 # and n of PMF_NS; the exact normal distance, one row per chain and n of DISTANCE_NS.
+KERNEL_FUNCTIONS = ("cgf_finite", "occupation_log2_pgf", "centered_cumulants")
 KERNEL_CHAINS = [
     (0.1, 0.3), (0.3, 0.1), (0.02, 0.05), (0.6, 0.7), (0.95, 0.85), (2e-12, 0.3), (1e-9, 2e-9),
     (0.3, 0.30000000000000004),
@@ -246,45 +247,34 @@ def matrix(missing_dir: str) -> list[list[str]]:
     return calls
 
 
-def kernel_rows(a: float, b: float) -> list[tuple[str, list]]:
-    """The jet kernel's rows of one chain: cgf_finite, occupation_log2_pgf, centered_cumulants."""
-    from tiltedsum import centered_cumulants, cgf_finite, derive_chain, occupation_log2_pgf
-
-    chain, name = derive_chain(a, b), f"{a!r} {b!r}"
-    return [
-        (f"cgf_finite {name}",
-         [cgf_finite(chain, n, tilt / chain.ell) for n in KERNEL_NS for tilt in KERNEL_TILTS]),
-        (f"occupation_log2_pgf {name}",
-         [occupation_log2_pgf(chain, n, u) for n in KERNEL_NS for u in KERNEL_US]),
-        (f"centered_cumulants {name}",
-         [centered_cumulants(chain, n, max_order=10) for n in KERNEL_NS if n <= 1000]),
-    ]
-
-
-def pmf_rows(a: float, b: float) -> list[tuple[str, list]]:
-    """The count law's rows of one chain, one per n of PMF_NS."""
-    from tiltedsum import derive_chain, occupation_pmf
-
-    chain = derive_chain(a, b)
-    return [(f"occupation_pmf {a!r} {b!r} n={n}", occupation_pmf(chain, n)) for n in PMF_NS]
-
-
-def distance_rows(a: float, b: float) -> list[tuple[str, float]]:
-    """The exact normal distance's rows of one chain, one per n of DISTANCE_NS."""
-    from tiltedsum import derive_chain, exact_normal_distance
-
-    chain = derive_chain(a, b)
-    return [(f"exact_normal_distance {a!r} {b!r} n={n}", exact_normal_distance(chain, n))
-            for n in DISTANCE_NS]
-
-
-def value_rows() -> list[tuple[str, float | list]]:
-    """(label, value) of every row, in order; the label names the function, chain and n."""
+def row_keys() -> list[tuple[str, float, float, int | None]]:
+    """(function, a, b, n) of every row, in order; n is None on the kernel's rows."""
     return (
-        [row for a, b in KERNEL_CHAINS for row in kernel_rows(a, b)]
-        + [row for a, b in PMF_CHAINS for row in pmf_rows(a, b)]
-        + [row for a, b in DISTANCE_CHAINS for row in distance_rows(a, b)]
+        [(name, a, b, None) for a, b in KERNEL_CHAINS for name in KERNEL_FUNCTIONS]
+        + [("occupation_pmf", a, b, n) for a, b in PMF_CHAINS for n in PMF_NS]
+        + [("exact_normal_distance", a, b, n) for a, b in DISTANCE_CHAINS for n in DISTANCE_NS]
     )
+
+
+def row_label(key: tuple[str, float, float, int | None]) -> str:
+    """A row's label in the manifest and its file: the function, the chain and n."""
+    name, a, b, n = key
+    return f"{name} {a!r} {b!r}" + ("" if n is None else f" n={n}")
+
+
+def row_value(key: tuple[str, float, float, int | None]) -> float | list:
+    """A row's value: a float, or a list of the kernel's values over KERNEL_NS."""
+    import tiltedsum
+
+    name, a, b, n = key
+    chain, function = tiltedsum.derive_chain(a, b), getattr(tiltedsum, name)
+    if name == "cgf_finite":
+        return [function(chain, m, tilt / chain.ell) for m in KERNEL_NS for tilt in KERNEL_TILTS]
+    if name == "occupation_log2_pgf":
+        return [function(chain, m, u) for m in KERNEL_NS for u in KERNEL_US]
+    if name == "centered_cumulants":
+        return [function(chain, m, max_order=10) for m in KERNEL_NS if m <= 1000]
+    return function(chain, n)
 
 
 def digest(value: float | list) -> str:
@@ -325,15 +315,32 @@ def results() -> list[tuple[list[str], int | str, bytes]]:
         return [(argv, *run_in_process(argv)) for argv in matrix(os.path.join(scratch, "missing"))]
 
 
-def manifest(rows: bool = True) -> str:
-    """The manifest text: a version header, one line per call, then one per row if ``rows``."""
-    lines = [f"# CPython {platform.python_version()}, numpy {version('numpy')}"]
-    calls = results()
-    for i, (argv, code, stdout) in enumerate(calls):
-        lines.append(f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}")
-    for i, (label, value) in enumerate(value_rows() if rows else [], len(calls)):
-        lines.append(f"{i:03d} value {digest(value)} {label}")
+def call_lines(calls: list[tuple[list[str], int | str, bytes]]) -> list[str]:
+    """A manifest's version header, then its line for each (arguments, exit code, stdout)."""
+    return [f"# CPython {platform.python_version()}, numpy {version('numpy')}"] + [
+        f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}"
+        for i, (argv, code, stdout) in enumerate(calls)
+    ]
+
+
+def manifest() -> str:
+    """The manifest text: a version header, one line per call, then one line per row."""
+    lines = call_lines(results())
+    for i, key in enumerate(row_keys(), len(lines) - 1):
+        lines.append(f"{i:03d} value {digest(row_value(key))} {row_label(key)}")
     return "\n".join(lines) + "\n"
+
+
+def parse(text: str) -> tuple[list[str], dict[str, str]]:
+    """A manifest's header and call lines, and the SHA-256 of each of its rows by label."""
+    lines, rows = [], {}
+    for line in text.splitlines():
+        if line.split(" ", 2)[1] == "value":
+            _, _, sha, label = line.split(" ", 3)
+            rows[label] = sha
+        else:
+            lines.append(line)
+    return lines, rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -355,11 +362,12 @@ def main(argv: list[str] | None = None) -> int:
         for i, (argv, code, stdout) in enumerate(calls):
             header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
             (out / f"{i:03d}-{argv[0].lstrip('-')}.txt").write_bytes(header + stdout)
-        rows = value_rows()
-        for i, (label, value) in enumerate(rows, len(calls)):
+        keys = row_keys()
+        for i, key in enumerate(keys, len(calls)):
+            value = row_value(key)
             lines = "".join(f"{v!r}\n" for v in (value if isinstance(value, list) else [value]))
-            (out / f"{i:03d}-{label.split()[0]}.txt").write_text(f"= {label}\n---\n{lines}")
-        count = len(calls) + len(rows)
+            (out / f"{i:03d}-{key[0]}.txt").write_text(f"= {row_label(key)}\n---\n{lines}")
+        count = len(calls) + len(keys)
     print(f"{count} calls and rows written to {args.out}")
     return 0
 
