@@ -22,7 +22,8 @@ from tiltedsum import (
 from tiltedsum.cgf import _log2_tilt, _tilted
 from tiltedsum.oracle import cgf_limit_derivative
 
-from conftest import LN2_DECIMAL, PAIR_GRID, check_rows_pinned, decimal_tilted, stdout_matrix
+import stdout_matrix
+from conftest import LN2_DECIMAL, PAIR_GRID, chain_rows, check_pinned, decimal_tilted
 from test_properties import check_cgf_origin, check_perron_root
 
 LN2 = math.log(2.0)
@@ -216,7 +217,7 @@ class TestPoweredKernel:
     # (centered_cumulants), to the bit, as the manifest's rows of each chain pin it.
     @pytest.mark.parametrize("a,b", stdout_matrix.KERNEL_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(stdout_matrix.KERNEL_FUNCTIONS, a, b)
+        check_pinned(chain_rows(stdout_matrix.KERNEL_FUNCTIONS, a, b))
 
 
 class TestLimitCGF:

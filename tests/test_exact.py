@@ -2,6 +2,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from tiltedsum import (
 )
 
 from tiltedsum.markov import _one_minus_power
+from tiltedsum.oracle import _enumerate_paths, jtilt_generic
 
+import stdout_matrix
 from conftest import (
-    PAIR_GRID, check_rows_pinned, count_law_dp, exact_cumulants, path_cumulants, stdout_matrix,
+    PAIR_GRID, chain_rows, check_pinned, count_law_dp, exact_cumulants, path_cumulants,
 )
 from test_properties import check_dp_enumeration, check_pgf, check_variance_forms
 
@@ -263,7 +266,7 @@ class TestOccupationPMF:
     # The count law to the bit, as the manifest's rows of each chain pin it.
     @pytest.mark.parametrize("a,b", stdout_matrix.PMF_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(("occupation_pmf",), a, b)
+        check_pinned(chain_rows(("occupation_pmf",), a, b))
 
 
 def _f(n, m, kappa):
@@ -439,13 +442,45 @@ class TestCenteredTailProbability:
         for x, want in ((-0.1, 1.0), (0.0, 1.0), (0.1, 0.0)):
             assert centered_tail_probability(symmetric, 10, x) == want
 
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_matches_enumeration(self, a, b):
+        # The tail as the mass of every path whose sum, accumulated letter by letter from the
+        # defining-sum values, less n*mu_D reaches n*x.  Each x lies halfway between two atoms,
+        # so no rounding moves a path across it.  Tolerance 1e-13 relative, set before the run.
+        chain = derive_chain(a, b)
+        d = min(chain.pi0, chain.pi1) / 4
+        letters = (jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1))
+        for n in (1, 2, 7, 12):
+            probs, sums = _enumerate_paths(chain, n, letters)
+            paths = list(zip([p for ps in probs for p in ps], [s for ss in sums for s in ss]))
+            center = n * tilted_mean(chain, d)
+            for m in range(-1, n + 1):
+                x = -chain.ell * (m + 0.5 - n * chain.pi1) / n
+                want = math.fsum(p for p, s in paths if s - center >= n * x)
+                assert math.isclose(centered_tail_probability(chain, n, x), want, rel_tol=1e-13)
+
 
 class TestExactNormalDistance:
+    @pytest.mark.parametrize("a,b", PAIR_GRID)
+    def test_matches_enumeration(self, a, b):
+        # The sup of |F - Phi| over the enumerated law's atoms, sorted, and their left limits,
+        # with Phi from the standard library.  Tolerance 1e-14 absolute, set before the run.
+        chain, phi = derive_chain(a, b), NormalDist().cdf
+        for n in (1, 2, 7, 12):
+            scale = math.sqrt(n * chain.v_sl)
+            law = enumerate_pmf(chain, n)
+            atoms = sorted((-chain.ell * (m - n * chain.pi1) / scale, p) for m, p in enumerate(law))
+            want = 0.0
+            for k, (z, p) in enumerate(atoms):
+                left = math.fsum(q for _, q in atoms[:k])
+                want = max(want, abs(left - phi(z)), abs(left + p - phi(z)))
+            assert exact_normal_distance(chain, n) == pytest.approx(want, rel=0, abs=1e-14)
+
     # exact_normal_distance to the bit, as the manifest's rows of each chain pin it: its CDF
     # sums run in atom order.
     @pytest.mark.parametrize("a,b", stdout_matrix.DISTANCE_CHAINS)
     def test_bits_pinned(self, a, b):
-        check_rows_pinned(("exact_normal_distance",), a, b)
+        check_pinned(chain_rows(("exact_normal_distance",), a, b))
 
 
 class TestVarianceExact:

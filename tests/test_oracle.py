@@ -118,6 +118,9 @@ class TestVerifySuites:
 # suite that no wrong answer can fail certifies nothing.  verify still misses cgf_limit,
 # perron_root, rate_function, saddlepoint_tail, centered_cumulants, jtilt(., 1) + 1e-6,
 # centered_tail_probability and exact_normal_distance; a suite that catches one adds its row.
+# Of these, centered_tail_probability*(1+1e-3) and exact_normal_distance + 1e-3 fail the
+# test_matches_enumeration tests of tests/test_exact.py; verify cannot take them on yet, since
+# perfbench's check_verify pins its suite names and case counts.
 MUTANTS = {  # id: (name, the mutant's value from the true value and the arguments, suites)
     "variance_exact*(1+1e-6)": ("variance_exact", lambda v, chain, n: v * (1 + 1e-6),
                                 {"variance-forms", "oracle-variance"}),

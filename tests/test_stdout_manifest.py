@@ -7,36 +7,17 @@ import os
 import subprocess
 import sys
 
-from conftest import MANIFEST, ROOT, stdout_matrix
-
-
-def calls(lines):
-    """Header and {number: line} of a manifest's call lines."""
-    header, *lines = lines
-    return header, {line.split(" ", 1)[0]: line for line in lines}
+import stdout_matrix
+from conftest import MANIFEST, ROOT, check_pinned
 
 
 def test_stdout_matches_manifest():
     # Every call of the matrix, run in this process through cli.main, must print the bytes
     # whose digest the committed manifest holds, and exit with its code.
-    lines, rows = stdout_matrix.parse(MANIFEST.read_text())
-    # The test_bits_pinned tests check each row by its label; the manifest must hold no others.
-    assert list(rows) == [stdout_matrix.row_label(key) for key in stdout_matrix.row_keys()]
-    pinned, want = calls(lines)
-    running, got = calls(stdout_matrix.call_lines(stdout_matrix.results()))
-    moved = [
-        f"  {want.get(key, '(none)')}\n    now {got.get(key, '(none)')}"
-        for key in sorted(want.keys() | got.keys())
-        if want.get(key) != got.get(key)
-    ]
-    assert not moved, (
-        f"{len(moved)} of {len(got)} calls differ from {MANIFEST.name} "
-        "(number, exit code, SHA-256 of stdout, arguments):\n" + "\n".join(moved) + "\n"
-        f"The digests pin CPython 3.11 and numpy 2.4.6 (manifest {pinned[2:]}; this run "
-        f"{running[2:]}), since other builds may round differently.  If the change of output "
-        "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
-        "tests/stdout_manifest.txt` and name the moved calls in CHANGES.md."
-    )
+    calls = stdout_matrix.call_entries()
+    check_pinned(enumerate(calls))
+    # The manifest holds one line per call and per row, after its version header.
+    assert len(MANIFEST.read_text().splitlines()) == 1 + len(calls) + len(stdout_matrix.row_keys())
 
 
 def test_crash_is_recorded_against_its_call(monkeypatch):
@@ -56,7 +37,7 @@ def test_file_mode_writes_one_file_per_call(monkeypatch, tmp_path, capsys):
     argv = [["stats", "--a", "0.1", "--b", "0.3", "--format", "csv"], ["--help"],
             ["stats", "--a", "1.5", "--b", "0.3"]]
     keys = [("occupation_pmf", 0.1, 0.3, 1), ("exact_normal_distance", 0.1, 0.3, 1)]
-    monkeypatch.setattr(stdout_matrix, "matrix", lambda missing_dir: argv)
+    monkeypatch.setattr(stdout_matrix, "matrix", lambda: argv)
     monkeypatch.setattr(stdout_matrix, "row_keys", lambda: keys)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first on it
     assert stdout_matrix.main([str(ROOT / "src"), str(tmp_path)]) == 0
@@ -74,6 +55,17 @@ def test_file_mode_writes_one_file_per_call(monkeypatch, tmp_path, capsys):
     # A row's file holds one value per line, so that a diff names the values that moved.
     assert files[3].read_text() == "= occupation_pmf 0.1 0.3 n=1\n---\n0.7499999999999999\n0.25\n"
     assert files[4].read_text() == "= exact_normal_distance 0.1 0.3 n=1\n---\n0.38641499634222376\n"
+    # The manifest form writes the version header, then each entry's line, whose digest covers
+    # the body of the entry's file.
+    manifest = tmp_path / "manifest.txt"
+    assert stdout_matrix.main(["--manifest", str(ROOT / "src"), str(manifest)]) == 0
+    names = [" ".join(call) for call in argv]
+    names += ["occupation_pmf 0.1 0.3 n=1", "exact_normal_distance 0.1 0.3 n=1"]
+    bodies = [f.read_bytes().split(b"---\n", 1)[1] for f in files]
+    entries = zip([0, 0, 1, "value", "value"], names, bodies)
+    assert manifest.read_text().splitlines() == [stdout_matrix.header()] + [
+        stdout_matrix.line(i, entry) for i, entry in enumerate(entries)
+    ]
 
 
 def test_chain_rule_matches_derive_chain():

@@ -6,29 +6,30 @@ Usage::
     python3 tools/stdout_matrix.py --manifest SRC FILE
 
 Both forms import ``tiltedsum`` from ``SRC`` (a checkout's ``src``
-directory) and run every call of the matrix in this process through
-``tiltedsum.cli.main``, with ``COLUMNS`` pinned to 80, the width ``--help``
-takes when stdout is not a terminal.  After the calls come the rows of
-``row_keys``: library values that no call prints in full, each a float
-or a list.  A run takes a few seconds.  The first form writes one file
-per call to ``OUTDIR``, with the argument list, the exit code and the exact
-stdout, then one file per row, with its label and the ``repr`` of each
-value on a line of its own.  Two runs, say of a parent checkout and of a
-change, compare with ``diff -r``; the call list, the rows and the file
-names depend on nothing but this script, so the same call lands in the
-same file on both sides, and a diff names each value that moved.  The
-second form writes the manifest ``FILE``: a header naming the Python and
-numpy versions, then one line per call with its number, exit code, the
-SHA-256 of its stdout and its arguments, then one line per row with its
-number, ``value``, the SHA-256 of the ``repr`` of its value and its label.
-``tests/stdout_manifest.txt`` is such a manifest, and tests recompute it:
-``tests/test_stdout_manifest.py`` its calls, and the ``test_bits_pinned``
-tests of ``tests/test_cgf.py`` and ``tests/test_exact.py`` its rows, one
-chain at a time; a change that moves output or a pinned value rewrites
-it, and the manifest's diff names the calls and rows that moved.  A call
-that raises out of ``main`` is recorded with the exception's type name,
-such as ``OverflowError``, in place of its exit code, and with the stdout
-written before the exception.
+directory) and build one list of entries ``(kind, name, body)``, which
+takes a few seconds.  First come the calls of the matrix, each run in this
+process through ``tiltedsum.cli.main`` with ``COLUMNS`` pinned to 80, the
+width ``--help`` takes when stdout is not a terminal: ``kind`` is the exit
+code, ``name`` the arguments and ``body`` the exact stdout.  A call that
+raises out of ``main`` has the exception's type name, such as
+``OverflowError``, for its ``kind``, and the stdout written before the
+exception for its ``body``.  Then come the rows of ``row_keys``, library
+values that no call prints in full: ``kind`` is ``value``, ``name`` the
+function, chain and n, and ``body`` the ``repr`` of each value on a line of
+its own.
+
+The first form writes each entry's body to a file of ``OUTDIR``, under a
+header naming the entry.  Two runs, say of a parent checkout and of a
+change, compare with ``diff -r``; the entries and the file names depend on
+nothing but this script, so a diff names each output and value that moved.
+The second form writes the manifest ``FILE``: a header naming the Python
+and numpy versions, then ``line(i, entry)`` for each entry, its number,
+kind, the SHA-256 of its body and its name.  ``tests/stdout_manifest.txt``
+is such a manifest, and tests recompute it: ``tests/test_stdout_manifest.py``
+its calls, and the ``test_bits_pinned`` tests of ``tests/test_cgf.py`` and
+``tests/test_exact.py`` its rows, one chain at a time.  A change that moves
+output or a pinned value rewrites it, and the manifest's diff names the
+entries that moved.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
@@ -53,7 +54,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.metadata import version
 from pathlib import Path
@@ -136,7 +136,7 @@ def chain_calls(a: float, b: float) -> list[list[str]]:
     ]
 
 
-def matrix(missing_dir: str) -> list[list[str]]:
+def matrix() -> list[list[str]]:
     """Every call, in a fixed order."""
     calls = []
     for a, b in CHAINS:
@@ -169,8 +169,8 @@ def matrix(missing_dir: str) -> list[list[str]]:
          "--reps", "200"],
         ["verify", "--a", "0.1"],
         ["nonsense"],
-        # Exit 3: the output directory does not exist.
-        ["stats", "--a", "0.1", "--b", "0.3", "--out", os.path.join(missing_dir, "out.csv")],
+        # Exit 3: the output's directory is not a directory.
+        ["stats", "--a", "0.1", "--b", "0.3", "--out", "/dev/null/out.csv"],
         # Exit 1: an empty or non-finite grid.
         ["figure", "--a", "0.1", "--b", "0.3", "--n-grid", ","],
         ["cgf", "--a", "0.1", "--b", "0.3", "--n", "10", "--theta-grid=,"],
@@ -256,38 +256,22 @@ def row_keys() -> list[tuple[str, float, float, int | None]]:
     )
 
 
-def row_label(key: tuple[str, float, float, int | None]) -> str:
-    """A row's label in the manifest and its file: the function, the chain and n."""
-    name, a, b, n = key
-    return f"{name} {a!r} {b!r}" + ("" if n is None else f" n={n}")
-
-
-def row_value(key: tuple[str, float, float, int | None]) -> float | list:
-    """A row's value: a float, or a list of the kernel's values over KERNEL_NS."""
+def row_entry(key: tuple[str, float, float, int | None]) -> tuple[str, str, bytes]:
+    """``value``, the row's function, chain and n, and the ``repr`` of each value on a line."""
     import tiltedsum
 
     name, a, b, n = key
     chain, function = tiltedsum.derive_chain(a, b), getattr(tiltedsum, name)
     if name == "cgf_finite":
-        return [function(chain, m, tilt / chain.ell) for m in KERNEL_NS for tilt in KERNEL_TILTS]
-    if name == "occupation_log2_pgf":
-        return [function(chain, m, u) for m in KERNEL_NS for u in KERNEL_US]
-    if name == "centered_cumulants":
-        return [function(chain, m, max_order=10) for m in KERNEL_NS if m <= 1000]
-    return function(chain, n)
-
-
-def digest(value: float | list) -> str:
-    """SHA-256 of a row value's ``repr``, as the manifest holds it."""
-    return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
-def shown(argv: list[str]) -> str:
-    """The call as written in a file header or manifest line.
-
-    The missing directory's random name would differ between runs.
-    """
-    return " ".join("<missing>/out.csv" if arg.endswith("out.csv") else arg for arg in argv)
+        values = [function(chain, m, tilt / chain.ell) for m in KERNEL_NS for tilt in KERNEL_TILTS]
+    elif name == "occupation_log2_pgf":
+        values = [function(chain, m, u) for m in KERNEL_NS for u in KERNEL_US]
+    elif name == "centered_cumulants":
+        values = [function(chain, m, max_order=10) for m in KERNEL_NS if m <= 1000]
+    else:
+        values = function(chain, n)
+    body = "".join(f"{v!r}\n" for v in (values if isinstance(values, list) else [values]))
+    return "value", f"{name} {a!r} {b!r}" + ("" if n is None else f" n={n}"), body.encode()
 
 
 def run_in_process(argv: list[str]) -> tuple[int | str, bytes]:
@@ -309,38 +293,24 @@ def run_in_process(argv: list[str]) -> tuple[int | str, bytes]:
     return code, out.getvalue().encode()
 
 
-def results() -> list[tuple[list[str], int | str, bytes]]:
-    """(arguments, exit code, stdout) of every call of the matrix, in order."""
-    with tempfile.TemporaryDirectory() as scratch:
-        return [(argv, *run_in_process(argv)) for argv in matrix(os.path.join(scratch, "missing"))]
+def call_entries() -> list[tuple[int | str, str, bytes]]:
+    """(exit code, arguments, stdout) of every call of the matrix, in order."""
+    entries = []
+    for argv in matrix():
+        code, stdout = run_in_process(argv)
+        entries.append((code, " ".join(argv), stdout))
+    return entries
 
 
-def call_lines(calls: list[tuple[list[str], int | str, bytes]]) -> list[str]:
-    """A manifest's version header, then its line for each (arguments, exit code, stdout)."""
-    return [f"# CPython {platform.python_version()}, numpy {version('numpy')}"] + [
-        f"{i:03d} {code} {hashlib.sha256(stdout).hexdigest()} {shown(argv)}"
-        for i, (argv, code, stdout) in enumerate(calls)
-    ]
+def header() -> str:
+    """A manifest's first line: the Python and numpy versions that its digests come from."""
+    return f"# CPython {platform.python_version()}, numpy {version('numpy')}"
 
 
-def manifest() -> str:
-    """The manifest text: a version header, one line per call, then one line per row."""
-    lines = call_lines(results())
-    for i, key in enumerate(row_keys(), len(lines) - 1):
-        lines.append(f"{i:03d} value {digest(row_value(key))} {row_label(key)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse(text: str) -> tuple[list[str], dict[str, str]]:
-    """A manifest's header and call lines, and the SHA-256 of each of its rows by label."""
-    lines, rows = [], {}
-    for line in text.splitlines():
-        if line.split(" ", 2)[1] == "value":
-            _, _, sha, label = line.split(" ", 3)
-            rows[label] = sha
-        else:
-            lines.append(line)
-    return lines, rows
+def line(i: int, entry: tuple[int | str, str, bytes]) -> str:
+    """Entry i's manifest line: its number, its kind, the SHA-256 of its body and its name."""
+    kind, name, body = entry
+    return f"{i:03d} {kind} {hashlib.sha256(body).hexdigest()} {name}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,24 +321,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", help="directory for one file per entry (created), or the manifest")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    entries = call_entries() + [row_entry(key) for key in row_keys()]
     if args.manifest:
-        text = manifest()
-        Path(args.out).write_text(text)
-        count = len(text.splitlines()) - 1
+        lines = [header()] + [line(i, entry) for i, entry in enumerate(entries)]
+        Path(args.out).write_text("\n".join(lines) + "\n")
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        calls = results()
-        for i, (argv, code, stdout) in enumerate(calls):
-            header = f"$ tiltedsum {shown(argv)}\nexit {code}\n---\n".encode()
-            (out / f"{i:03d}-{argv[0].lstrip('-')}.txt").write_bytes(header + stdout)
-        keys = row_keys()
-        for i, key in enumerate(keys, len(calls)):
-            value = row_value(key)
-            lines = "".join(f"{v!r}\n" for v in (value if isinstance(value, list) else [value]))
-            (out / f"{i:03d}-{key[0]}.txt").write_text(f"= {row_label(key)}\n---\n{lines}")
-        count = len(calls) + len(keys)
-    print(f"{count} calls and rows written to {args.out}")
+        for i, (kind, name, body) in enumerate(entries):
+            head = f"= {name}\n" if kind == "value" else f"$ tiltedsum {name}\nexit {kind}\n"
+            path = out / f"{i:03d}-{name.split(' ', 1)[0].lstrip('-')}.txt"
+            path.write_bytes(f"{head}---\n".encode() + body)
+    print(f"{len(entries)} calls and rows written to {args.out}")
     return 0
 
 
