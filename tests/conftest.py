@@ -1,40 +1,12 @@
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import stdout_matrix
 from tiltedsum import derive_chain
 from tiltedsum.oracle import _enumerate_paths, jtilt_generic
-
-ROOT = Path(__file__).resolve().parent.parent
-MANIFEST = ROOT / "tests" / "stdout_manifest.txt"
-
-
-def check_pinned(numbered):
-    """Each (number, entry) of ``tools/stdout_matrix.py`` must give the manifest's line of that
-    number: a call its exit code and the bytes of its stdout, a row every bit of its values."""
-    header, *lines = MANIFEST.read_text().splitlines()
-    pinned, now = dict(enumerate(lines)), {i: stdout_matrix.line(i, e) for i, e in numbered}
-    moved = [f"  {pinned.get(i)}\n    now {now[i]}" for i in now if pinned.get(i) != now[i]]
-    assert not moved, (
-        f"{len(moved)} entries differ from {MANIFEST.name} (number, exit code or `value`, "
-        "SHA-256 of the stdout or values, name):\n" + "\n".join(moved) + "\n"
-        f"The digests pin CPython 3.11 and numpy 2.4.6 (manifest {header[2:]}; this run "
-        f"{stdout_matrix.header()[2:]}), since other builds may round differently.  If the change "
-        "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
-        "tests/stdout_manifest.txt` and name the moved entries in CHANGES.md; the file form of "
-        "the tool writes each entry's stdout or values."
-    )
-
-
-def chain_rows(names, a, b):
-    """(number, entry) of the manifest's rows for the functions ``names`` on chain (a, b)."""
-    keys = enumerate(stdout_matrix.row_keys(), len(stdout_matrix.matrix()))
-    return [(i, stdout_matrix.row_entry(k)) for i, k in keys if k[0] in names and k[1:3] == (a, b)]
 
 
 @pytest.fixture

@@ -22,9 +22,7 @@ from tiltedsum import (
 from tiltedsum.cgf import _log2_tilt, _tilted
 from tiltedsum.oracle import cgf_limit_derivative
 
-import stdout_matrix
-from conftest import LN2_DECIMAL, PAIR_GRID, chain_rows, check_pinned, decimal_tilted
-from test_properties import check_cgf_origin, check_perron_root
+from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -101,11 +99,6 @@ class TestPerronRoot:
     def test_stochastic_fixed_point(self, a, b):
         assert perron_root(derive_chain(a, b), 1.0) == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("a,b", PAIR_GRID)
-    @pytest.mark.parametrize("u", [0.01, 0.5, 1.0, 3.0, 40.0])
-    def test_characteristic_polynomial(self, a, b, u):
-        check_perron_root(a, b, u)
-
     @pytest.mark.parametrize("u", [0.25, 1.0, 7.0])
     def test_matches_eigensolver(self, moderate, u):
         tilted = np.array(
@@ -132,12 +125,6 @@ class TestPerronRoot:
 
 
 class TestFiniteCGF:
-    @pytest.mark.parametrize("a,b", PAIR_GRID)
-    def test_zero_at_origin(self, a, b):
-        chain = derive_chain(a, b)
-        for n in (1, 16, 256):
-            check_cgf_origin(chain, n)
-
     def test_matches_exact_expectation(self, moderate):
         mu = tilted_mean(moderate, 0.1)
         for n in (1, 2, 7, 16):
@@ -212,12 +199,6 @@ class TestPoweredKernel:
         for n in (1, 7, 10_000):
             singles = [cgf_finite(chain, n, theta) for theta in thetas]
             assert all(type(value) is float for value in singles)
-
-    # The jet kernel at order 0 (cgf_finite, occupation_log2_pgf) and at orders up to 10
-    # (centered_cumulants), to the bit, as the manifest's rows of each chain pin it.
-    @pytest.mark.parametrize("a,b", stdout_matrix.KERNEL_CHAINS)
-    def test_bits_pinned(self, a, b):
-        check_pinned(chain_rows(stdout_matrix.KERNEL_FUNCTIONS, a, b))
 
 
 class TestLimitCGF:

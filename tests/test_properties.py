@@ -1,12 +1,11 @@
-"""Invariant checks over the whole parameter space, on seeded cases.
+"""Invariant checks over the whole parameter space, one test per invariant.
 
 Each test runs on the corners of its parameter box, then on uniform draws
 from the box, all drawn once at import from ``random.Random(SEED)``, so
-every run checks the same cases.  Each invariant's assertions live in one
-``check_...`` function: the test here applies it to the draws, and a grid
-test of the unit modules applies it to fixed cases (``PAIR_GRID`` chains at
-set n, u or D).  Worst deviation over both sets of cases, against the
-tolerance of the check:
+every run checks the same cases.  After the draws come fixed grid cases:
+``PAIR_GRID`` chains at set n, u or fractions of the distortion bound, and
+for ``jtilt`` a grid of a and b from 0.05 to 0.95.  Worst deviation over
+both sets of cases, against the tolerance of the assertion:
 
     test_...                                      deviation                    worst    bound
     stationary_distribution_fixed_point           max |pi P - pi|              1.1e-16  1e-14
@@ -23,7 +22,8 @@ tolerance of the check:
     variance_forms_and_cgf_origin                 relative variance gap        9.3e-16  1e-10
                                                   |cgf_finite(chain, n, 0)|    1.6e-16  1e-12
 
-To widen a test's domain, widen its box and record the new worst deviation.
+To widen a test's domain, widen its box or append grid cases, and record the
+new worst deviation.
 """
 
 import itertools
@@ -47,6 +47,8 @@ from tiltedsum import (
     variance_exact,
 )
 
+from conftest import PAIR_GRID
+
 SEED = 20261020
 _draw = random.Random(SEED)
 
@@ -66,9 +68,12 @@ def cases(*box, count=100):
 
 probabilities = (0.02, 0.98)
 tilts = (0.05, 20.0)
+# The grid of a and of b on which the two jtilt routes are compared, 0.05 to 0.95.
+JTILT_GRID = [float(p) for p in np.arange(0.05, 0.96, 0.15)]
 
 
-def check_stationary(a, b):
+@pytest.mark.parametrize("a, b", cases(probabilities, probabilities) + PAIR_GRID)
+def test_stationary_distribution_fixed_point(a, b):
     chain = derive_chain(a, b)
     P = np.array([[1.0 - a, a], [b, 1.0 - b]])
     pi = np.array([chain.pi0, chain.pi1])
@@ -82,28 +87,59 @@ def check_stationary(a, b):
     assert np.max(np.abs(eig - np.sort([1.0, 1.0 - a - b]))) <= 1e-14
 
 
-def check_jtilt_routes(chain, d):
+@pytest.mark.parametrize(
+    "a, b, frac",
+    cases(probabilities, probabilities, (0.1, 0.9))
+    + [(a, b, frac) for a in JTILT_GRID for b in JTILT_GRID for frac in (0.25, 0.5, 0.75)],
+)
+def test_jtilt_routes_agree(a, b, frac):
+    chain = derive_chain(a, b)
+    d = frac * min(chain.pi0, chain.pi1)
     for x in (0, 1):
         assert abs(jtilt(chain, d, x) - jtilt_generic(chain, d, x)) < 1e-12
 
 
-def check_distortion_shift(chain, lo, hi):
+@pytest.mark.parametrize(
+    "a, b, d1, d2",
+    cases(probabilities, probabilities, (0.1, 0.45), (0.5, 0.9)) + [(0.1, 0.3, 0.2, 0.8)],
+)
+def test_distortion_shift_is_state_free(a, b, d1, d2):
+    chain = derive_chain(a, b)
+    bound = min(chain.pi0, chain.pi1)
+    lo, hi = d1 * bound, d2 * bound
     want = binary_entropy(hi) - binary_entropy(lo)
     for x in (0, 1):
         assert abs((jtilt(chain, lo, x) - jtilt(chain, hi, x)) - want) < 1e-13
 
 
-def check_dp_enumeration(chain, n):
+@pytest.mark.parametrize(
+    "a, b, n",
+    cases(probabilities, probabilities, (1, 12))
+    + [(a, b, n) for a, b in PAIR_GRID for n in (1, 2, 3, 5, 8, 12, 16)],
+)
+def test_dp_matches_enumeration(a, b, n):
+    chain = derive_chain(a, b)
     tv = 0.5 * np.abs(np.subtract(occupation_pmf(chain, n), enumerate_pmf(chain, n))).sum()
     assert tv < 1e-12
 
 
-def check_pgf(chain, n, u):
+@pytest.mark.parametrize(
+    "a, b, n, u",
+    cases(probabilities, probabilities, (1, 60), tilts, count=60)
+    + [(a, b, n, u) for a, b in PAIR_GRID for n in (1, 2, 17, 200) for u in (0.5, 1.0, 2.0)],
+)
+def test_pgf_positive_and_consistent(a, b, n, u):
+    chain = derive_chain(a, b)
     direct = float(occupation_pmf(chain, n) @ (u ** np.arange(n + 1)))
     assert math.isclose(2.0 ** occupation_log2_pgf(chain, n, u), direct, rel_tol=1e-10)
 
 
-def check_perron_root(a, b, u):
+@pytest.mark.parametrize(
+    "a, b, u",
+    cases(probabilities, probabilities, tilts)
+    + [(a, b, u) for a, b in PAIR_GRID for u in (0.01, 0.5, 1.0, 3.0, 40.0)],
+)
+def test_perron_root_solves_characteristic_polynomial(a, b, u):
     chain = derive_chain(a, b)
     lam = perron_root(chain, u)
     trace = (1 - a) + (1 - b) * u
@@ -113,58 +149,17 @@ def check_perron_root(a, b, u):
     assert math.isclose(lam + u * chain.lambda2 / lam, trace, rel_tol=1e-12)
 
 
-def check_variance_forms(chain, n):
+@pytest.mark.parametrize(
+    "a, b, n",
+    cases(probabilities, probabilities, (1, 500), count=60)
+    + [(a, b, n) for a, b in PAIR_GRID for n in (1, 2, 10, 16, 100, 256, 10_000)],
+)
+def test_variance_forms_and_cgf_origin(a, b, n):
+    chain = derive_chain(a, b)
     assert math.isclose(
         variance_double_sum(chain, n),
         variance_exact(chain, n),
         rel_tol=1e-10,
         abs_tol=1e-12,
     )
-
-
-def check_cgf_origin(chain, n):
     assert abs(cgf_finite(chain, n, 0.0)) < 1e-12
-
-
-@pytest.mark.parametrize("a, b", cases(probabilities, probabilities))
-def test_stationary_distribution_fixed_point(a, b):
-    check_stationary(a, b)
-
-
-@pytest.mark.parametrize("a, b, frac", cases(probabilities, probabilities, (0.1, 0.9)))
-def test_jtilt_routes_agree(a, b, frac):
-    chain = derive_chain(a, b)
-    check_jtilt_routes(chain, frac * min(chain.pi0, chain.pi1))
-
-
-@pytest.mark.parametrize(
-    "a, b, d1, d2", cases(probabilities, probabilities, (0.1, 0.45), (0.5, 0.9))
-)
-def test_distortion_shift_is_state_free(a, b, d1, d2):
-    chain = derive_chain(a, b)
-    bound = min(chain.pi0, chain.pi1)
-    check_distortion_shift(chain, d1 * bound, d2 * bound)
-
-
-@pytest.mark.parametrize("a, b, n", cases(probabilities, probabilities, (1, 12)))
-def test_dp_matches_enumeration(a, b, n):
-    check_dp_enumeration(derive_chain(a, b), n)
-
-
-@pytest.mark.parametrize(
-    "a, b, n, u", cases(probabilities, probabilities, (1, 60), tilts, count=60)
-)
-def test_pgf_positive_and_consistent(a, b, n, u):
-    check_pgf(derive_chain(a, b), n, u)
-
-
-@pytest.mark.parametrize("a, b, u", cases(probabilities, probabilities, tilts))
-def test_perron_root_solves_characteristic_polynomial(a, b, u):
-    check_perron_root(a, b, u)
-
-
-@pytest.mark.parametrize("a, b, n", cases(probabilities, probabilities, (1, 500), count=60))
-def test_variance_forms_and_cgf_origin(a, b, n):
-    chain = derive_chain(a, b)
-    check_variance_forms(chain, n)
-    check_cgf_origin(chain, n)

@@ -1,23 +1,66 @@
-"""The CLI's stdout over the call matrix of ``tools/stdout_matrix.py``, and the tool's runner.
+"""The program against ``tests/stdout_manifest.txt``, the runner of ``tools/stdout_matrix.py``,
+and the CLI examples of README.
 
-The tool's library rows are checked chain by chain, by the ``test_bits_pinned`` tests.
+One test recomputes every entry of the manifest, the CLI's calls and the library's rows, and
+compares each with the manifest's line of its number.
 """
 
+import itertools
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import stdout_matrix
-from conftest import MANIFEST, ROOT, check_pinned
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "stdout_manifest.txt"
 
 
 def test_stdout_matches_manifest():
-    # Every call of the matrix, run in this process through cli.main, must print the bytes
-    # whose digest the committed manifest holds, and exit with its code.
-    calls = stdout_matrix.call_entries()
-    check_pinned(enumerate(calls))
-    # The manifest holds one line per call and per row, after its version header.
-    assert len(MANIFEST.read_text().splitlines()) == 1 + len(calls) + len(stdout_matrix.row_keys())
+    # Each entry must give the manifest's line of its number: a call, run in this process
+    # through cli.main, its exit code and the bytes of its stdout; a row every bit of its
+    # values.  The manifest holds one line per entry after its version header.
+    header, *pinned = MANIFEST.read_text().splitlines()
+    now = [stdout_matrix.line(i, entry) for i, entry in enumerate(stdout_matrix.entries())]
+    moved = [f"  {old}\n    now {new}" for old, new in itertools.zip_longest(pinned, now)
+             if old != new]
+    assert not moved, (
+        f"{len(moved)} entries differ from {MANIFEST.name} (number, exit code or `value`, "
+        "SHA-256 of the stdout or values, name):\n" + "\n".join(moved) + "\n"
+        f"The digests pin CPython 3.11 and numpy 2.4.6 (manifest {header[2:]}; this run "
+        f"{stdout_matrix.header()[2:]}), since other builds may round differently.  If the change "
+        "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
+        "tests/stdout_manifest.txt` and name the moved entries in CHANGES.md; the file form of "
+        "the tool writes each entry's stdout or values."
+    )
+
+
+def test_matrix_calls_every_subcommand():
+    # The subcommands that the parser offers are the tool's SUBCOMMANDS, and the matrix calls
+    # each with more than --help, so that no command goes without a pinned byte of output.
+    code, stdout = stdout_matrix.run_in_process(["--help"])
+    usage = stdout.decode().split("\n\n", 1)[0]
+    offered = set(re.search(r"\{(.*?)\}", usage).group(1).split(","))
+    assert code == 0 and set(stdout_matrix.SUBCOMMANDS) == offered
+    called = {argv[0] for argv in stdout_matrix.matrix() if argv[1:] != ["--help"]}
+    assert offered <= called
+
+
+def test_readme_cli_examples_run(monkeypatch, tmp_path):
+    # Each `tiltedsum ...` line of README's CLI section exits 0, but the self-test that must
+    # fail, which exits 2.  One line writes figure.csv, so they run in an empty directory.
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    calls = [shlex.split(text, comments=True)[1:] for text in block.splitlines()
+             if text.startswith("tiltedsum ")]
+    assert calls
+    monkeypatch.chdir(tmp_path)
+    for argv in calls:
+        code, _ = stdout_matrix.run_in_process(argv)
+        assert code == (2 if argv == ["verify", "--perturb", "1e-6"] else 0), argv
 
 
 def test_crash_is_recorded_against_its_call(monkeypatch):

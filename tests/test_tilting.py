@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from tiltedsum import (
@@ -19,7 +18,6 @@ from tiltedsum import oracle
 from tiltedsum.oracle import _alternating_updates
 
 from conftest import PAIR_GRID
-from test_properties import check_distortion_shift, check_jtilt_routes
 
 # Frozen with an independent 40-digit evaluation of the defining formulas.
 H2_QUARTER = 0.8112781244591328
@@ -114,14 +112,6 @@ class TestJtilt:
                 jtilt_generic(moderate, 0.1, x), abs=1e-12
             )
 
-    @pytest.mark.parametrize("a", np.arange(0.05, 0.96, 0.15))
-    @pytest.mark.parametrize("b", np.arange(0.05, 0.96, 0.15))
-    def test_generic_agreement_grid(self, a, b):
-        chain = derive_chain(float(a), float(b))
-        bound = min(chain.pi0, chain.pi1)
-        for d in (bound / 4, bound / 2, 3 * bound / 4):
-            check_jtilt_routes(chain, d)
-
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_state_difference_is_log_ratio(self, a, b):
         chain = derive_chain(a, b)
@@ -134,10 +124,6 @@ class TestJtilt:
             want = 1.0 - binary_entropy(d)
             assert jtilt(symmetric, d, 0) == want
             assert jtilt(symmetric, d, 1) == want
-
-    def test_distortion_additivity(self, moderate):
-        # Changing D shifts both states by the same entropy difference.
-        check_distortion_shift(moderate, 0.05, 0.2)
 
     def test_expectation_is_mu(self, moderate):
         mean = moderate.pi0 * jtilt(moderate, 0.1, 0) + moderate.pi1 * jtilt(moderate, 0.1, 1)

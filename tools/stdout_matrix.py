@@ -25,11 +25,10 @@ nothing but this script, so a diff names each output and value that moved.
 The second form writes the manifest ``FILE``: a header naming the Python
 and numpy versions, then ``line(i, entry)`` for each entry, its number,
 kind, the SHA-256 of its body and its name.  ``tests/stdout_manifest.txt``
-is such a manifest, and tests recompute it: ``tests/test_stdout_manifest.py``
-its calls, and the ``test_bits_pinned`` tests of ``tests/test_cgf.py`` and
-``tests/test_exact.py`` its rows, one chain at a time.  A change that moves
-output or a pinned value rewrites it, and the manifest's diff names the
-entries that moved.
+is such a manifest, and one test of ``tests/test_stdout_manifest.py``
+recomputes every entry, calls and rows, and compares each line with it.  A
+change that moves output or a pinned value rewrites it, and the manifest's
+diff names the entries that moved.
 
 The matrix runs every chain subcommand in table, csv and json on each chain
 of ``CHAINS``, with arguments inside that chain's valid ranges; then
@@ -302,6 +301,11 @@ def call_entries() -> list[tuple[int | str, str, bytes]]:
     return entries
 
 
+def entries() -> list[tuple[int | str, str, bytes]]:
+    """Every entry, in the manifest's order: the calls of the matrix, then the rows."""
+    return call_entries() + [row_entry(key) for key in row_keys()]
+
+
 def header() -> str:
     """A manifest's first line: the Python and numpy versions that its digests come from."""
     return f"# CPython {platform.python_version()}, numpy {version('numpy')}"
@@ -321,18 +325,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("out", help="directory for one file per entry (created), or the manifest")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    entries = call_entries() + [row_entry(key) for key in row_keys()]
+    pinned = entries()
     if args.manifest:
-        lines = [header()] + [line(i, entry) for i, entry in enumerate(entries)]
+        lines = [header()] + [line(i, entry) for i, entry in enumerate(pinned)]
         Path(args.out).write_text("\n".join(lines) + "\n")
     else:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for i, (kind, name, body) in enumerate(entries):
+        for i, (kind, name, body) in enumerate(pinned):
             head = f"= {name}\n" if kind == "value" else f"$ tiltedsum {name}\nexit {kind}\n"
             path = out / f"{i:03d}-{name.split(' ', 1)[0].lstrip('-')}.txt"
             path.write_bytes(f"{head}---\n".encode() + body)
-    print(f"{len(entries)} calls and rows written to {args.out}")
+    print(f"{len(pinned)} calls and rows written to {args.out}")
     return 0
 
 
