@@ -4,8 +4,10 @@ Each test runs on the corners of its parameter box, then on uniform draws
 from the box, all drawn once at import from ``random.Random(SEED)``, so
 every run checks the same cases.  After the draws come fixed grid cases:
 ``PAIR_GRID`` chains at set n, u or fractions of the distortion bound, and
-for ``jtilt`` a grid of a and b from 0.05 to 0.95.  Worst deviation over
-both sets of cases, against the tolerance of the assertion:
+for ``jtilt`` a grid of a and b from 0.05 to 0.95.  The Perron root's grid
+is the one exception: ``test_cgf``'s ``TestPerronRoot`` runs it through
+``check_perron_root``.  Worst deviation over both sets of cases, against
+the tolerance of the assertion:
 
     test_...                                      deviation                    worst    bound
     stationary_distribution_fixed_point           max |pi P - pi|              1.1e-16  1e-14
@@ -134,12 +136,8 @@ def test_pgf_positive_and_consistent(a, b, n, u):
     assert math.isclose(2.0 ** occupation_log2_pgf(chain, n, u), direct, rel_tol=1e-10)
 
 
-@pytest.mark.parametrize(
-    "a, b, u",
-    cases(probabilities, probabilities, tilts)
-    + [(a, b, u) for a, b in PAIR_GRID for u in (0.01, 0.5, 1.0, 3.0, 40.0)],
-)
-def test_perron_root_solves_characteristic_polynomial(a, b, u):
+# Shared with the PAIR_GRID cases of test_cgf.TestPerronRoot::test_characteristic_polynomial.
+def check_perron_root(a, b, u):
     chain = derive_chain(a, b)
     lam = perron_root(chain, u)
     trace = (1 - a) + (1 - b) * u
@@ -147,6 +145,11 @@ def test_perron_root_solves_characteristic_polynomial(a, b, u):
     assert abs(residual) < 1e-12 * max(1.0, lam**2)
     # Vieta: with the cofactor root from the determinant, the sum must reproduce the trace.
     assert math.isclose(lam + u * chain.lambda2 / lam, trace, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("a, b, u", cases(probabilities, probabilities, tilts))
+def test_perron_root_solves_characteristic_polynomial(a, b, u):
+    check_perron_root(a, b, u)
 
 
 @pytest.mark.parametrize(
