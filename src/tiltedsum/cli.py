@@ -203,8 +203,6 @@ def cmd_cgf(args, chain) -> list[dict]:
 
 
 def cmd_rate(args, chain) -> list[dict]:
-    if args.x_grid is None:
-        raise ValueError("rate requires --x or --x-grid")
     rows = []
     for x in _parse_grid(args.x_grid):
         theta_star, rate = rate_function(chain, x)
@@ -367,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
              {"--n-grid": {**grid, "default": "1,2,5,10,50"}})
     _command(sub, cmd_cgf, "finite-n and limiting CGF on a theta grid",
              {"--n": count, "--theta-grid --theta": {**grid, "default": "-2:2:0.25"}})
-    _command(sub, cmd_rate, "Legendre-Fenchel rate function", {"--x-grid --x": grid})
+    _command(sub, cmd_rate, "Legendre-Fenchel rate function",
+             {"--x-grid --x": {**grid, "required": True}})
     _command(sub, cmd_tail, "saddlepoint vs exact tail probability", {"--n": count, "--x": real})
     _command(sub, cmd_simulate, "Monte Carlo cross-check of the exact law",
              {"--distortion": real, "--n": count, "--reps": count,

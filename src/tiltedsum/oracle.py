@@ -31,10 +31,6 @@ ENUM_MAX_N = 20  # 2^20 ~ 1e6 paths
 BA_TOL = 1e-12
 BA_MAX_ITER = 100_000
 
-# The two variance routes inside oracle_variance share the exact same path
-# weights, so any disagreement beyond accumulated rounding is a logic error.
-_INTERNAL_AGREEMENT = 1e-9
-
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
@@ -135,37 +131,24 @@ def cgf_limit_derivative(chain: ChainParams, theta: float) -> float:
     return chain.ell * (chain.pi1 - g)
 
 
-def _enumerate_paths(chain: ChainParams, n: int, letter_values=None):
+def _enumerate_paths(chain: ChainParams, n: int) -> list[list[float]]:
     """Probability of every length-n path, as lists grouped by occupation count.
 
-    Entry m of the first result lists the probabilities of the paths with m
-    ones.  The paths grow letter by letter, those ending in state 0 and
-    those ending in state 1 held apart, so each step applies one transition
-    probability to a whole list.  Given per-letter values (any numbers that
-    add, Fractions too), the second result lists each path's sum of them,
-    accumulated letter by letter in the same order; otherwise it is None.
-    Refuses n > 20.
+    Entry m lists the probabilities of the paths with m ones.  The paths grow letter by letter,
+    those ending in state 0 and those ending in state 1 held apart, so each step applies one
+    transition probability to a whole list.  Refuses n > 20.
     """
     if not 1 <= n <= ENUM_MAX_N:
         raise ValueError(f"enumeration supports 1 <= n <= {ENUM_MAX_N}, got n={n}")
     stay0, leave0, leave1, stay1 = 1.0 - chain.a, chain.a, chain.b, 1.0 - chain.b
     prob0, prob1 = [[chain.pi0], []], [[], [chain.pi1]]
-    sums0 = sums1 = None
-    if letter_values is not None:
-        value0, value1 = letter_values
-        sums0, sums1 = [[value0], []], [[], [value1]]
     for _ in range(1, n):
         # A 0 keeps a path's count and a 1 raises it, so the lists grow by one entry.
         prob0, prob1 = (
             [[p * stay0 for p in x] + [p * leave1 for p in y] for x, y in zip(prob0, prob1)] + [[]],
             [[]] + [[p * leave0 for p in x] + [p * stay1 for p in y] for x, y in zip(prob0, prob1)],
         )
-        if sums0 is not None:
-            ended = [x + y for x, y in zip(sums0, sums1)]
-            sums0 = [[s + value0 for s in e] for e in ended] + [[]]
-            sums1 = [[]] + [[s + value1 for s in e] for e in ended]
-    probs = [x + y for x, y in zip(prob0, prob1)]
-    return probs, None if sums0 is None else [x + y for x, y in zip(sums0, sums1)]
+    return [x + y for x, y in zip(prob0, prob1)]
 
 
 def enumerate_pmf(chain: ChainParams, n: int) -> list[float]:
@@ -174,40 +157,21 @@ def enumerate_pmf(chain: ChainParams, n: int) -> list[float]:
     Each entry is one ``math.fsum``, the correctly rounded sum of its paths'
     float probabilities.  Refuses n > 20.
     """
-    probs, _ = _enumerate_paths(chain, n)
-    return [math.fsum(ps) for ps in probs]
+    return [math.fsum(ps) for ps in _enumerate_paths(chain, n)]
 
 
 def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
-    """Var(J_n(D)) from exhaustive enumeration, in bits^2.
+    """Var(J_n(D)) in bits^2 by exhaustive enumeration, as (j1 - j0)^2 * Var(N_n).
 
-    The per-letter values are taken from the defining-sum route
-    (:func:`jtilt_generic`), never the collapsed closed form, and
-    accumulated letter by letter along every path.  The same variance is
-    recomputed through the affine image of the enumerated count law; the
-    two must agree, which re-verifies the collapse pathwise.  Path sums of
-    about n*|j| bits cancel in ``s - mean`` when ell is small against j: on
-    (0.999999, 0.999998) at D = 0.05, n = 9, the result is 6.2e-10 off
-    relative, so ``verify`` fails ``oracle-variance`` (tol 1e-10) there.
+    A path with m ones sums to (n - m)*j0 + m*j1, so J_n(D) is an affine image of the count N_n.
+    j0 and j1 come from the defining sum (:func:`jtilt_generic`), and the law of N_n from every
+    path's probability.  Only j1 - j0 rounds beyond a few eps, to about eps*|j|: on (0.999999,
+    0.999998) at D = 0.1, n = 7, the result is 3.0e-10 off, and ``oracle-variance`` fails there.
     """
-    require_interior(chain, d)
     j0, j1 = jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)
-    probs, sums = _enumerate_paths(chain, n, (j0, j1))
-    prob = [p for ps in probs for p in ps]
-    path_sum = [s for ss in sums for s in ss]
-    mean = math.fsum([p * s for p, s in zip(prob, path_sum)])
-    var_paths = math.fsum([p * (s - mean) ** 2 for p, s in zip(prob, path_sum)])
-
-    law = [math.fsum(ps) for ps in probs]
+    law = [math.fsum(ps) for ps in _enumerate_paths(chain, n)]
     count_mean = math.fsum(m * q for m, q in enumerate(law))
-    var_affine = (j1 - j0) ** 2 * math.fsum(q * (m - count_mean) ** 2 for m, q in enumerate(law))
-
-    scale = max(1.0, abs(var_paths))
-    if abs(var_paths - var_affine) > _INTERNAL_AGREEMENT * scale:
-        raise RuntimeError(
-            f"oracle variance routes disagree: {var_paths!r} vs {var_affine!r}"
-        )
-    return var_paths
+    return (j1 - j0) ** 2 * math.fsum(q * (m - count_mean) ** 2 for m, q in enumerate(law))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +203,9 @@ def _oracle_variance(chain, distortion, perturb):
         if not 0.0 < d < min(chain.pi0, chain.pi1):
             continue  # only the default grid: a given distortion was checked up front
         for n in range(1, 11):
-            per_path = oracle_variance(chain, d, n)
+            enumerated = oracle_variance(chain, d, n)
             closed = variance_exact(chain, n) * (1.0 + perturb)
-            deviation = abs(per_path - closed) / max(abs(closed), 1e-30)
+            deviation = abs(enumerated - closed) / max(abs(closed), 1e-30)
             # An overflowed closed form is off by inf, where inf/inf would read nan.
             yield deviation if math.isfinite(closed) else math.inf
 

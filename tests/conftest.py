@@ -117,14 +117,14 @@ def exact_cumulants(weights, values, max_order):
 
 
 def path_cumulants(chain, d, n):
-    """kappa_2..kappa_6 of J_n(D), the same as of J_n(D) - n*mu_D, from every path's sum.
+    """kappa_2..kappa_6 of J_n(D), the same as of J_n(D) - n*mu_D, from every path's probability.
 
-    The letter values come from the defining sum (jtilt_generic), and each
-    path's sum and the cumulants are formed in exact rationals, so the only
-    rounding is in the letter values and path probabilities.
+    The letter values come from the defining sum (jtilt_generic).  In exact
+    rationals every path with m ones sums to (n - m)*j0 + m*j1, so each
+    count's value is weighed by the exact sum of its paths' probabilities,
+    and the only rounding is in the letter values and path probabilities.
     """
-    letters = [Fraction(jtilt_generic(chain, d, x)) for x in (0, 1)]
-    probs, sums = _enumerate_paths(chain, n, letters)
-    weights = [Fraction(p) for ps in probs for p in ps]
-    kappa = exact_cumulants(weights, [s for ss in sums for s in ss], 6)
+    j0, j1 = (Fraction(jtilt_generic(chain, d, x)) for x in (0, 1))
+    weights = [sum(map(Fraction, ps)) for ps in _enumerate_paths(chain, n)]
+    kappa = exact_cumulants(weights, [(n - m) * j0 + m * j1 for m in range(n + 1)], 6)
     return np.array([float(k) for k in kappa])

@@ -23,7 +23,6 @@ from tiltedsum.cgf import _log2_tilt, _tilted
 from tiltedsum.oracle import cgf_limit_derivative
 
 from conftest import LN2_DECIMAL, PAIR_GRID, decimal_tilted
-from test_properties import check_perron_root
 
 LN2 = math.log(2.0)
 EPS = 2.0**-52
@@ -99,11 +98,6 @@ class TestPerronRoot:
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_stochastic_fixed_point(self, a, b):
         assert perron_root(derive_chain(a, b), 1.0) == pytest.approx(1.0, abs=1e-15)
-
-    @pytest.mark.parametrize("a,b", PAIR_GRID)
-    @pytest.mark.parametrize("u", [0.01, 0.5, 1.0, 3.0, 40.0])
-    def test_characteristic_polynomial(self, a, b, u):
-        check_perron_root(a, b, u)
 
     @pytest.mark.parametrize("u", [0.25, 1.0, 7.0])
     def test_matches_eigensolver(self, moderate, u):

@@ -422,19 +422,19 @@ class TestCenteredTailProbability:
 
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_matches_enumeration(self, a, b):
-        # The tail as the mass of every path whose sum, accumulated letter by letter from the
+        # The tail as the mass of every path whose count's atom (n - m)*j0 + m*j1, from the
         # defining-sum values, less n*mu_D reaches n*x.  Each x lies halfway between two atoms,
         # so no rounding moves a path across it.  Tolerance 1e-13 relative, set before the run.
         chain = derive_chain(a, b)
         d = min(chain.pi0, chain.pi1) / 4
-        letters = (jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1))
+        j0, j1 = jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)
         for n in (1, 2, 7, 12):
-            probs, sums = _enumerate_paths(chain, n, letters)
-            paths = list(zip([p for ps in probs for p in ps], [s for ss in sums for s in ss]))
+            probs = _enumerate_paths(chain, n)
             center = n * tilted_mean(chain, d)
-            for m in range(-1, n + 1):
-                x = -chain.ell * (m + 0.5 - n * chain.pi1) / n
-                want = math.fsum(p for p, s in paths if s - center >= n * x)
+            atoms = [(n - m) * j0 + m * j1 - center for m in range(n + 1)]
+            for k in range(-1, n + 1):
+                x = -chain.ell * (k + 0.5 - n * chain.pi1) / n
+                want = math.fsum(p for s, ps in zip(atoms, probs) if s >= n * x for p in ps)
                 assert math.isclose(centered_tail_probability(chain, n, x), want, rel_tol=1e-13)
 
 

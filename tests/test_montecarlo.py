@@ -31,6 +31,11 @@ def variance_standard_error(chain, n, replications):
     return math.sqrt((mu4 - (replications - 3) / (replications - 1) * sigma2**2) / replications)
 
 
+def dkw_halfwidth(replications, fail_prob=1e-9):
+    """DKW: Pr(sup|F_emp - F| > eps) <= 2*exp(-2*replications*eps^2) = fail_prob."""
+    return math.sqrt(math.log(2 / fail_prob) / (2 * replications))
+
+
 KS_CHAINS = [(0.1, 0.3, 0.1), (0.6, 0.7, 0.2), (0.02, 0.05, 0.1), (0.3, 0.30000000000000004, 0.1)]
 
 
@@ -81,8 +86,8 @@ class TestSimulate:
         small = simulate(chain, d, n, 1000, 11).ks_exact
         large = simulate(chain, d, n, 100_000, 11).ks_exact
         assert large < small
-        # DKW: Pr(ks > eps) <= 2*exp(-2*reps*eps^2); failure probability 1e-9.
-        assert large <= math.sqrt(math.log(2 / 1e-9) / (2 * 100_000))
+        # The DKW half-width at failure probability 1e-9.
+        assert large <= dkw_halfwidth(100_000)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -94,8 +99,7 @@ class TestSimulate:
         # the first term at failure probability 1e-9.
         chain = derive_chain(a, b)
         ks_normal = simulate(chain, 0.1, 200, 20_000, 1).ks_normal
-        dkw = math.sqrt(math.log(2 / 1e-9) / (2 * 20_000))
-        assert ks_normal <= exact_normal_distance(chain, 200) + dkw
+        assert ks_normal <= exact_normal_distance(chain, 200) + dkw_halfwidth(20_000)
 
     def test_dp_cap_checked_before_sampling(self, moderate, monkeypatch):
         def no_sampling(*args):
@@ -110,7 +114,7 @@ class TestSimulate:
         # 1.2e6 bits, whose rounding alone passes an absolute 1e-10.
         chain = derive_chain(0.5, 1.1e-12)
         report = simulate(chain, 5e-13, 30_000, 200, 5)
-        assert report.ks_exact <= math.sqrt(math.log(2 / 1e-9) / (2 * 200))
+        assert report.ks_exact <= dkw_halfwidth(200)
 
     def test_input_validation(self, moderate):
         with pytest.raises(ValueError):
@@ -123,11 +127,6 @@ class TestSimulate:
 
         with pytest.raises(RegimeError):
             simulate(moderate, 0.4, 10, 200, 1)
-
-
-def dkw_halfwidth(replications, fail_prob=1e-9):
-    """DKW: Pr(sup|F_emp - F| > eps) <= 2*exp(-2*replications*eps^2) = fail_prob."""
-    return math.sqrt(math.log(2 / fail_prob) / (2 * replications))
 
 
 class TestRuns:

@@ -46,24 +46,19 @@ class TestOracleVariance:
     def test_symmetric_zero(self, symmetric):
         assert oracle_variance(symmetric, 0.2, 4) == pytest.approx(0.0, abs=1e-18)
 
-    def test_disagreeing_routes_raise(self, moderate, monkeypatch):
-        # A negative bound makes any pair of routes disagree, so the guard must fire.
-        monkeypatch.setattr(oracle, "_INTERNAL_AGREEMENT", -1.0)
-        with pytest.raises(RuntimeError, match="oracle variance routes disagree"):
-            oracle_variance(moderate, 0.1, 5)
-
     @pytest.mark.parametrize("a,b", PAIR_GRID)
     def test_per_path_route_matches_closed_form(self, a, b):
-        # Strongest cross-check in the suite: the per-path route goes through
-        # the defining sum at the operating point, never the collapsed form.
+        # Strongest cross-check in the suite: the letter values come from the
+        # defining sum at the operating point, never the collapsed form, and
+        # the count law from every path's probability.
         chain = derive_chain(a, b)
         for d in (0.05, 0.1, 0.2):
             if not 0 < d < min(chain.pi0, chain.pi1):
                 continue
             for n in (1, 2, 5, 9, 14, 16):
-                per_path = oracle_variance(chain, d, n)
+                enumerated = oracle_variance(chain, d, n)
                 closed = variance_exact(chain, n)
-                assert per_path == pytest.approx(closed, rel=1e-10, abs=1e-12)
+                assert enumerated == pytest.approx(closed, rel=1e-10, abs=1e-12)
 
 
 class TestDistortionInvariance:
@@ -76,8 +71,9 @@ class TestDistortionInvariance:
         ],
     )
     def test_path_cumulants_do_not_depend_on_d(self, a, b, distortions):
-        # Each distortion gives other letter values and so other path sums;
-        # only their centered cumulants must agree, across D and with the
+        # Each distortion gives other letter values and so other atoms
+        # (n - m)*j0 + m*j1, weighed by every path's probability; only their
+        # centered cumulants must agree, across D and with the
         # transfer-matrix kernel, to criterion 06's 1e-12.
         chain, n = derive_chain(a, b), 10
         reference = centered_cumulants(chain, n)

@@ -41,9 +41,11 @@ whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 ``variance-table`` whose variance overflows to infinity, a ``verify`` on a
 nearly alternating chain, ``pmf`` and ``tail`` on the chain (0.3, 0.1),
 with a > b, at n = 33 and 2001, a ``simulate`` of 8193 paths, which
-spans three sampler blocks, and last ``rate``, ``tail`` and ``simulate``
-on (0.2, 0.20000000000000004), whose two logs round equal.  Only the
-standard library is used, so the script runs against any checkout.
+spans three sampler blocks, ``rate``, ``tail`` and ``simulate`` on
+(0.2, 0.20000000000000004), whose two logs round equal, and last
+``verify`` on (0.3, 0.30000000000000004) and (0.999999, 0.999998), where
+its ``oracle-variance`` check route fails (exit 2).  Only the standard
+library is used, so the script runs against any checkout.
 """
 
 import argparse
@@ -242,6 +244,9 @@ def matrix() -> list[list[str]]:
         ["tail", *near, "--n", "10", "--x", "0.1", "--format", "csv"],
         ["simulate", *near, "--distortion", "0.05", "--n", "6", "--reps", "100", "--seed", "1",
          "--format", "csv"],
+        # verify's two known limits on near-symmetric chains: oracle-variance fails (exit 2).
+        ["verify", "--a", "0.3", "--b", "0.30000000000000004"],
+        ["verify", "--a", "0.999999", "--b", "0.999998"],
     ]
     return calls
 
