@@ -10,11 +10,13 @@ atom at n1.  Only the histogram of n1 is kept; the report, the named tuple
 :class:`SimReport`, comes from it, so nothing of the replication count's
 size is stored or sorted.  Both distances read the histogram in ``exact``'s
 atom order, and ``ks_normal`` is ``exact``'s normal distance of the
-empirical law.  Block generators are derived from (seed, block-index), so
-the report is a pure function of its inputs no matter how blocks would be
-scheduled.  :func:`sample_trajectory` turns the runs of one path into its
-letters.  numpy serves the sampler, its checks and the two moment sums.
-Each chunk's run ends are summed down its columns by a log-step scan.
+empirical law.  Every stream is numpy's default generator, PCG64, and
+block generators are seeded from (seed, block-index), so the report is a
+pure function of its inputs no matter how blocks would be scheduled.
+:func:`sample_trajectory` turns the runs of one path into its letters.
+numpy serves the sampler, its checks and the two moment sums.  Each
+chunk's run ends are summed down its columns one row at a time, or by
+``np.cumsum`` where the chunk has more runs than paths.
 """
 
 import math
@@ -44,19 +46,21 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
     chain is memoryless), by inverse CDF 1 + floor(ln(1-U)/ln(1-p)).  ``ends`` is one
     (k, rows) float64 buffer, path r in column r, that is filled with uniforms and turned
     in place into the path's cumulative letter count at the end of each of its next k
-    runs, clipped at n.  The running sums down each column come from a log-step
-    (Hillis-Steele) scan: for step = 1, 2, 4, ... below k, each row from row ``step`` on
-    adds the row ``step`` above it (numpy buffers the overlapping input), each pass one
-    contiguous add, where ``np.cumsum`` along axis 0 is a strided loop.  ``start`` is each
-    path's letter count before the chunk and ``first`` its state in the chunk's row 0;
-    row j is in state first ^ (j & 1).  The ``ends`` buffer is overwritten by the next
-    chunk; ``first`` and ``start`` are not.  All entries are integers below k*n < 2**53,
-    so they and their sums are exact in any order of addition.  A chunk holds k <= n
-    runs per path, with k*rows <= ``_CHUNK_ELEMENTS`` and k <= E + 4*sqrt(E) for the
-    expected run count E = 1 + (n-1)*2ab/(a+b) of a path.  Every path of a block draws
-    k runs per chunk until the block's last path is full, so short paths on a sticky
-    chain leave most draws unused: on (0.02, 0.05) at n = 16, k = 7 against E = 1.43,
-    and 80% of the uniforms go unused.
+    runs, clipped at n.  A wide chunk (k <= rows, as in every block of 256 or more paths)
+    is summed down its columns one row at a time: row j adds row j-1 in place, one
+    contiguous add of ``rows`` values with no overlap copy, where ``np.cumsum`` along
+    axis 0 is a strided loop.  A tall chunk (k > rows, as in the one path of
+    ``sample_trajectory``) is summed by ``np.cumsum``, where the row loop would cost a
+    call per row.  ``start`` is each path's letter count before the chunk and ``first``
+    its state in the chunk's row 0; row j is in state first ^ (j & 1).  The ``ends``
+    buffer is overwritten by the next chunk; ``first`` and ``start`` are not.  All
+    entries are integers below k*n < 2**53, so they and their sums are exact in any
+    order of addition.  A chunk holds k <= n runs per path, with
+    k*rows <= ``_CHUNK_ELEMENTS`` and k <= E + 4*sqrt(E) for the expected run count
+    E = 1 + (n-1)*2ab/(a+b) of a path.  Every path of a block draws k runs per chunk
+    until the block's last path is full, so short paths on a sticky chain leave most
+    draws unused: on (0.02, 0.05) at n = 16, k = 7 against E = 1.43, and 80% of the
+    uniforms go unused.
     """
     runs = 1.0 + (n - 1) * 2.0 * chain.a * chain.b / (chain.a + chain.b)
     k = min(n, _CHUNK_ELEMENTS // rows, math.ceil(runs + 4.0 * math.sqrt(runs)))
@@ -73,10 +77,11 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
         np.floor(ends, out=ends)
         ends += 1.0
         ends[0] += start
-        step = 1  # a log-step scan: row j becomes the sum of rows 0..j
-        while step < k:
-            ends[step:] += ends[:-step]
-            step *= 2
+        if k > rows:
+            np.cumsum(ends, axis=0, out=ends)
+        else:
+            for j in range(1, k):  # row j becomes the sum of rows 0..j
+                np.add(ends[j], ends[j - 1], out=ends[j])
         np.minimum(ends, n, out=ends)
         yield first, start, ends
         start = ends[-1].copy()
@@ -86,11 +91,11 @@ def _runs(chain: ChainParams, n: int, rows: int, rng: np.random.Generator):
 def sample_trajectory(chain: ChainParams, n: int, seed: int) -> np.ndarray:
     """The states of n letters of the stationary chain, sampled run by run (see :func:`_runs`).
 
-    Uniforms come from a Philox counter-based generator, so the sequence is
-    a pure function of (seed, n) and regenerating it is bit-identical.
+    Uniforms come from ``np.random.default_rng(seed)`` (PCG64), so the sequence
+    is a pure function of (seed, n) and regenerating it is bit-identical.
     """
     require_blocklength(n)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.default_rng(seed)
     pieces = [
         np.repeat(
             (np.arange(len(ends)) & 1).astype(np.uint8) ^ first[0],
@@ -136,9 +141,8 @@ def _count_histogram(
     histogram = np.zeros(n + 1, dtype=np.int64)  # replications per occupation count
     for block in range(-(-replications // _BLOCK_ROWS)):
         rows = min(_BLOCK_ROWS, replications - block * _BLOCK_ROWS)
-        stream = np.random.SeedSequence(seed, spawn_key=(block,))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         n0 = n1 = 0.0  # each path's letters in state 0 and in state 1
-        rng = np.random.Generator(np.random.Philox(stream))
         for first, start, ends in _runs(chain, n, rows, rng):
             last = ends[-1]
             head = ends[0::2].sum(axis=0) - ends[1::2].sum(axis=0) - start

@@ -189,11 +189,18 @@ def _oracle_pmf_tv(chain, distortion, perturb):
         yield 0.5 * math.fsum(abs(e - p) for e, p in pairs)
 
 
+def _relative_deviation(value, reference):
+    """|value - reference| / |reference|; 0 if the two are equal, inf if only the reference is 0."""
+    if value == reference:
+        return 0.0
+    return abs(value - reference) / abs(reference) if reference else math.inf
+
+
 def _variance_forms(chain, distortion, perturb):
     for n in (1, 2, 10, 100, 10_000):
         double = variance_double_sum(chain, n)
         closed = variance_exact(chain, n) * (1.0 + perturb)
-        yield abs(double - closed) / max(abs(double), 1e-30)
+        yield _relative_deviation(closed, double)
 
 
 def _oracle_variance(chain, distortion, perturb):
@@ -205,7 +212,7 @@ def _oracle_variance(chain, distortion, perturb):
         for n in range(1, 11):
             enumerated = oracle_variance(chain, d, n)
             closed = variance_exact(chain, n) * (1.0 + perturb)
-            deviation = abs(enumerated - closed) / max(abs(closed), 1e-30)
+            deviation = _relative_deviation(enumerated, closed)
             # An overflowed closed form is off by inf, where inf/inf would read nan.
             yield deviation if math.isfinite(closed) else math.inf
 

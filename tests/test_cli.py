@@ -311,18 +311,18 @@ class TestSchemas:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
-        # A golden row pins the sampler's convention: Philox per block of
-        # paths, uniforms laid out run by run across the block's paths.
+        # A golden row pins the sampler's convention: default_rng (PCG64) per
+        # block of paths, uniforms laid out run by run across the block's paths.
         assert json.loads(first)["rows"] == [
             {
                 "n": 20,
                 "replications": 500,
                 "seed": 9,
-                "emp_mean": 7.159473192539825,
-                "emp_var": 37.43188153319875,
-                "emp_var_per_letter": 1.8715940766599375,
-                "ks_exact": 0.042461205346637665,
-                "ks_normal": 0.09835280122947346,
+                "emp_mean": 6.592056617281651,
+                "emp_var": 30.121108996375806,
+                "emp_var_per_letter": 1.5060554498187904,
+                "ks_exact": 0.0315387946533624,
+                "ks_normal": 0.12587329263118036,
             }
         ]
 

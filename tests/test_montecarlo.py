@@ -134,7 +134,10 @@ class TestRuns:
         "a, b, n, rows, k",
         # k, the runs per path in a chunk, is pinned, so that it takes values
         # that are and are not powers of two.  At n = 300 and 2000 a block of
-        # 4096 paths spans chunks; the last case is one path of 6784 runs.
+        # 4096 paths spans chunks.  Tall chunks (k > rows) take the np.cumsum
+        # form: one column of 7 and one of 6784 runs, as sample_trajectory
+        # draws, and blocks of 5, MIN_REPLICATIONS and 255 paths.  Wide chunks
+        # (k <= rows) add row by row, the longest at k = rows = 256.
         [
             (0.6, 0.7, 1, 4096, 1),
             (0.6, 0.7, 2, 5, 2),
@@ -144,17 +147,20 @@ class TestRuns:
             (0.02, 0.05, 2000, 4096, 16),
             (0.6, 0.7, 300, 5, 250),
             (0.6, 0.7, 10_000, 1, 6784),
+            (0.6, 0.7, 2000, 100, 655),
+            (0.6, 0.7, 2000, 255, 257),
+            (0.6, 0.7, 2000, 256, 256),
         ],
     )
     def test_scan_matches_cumsum(self, a, b, n, rows, k):
-        # Reference route: the same Philox uniforms, drawn again, turned into
-        # run lengths and summed down each column by np.cumsum.
+        # Reference route: the same uniforms, drawn again, turned into run
+        # lengths and summed down each column by np.cumsum.
         chain, seed = derive_chain(a, b), 29
-        uniforms = np.random.Generator(np.random.Philox(seed))
+        uniforms = np.random.default_rng(seed)
         inv_log_stay = 1.0 / np.log1p(-np.array([chain.a, chain.b]))
         first = (uniforms.random(rows) >= chain.pi0).astype(np.uint8)
         start = np.zeros(rows)
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = np.random.default_rng(seed)
         for got_first, got_start, ends in montecarlo._runs(chain, n, rows, rng):
             assert ends.shape == (k, rows)
             assert np.array_equal(got_first, first) and np.array_equal(got_start, start)
@@ -168,12 +174,12 @@ class TestRuns:
         assert start.min() == n
 
     def test_long_trajectory_is_frozen(self, moderate):
-        # 10^5 letters, one chunk of 15491 runs; the digest was recorded with
-        # np.cumsum as the scan.
+        # 10^5 letters, one chunk of 15491 runs; the digest was also
+        # reproduced by a pure-Python loop over the same uniforms, run by run.
         states = sample_trajectory(moderate, 100_000, 5)
-        assert int(states.sum()) == 25_100
+        assert int(states.sum()) == 25_049
         assert hashlib.sha256(states.tobytes()).hexdigest() == (
-            "69b5122ea7cc6cd471edc9a3ec9fe775db14856af7dd870d01a85dcb790722ad"
+            "b1ae5681e652bf910e093999ec6251f95f725c5b51a59457e7ad86aba524c0ef"
         )
 
 
@@ -187,7 +193,7 @@ class TestCountHistogram:
         for block in range(-(-reps // montecarlo._BLOCK_ROWS)):
             rows = min(montecarlo._BLOCK_ROWS, reps - block * montecarlo._BLOCK_ROWS)
             stream = np.random.SeedSequence(seed).spawn(block + 1)[block]
-            rng = np.random.Generator(np.random.Philox(stream))
+            rng = np.random.default_rng(stream)
             ones = np.zeros(rows, dtype=np.int64)
             for first, start, ends in montecarlo._runs(chain, n, rows, rng):
                 lengths = np.diff(ends, axis=0, prepend=start[None, :]).astype(np.int64)
@@ -231,10 +237,9 @@ class TestCountHistogram:
     def test_memory_does_not_grow_with_replications(self, moderate):
         # The sampler holds one chunk of _CHUNK_ELEMENTS float64 run ends and
         # per-path vectors of one block, whatever the replication count.  The
-        # scan's overlapping `+=` adds numpy's temporary copy of its input:
-        # the peak of this call measured 2.02 MB in a fresh process and 1.26 MB
-        # on a second call (1.77 and 1.00 MB with np.cumsum), under the 2.10 MB
-        # bound (CPython 3.11.7, numpy 2.4.6).
+        # row-by-row scan adds in place, with no temporary copy: the peak of
+        # this call measured 1.00 MB, under the 2.10 MB bound (CPython 3.11.7,
+        # numpy 2.4.6).
         bound = 4 * 8 * montecarlo._CHUNK_ELEMENTS
         tracemalloc.start()
         try:

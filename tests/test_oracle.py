@@ -109,6 +109,22 @@ class TestVerifySuites:
         assert {s["name"]: s["cases"] for s in suites} == want
         assert all(s["pass"] for s in suites)
 
+    def test_variance_deviations_are_relative_at_any_scale(self):
+        # Var(J_n) on this chain is below 1e-30, so a floored denominator would
+        # understate the deviation (0.4208 with a 1e-30 floor).  Equal values
+        # deviate by 0, as on a symmetric chain, where both variances are 0.
+        pair = (0.3, 0.30000000000000004)
+        chain = derive_chain(*pair)
+        want = max(
+            abs(oracle_variance(chain, d, n) - variance_exact(chain, n)) / variance_exact(chain, n)
+            for d in VERIFY_D_GRID
+            for n in range(1, 11)
+        )
+        worst = {s["name"]: s["max_deviation"] for s in verify_suites([pair])}
+        assert worst["oracle-variance"] == want > 1
+        symmetric = {s["name"]: s["max_deviation"] for s in verify_suites([(0.5, 0.5)])}
+        assert symmetric["variance-forms"] == 0.0
+
 
 # Small mutants of production functions, each with the verify suites that must fail on it: a
 # suite that no wrong answer can fail certifies nothing.  verify still misses cgf_limit,
