@@ -23,7 +23,7 @@ import math
 from .cgf import _log2_tilt, _tilted, cgf_finite, cgf_limit, occupation_log2_pgf, perron_root
 from .exact import jn_law, occupation_pmf
 from .markov import (
-    ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
+    LN2, ChainParams, binary_entropy, derive_chain, require_blocklength, variance_exact,
 )
 from .tilting import BAOperatingPoint, ba_operating_point, jtilt, require_interior, tilted_mean
 
@@ -86,22 +86,46 @@ def ba_fixed_point_iterate(chain: ChainParams, d: float) -> BAOperatingPoint:
     )
 
 
+def _letter_totals(chain: ChainParams, d: float) -> tuple[float, float, float]:
+    """(T0, T1, e^{beta D} - e^{-beta (1-D)}) at the closed-form operating point.
+
+    T_x = sum_xh q(xh) e^{-beta (d(x,xh) - D)} = q_x e^{beta D} + q_{1-x} e^{-beta (1-D)}, the
+    defining sum whose -log2 is the tilted information of state x.
+    """
+    point = ba_operating_point(chain, d)
+    match, other = math.exp(point.beta * d), math.exp(-point.beta * (1.0 - d))
+    return point.q0 * match + point.q1 * other, point.q1 * match + point.q0 * other, match - other
+
+
 def jtilt_generic(chain: ChainParams, d: float, x: int) -> float:
     """Tilted information evaluated from its defining sum, not the closed form.
 
     Computes -log2( sum_xh q(xh) e^{-beta (d(x,xh) - D)} ) at the closed-form
-    operating point.  Used as the independent route in cross-checks and by
-    the exhaustive oracle.  Rounded near |j| bits, j1 - j0 cannot resolve an
-    ell of a few ulps, though the chain's ell, taken from log1p there, is
-    right: on (0.3, 0.30000000000000004), j1 - j0 = 2.2e-16 against
-    ell = -2.67e-16, so ``verify`` fails ``oracle-variance`` there.
+    operating point.  Used as the independent route in cross-checks.  Rounded
+    near |j| bits, j1 - j0 taken as a difference of two calls cannot resolve an
+    ell of a few ulps: on (0.3, 0.30000000000000004) it reads 2.2e-16 against
+    ell = -2.67e-16.  The exhaustive oracle takes the gap from ``_letter_gap``.
     """
-    point = ba_operating_point(chain, d)
+    totals = _letter_totals(chain, d)
     if x not in (0, 1):
         raise ValueError(f"state x={x!r} must be 0 or 1")
-    q_match, q_other = (point.q0, point.q1) if x == 0 else (point.q1, point.q0)
-    total = q_match * math.exp(point.beta * d) + q_other * math.exp(-point.beta * (1.0 - d))
-    return -math.log2(total)
+    return -math.log2(totals[x])
+
+
+def _letter_gap(chain: ChainParams, d: float) -> float:
+    """j1 - j0 = log2(T0/T1) from the defining sums, accurate also as the chain nears symmetry.
+
+    Where T0 and T1 differ by more than T1/2 the gap is at least 0.58 bits and is the difference
+    of the two logs.  Otherwise it is log1p((T0 - T1)/T1)/ln 2, with T0 - T1 taken as
+    (q0 - q1)(e^{beta D} - e^{-beta (1-D)}) and q0 - q1 = ((b - a)/(a + b))/(1 - 2D); b/a lies
+    near T0/T1 there, so b - a is exact.  Against a 60-digit log2(b/a) it is within 1e-14
+    relative for D <= 0.9 min(pi0, pi1); nearer the regime's edge the rounding of q shows.
+    """
+    t0, t1, spread = _letter_totals(chain, d)
+    if abs(t0 - t1) > 0.5 * t1:
+        return math.log2(t0) - math.log2(t1)
+    q_gap = ((chain.b - chain.a) / (chain.a + chain.b)) / (1.0 - 2.0 * d)
+    return math.log1p(q_gap * spread / t1) / LN2
 
 
 def variance_double_sum(chain: ChainParams, n: int) -> float:
@@ -164,14 +188,13 @@ def oracle_variance(chain: ChainParams, d: float, n: int) -> float:
     """Var(J_n(D)) in bits^2 by exhaustive enumeration, as (j1 - j0)^2 * Var(N_n).
 
     A path with m ones sums to (n - m)*j0 + m*j1, so J_n(D) is an affine image of the count N_n.
-    j0 and j1 come from the defining sum (:func:`jtilt_generic`), and the law of N_n from every
-    path's probability.  Only j1 - j0 rounds beyond a few eps, to about eps*|j|: on (0.999999,
-    0.999998) at D = 0.1, n = 7, the result is 3.0e-10 off, and ``oracle-variance`` fails there.
+    j1 - j0 comes from the defining sums (``_letter_gap``), to a few eps relative also on a chain
+    a few ulps from symmetric, and the law of N_n from every path's probability.
     """
-    j0, j1 = jtilt_generic(chain, d, 0), jtilt_generic(chain, d, 1)
+    gap = _letter_gap(chain, d)
     law = [math.fsum(ps) for ps in _enumerate_paths(chain, n)]
     count_mean = math.fsum(m * q for m, q in enumerate(law))
-    return (j1 - j0) ** 2 * math.fsum(q * (m - count_mean) ** 2 for m, q in enumerate(law))
+    return gap**2 * math.fsum(q * (m - count_mean) ** 2 for m, q in enumerate(law))
 
 
 # ---------------------------------------------------------------------------

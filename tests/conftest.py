@@ -39,6 +39,12 @@ PAIR_GRID = [
     (0.95, 0.85),
 ]
 
+# Chains a few ulps to 1e-6 from symmetric, whose ell is tiny against their letter values.
+NEAR_SYMMETRIC_PAIRS = [
+    (0.3, 0.30000000000000004), (0.2, 0.20000000000000004), (0.3, 0.3000000001),
+    (0.999999, 0.999998), (1e-9, 1.0000001e-9),
+]
+
 
 with localcontext() as _ctx:
     _ctx.prec = 60

@@ -63,13 +63,6 @@ class TestPaperTables:
         n10 = next(r for r in payload["variance_table"] if r["n"] == 10)
         assert abs(n10["var_per_letter"] - 1.533) <= 5e-4
 
-    def test_out_matches_stdout(self, tmp_path, capsys):
-        target = tmp_path / "tables.csv"
-        code, out = run_cli(capsys, "paper-tables", "--format", "csv", "--out", str(target))
-        assert code == 0 and out == ""
-        _, want = run_cli(capsys, "paper-tables", "--format", "csv")
-        assert target.read_bytes() == want.encode()
-
     def test_csv_blocks_parse_back(self, capsys):
         # Three CSV blocks, one after another, each with its own header; a
         # text cell such as n = "inf" parses back as the number it spells.
@@ -118,24 +111,6 @@ class TestFigure:
         code, out = run_cli(capsys, "figure", "--a", "0.1", "--b", "0.3", "--format", "csv")
         _, rows = parse_csv(out)
         assert code == 0 and len(rows) == 200
-
-    def test_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "figure.csv"
-        code, _ = run_cli(
-            capsys, "figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:5",
-            "--format", "csv", "--out", str(target),
-        )
-        assert code == 0
-        text = target.read_text()
-        assert text.startswith("n,var_per_letter")
-        assert "\r" not in text
-
-    def test_unwritable_path(self, capsys):
-        code, _ = run_cli(
-            capsys, "figure", "--a", "0.1", "--b", "0.3",
-            "--format", "csv", "--out", "/nonexistent-dir/f.csv",
-        )
-        assert code == 3
 
 
 class TestRoundTrip:
@@ -303,29 +278,6 @@ class TestSchemas:
             want = [f"{v:.10g}" if isinstance(v, float) else str(v) for v in row.values()]
             assert line.split() == want
 
-    def test_simulate_seeded(self, capsys):
-        argv = (
-            "simulate", "--a", "0.1", "--b", "0.3", "--distortion", "0.1",
-            "--n", "20", "--reps", "500", "--seed", "9", "--format", "json",
-        )
-        _, first = run_cli(capsys, *argv)
-        _, second = run_cli(capsys, *argv)
-        assert first == second
-        # A golden row pins the sampler's convention: default_rng (PCG64) per
-        # block of paths, uniforms laid out run by run across the block's paths.
-        assert json.loads(first)["rows"] == [
-            {
-                "n": 20,
-                "replications": 500,
-                "seed": 9,
-                "emp_mean": 6.592056617281651,
-                "emp_var": 30.121108996375806,
-                "emp_var_per_letter": 1.5060554498187904,
-                "ks_exact": 0.0315387946533624,
-                "ks_normal": 0.12587329263118036,
-            }
-        ]
-
 
 class TestVerifyCommand:
     def test_default_sweep_passes(self, capsys):
@@ -351,14 +303,6 @@ class TestVerifyCommand:
         }
         assert all(s["pass"] for s in payload["suites"])
         assert run_cli(capsys, "verify", "--format", "json") == (code, out)
-
-    def test_out_matches_stdout(self, tmp_path, capsys):
-        target = tmp_path / "verify.json"
-        argv = ("verify", "--perturb", "1e-6", "--json")
-        code, out = run_cli(capsys, *argv, "--out", str(target))
-        assert code == 2 and out == ""
-        _, want = run_cli(capsys, *argv)
-        assert target.read_bytes() == want.encode()
 
     def test_single_pair(self, capsys):
         code, out = run_cli(capsys, "verify", "--a", "0.2", "--b", "0.4")
@@ -661,25 +605,52 @@ def fresh_python(script):
     return done.stdout, done.stderr
 
 
-def test_cli_imports_only_stdlib_and_numpy():
-    # Only what the import adds counts: .pth files run at interpreter
-    # start-up may load site packages of their own.  numpy is not among
-    # what it adds: montecarlo, the one module that needs it, is imported on
-    # first use.  Nor is any code generation or introspection module: the
-    # value types are named tuples, so nothing is built with exec at import.
-    # Nor is __future__: every annotation in the package evaluates as written.
-    script = (
-        "import sys; before = set(sys.modules); import tiltedsum.cli; "
-        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
-    )
-    loaded = fresh_python(script)[0].split()
-    assert "tiltedsum" in loaded
-    assert [m for m in loaded if m not in sys.stdlib_module_names | {"tiltedsum"}] == []
-    kept_out = {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize"}
-    assert [m for m in loaded if m in kept_out] == []
+def test_plain_float_routes_load_no_numpy():
+    # One new interpreter: importing the CLI adds only standard-library modules (.pth files may
+    # load others at start-up) and none that generates or introspects code, as the value types
+    # are named tuples and annotations evaluate as written.  Every plain-float route gives
+    # builtin floats, the suites pass, and numpy, which only montecarlo needs, stays unloaded.
+    script = """
+import sys
+before = set(sys.modules)
+import tiltedsum.cli
+print(*{m.split('.')[0] for m in set(sys.modules) - before})
+import tiltedsum as ts
+from tiltedsum.oracle import VERIFY_PAIRS
+chain = ts.derive_chain(0.1, 0.3)
+support, probs = ts.jn_law(chain, 0.1, 300)
+values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0),
+          ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000), *support, *probs,
+          *ts.occupation_pmf(chain, 300), ts.centered_tail_probability(chain, 300, 0.1),
+          ts.exact_normal_distance(chain, 300), *ts.enumerate_pmf(chain, 8),
+          ts.oracle_variance(chain, 0.05, 8), ts.variance_double_sum(chain, 8),
+          *ts.ba_fixed_point_iterate(chain, 0.05), ts.jtilt_generic(chain, 0.05, 1)]
+passed = all(s['pass'] for s in ts.verify_suites(VERIFY_PAIRS))
+print(all(type(v) is float for v in values), passed, 'numpy' in sys.modules)
+"""
+    loaded, verdict = fresh_python(script)[0].splitlines()
+    added = set(loaded.split())
+    assert added - sys.stdlib_module_names == {"tiltedsum"}
+    assert added & {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
+    assert verdict == "True True False"
 
 
 CHAIN = ("--a", "0.1", "--b", "0.3")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(("paper-tables", "--format", "csv"), 0), (("verify", "--perturb", "1e-6", "--json"), 2),
+     (("figure", *CHAIN, "--n-grid", "1:5", "--format", "csv"), 0)],
+    ids=["paper-tables", "verify", "figure"],
+)
+def test_out_holds_exactly_stdout(tmp_path, capsys, argv, code):
+    # --out gets the bytes stdout would, with LF line endings, and stdout gets nothing; the exit
+    # code is the command's.  A path in a directory that does not exist exits 3.
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "out")) == (code, "")
+    want = run_cli(capsys, *argv)[1].encode()
+    assert (tmp_path / "out").read_bytes() == want and b"\r" not in want
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))[0] == 3
 
 
 @pytest.mark.parametrize(
@@ -739,22 +710,6 @@ def test_simulate_loads_numpy_with_one_blas_thread():
     assert fresh_python(preset)[1].splitlines()[-1] == "2"
 
 
-def test_verify_suites_run_without_numpy():
-    # The suites and every check route of oracle are plain floats.
-    script = (
-        "import sys; from tiltedsum import derive_chain; from tiltedsum.oracle import ("
-        "VERIFY_PAIRS, ba_fixed_point_iterate, enumerate_pmf, jtilt_generic, "
-        "oracle_variance, variance_double_sum, verify_suites); "
-        "passed = all(s['pass'] for s in verify_suites(VERIFY_PAIRS)); "
-        "chain = derive_chain(0.1, 0.3); enumerate_pmf(chain, 8); "
-        "oracle_variance(chain, 0.05, 8); variance_double_sum(chain, 8); "
-        "ba_fixed_point_iterate(chain, 0.05); jtilt_generic(chain, 0.05, 1); "
-        "print(passed, 'numpy' in sys.modules)"
-    )
-    out, _ = fresh_python(script)
-    assert out.split() == ["True", "False"]
-
-
 class TestLazyPackage:
     def test_public_names_resolve_to_their_home_objects(self):
         for name in tiltedsum.__all__:
@@ -788,30 +743,6 @@ class TestLazyPackage:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'tiltedsum' has no attribute 'no_such'"):
             tiltedsum.no_such  # noqa: B018
-
-    def test_package_import_leaves_numpy_unloaded(self):
-        out, _ = fresh_python("import sys, tiltedsum; print('numpy' in sys.modules)")
-        assert out == "False\n"
-
-    def test_generating_functions_leave_numpy_unloaded(self):
-        script = (
-            "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
-            "values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0), "
-            "ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000)]; "
-            "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
-        )
-        assert fresh_python(script)[0] == "True False\n"
-
-    def test_count_law_leaves_numpy_unloaded(self):
-        script = (
-            "import sys, tiltedsum as ts; chain = ts.derive_chain(0.1, 0.3); "
-            "support, probs = ts.jn_law(chain, 0.1, 300); "
-            "values = [*ts.occupation_pmf(chain, 300), *support, *probs, "
-            "ts.centered_tail_probability(chain, 300, 0.1), "
-            "ts.exact_normal_distance(chain, 300)]; "
-            "print(all(type(v) is float for v in values), 'numpy' in sys.modules)"
-        )
-        assert fresh_python(script)[0] == "True False\n"
 
 
 def is_builtin_scalar(value):

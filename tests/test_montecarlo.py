@@ -1,4 +1,3 @@
-import hashlib
 import math
 import tracemalloc
 from statistics import NormalDist
@@ -172,15 +171,6 @@ class TestRuns:
             assert np.array_equal(ends, want)
             start, first = want[-1], first ^ (k & 1)
         assert start.min() == n
-
-    def test_long_trajectory_is_frozen(self, moderate):
-        # 10^5 letters, one chunk of 15491 runs; the digest was also
-        # reproduced by a pure-Python loop over the same uniforms, run by run.
-        states = sample_trajectory(moderate, 100_000, 5)
-        assert int(states.sum()) == 25_049
-        assert hashlib.sha256(states.tobytes()).hexdigest() == (
-            "b1ae5681e652bf910e093999ec6251f95f725c5b51a59457e7ad86aba524c0ef"
-        )
 
 
 class TestCountHistogram:

@@ -21,6 +21,7 @@ both sets of cases, against the tolerance of the assertion:
                                                   relative Vieta sum gap       3.2e-15  1e-12
     variance_forms_and_cgf_origin                 relative variance gap        9.3e-16  1e-10
                                                   |cgf_finite(chain, n, 0)|    1.6e-16  1e-12
+    letter_gap_is_the_log_ratio                   relative gap from log2(b/a)  2.0e-15  1e-14
 
 To widen a test's domain, widen its box or append grid cases, and record the
 new worst deviation.
@@ -29,6 +30,7 @@ new worst deviation.
 import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -46,8 +48,9 @@ from tiltedsum import (
     variance_double_sum,
     variance_exact,
 )
+from tiltedsum.oracle import _letter_gap
 
-from conftest import PAIR_GRID
+from conftest import LN2_DECIMAL, NEAR_SYMMETRIC_PAIRS, PAIR_GRID
 
 SEED = 20261020
 _draw = random.Random(SEED)
@@ -163,3 +166,23 @@ def test_variance_forms_and_cgf_origin(a, b, n):
         abs_tol=1e-12,
     )
     assert abs(cgf_finite(chain, n, 0.0)) < 1e-12
+
+
+# Chains near symmetry, b = a(1 +- 10^e) for a log-uniform a = 10^t.
+NEAR_SYMMETRIC = [(10.0**t, 10.0**t + (2 * up - 1) * 10.0**(t + e))
+                  for t, e, up in cases((-11.0, -0.05), (-16.0, -1.0), (0, 1))]
+
+
+@pytest.mark.parametrize(
+    "a, b", NEAR_SYMMETRIC + cases(probabilities, probabilities) + NEAR_SYMMETRIC_PAIRS
+)
+def test_letter_gap_is_the_log_ratio(a, b):
+    # The oracle's j1 - j0 from the defining sums is log2(pi0/pi1) = log2(b/a), taken here to
+    # 60 digits, at D = 0.1, 0.5 and 0.9 of the regime's bound.
+    chain = derive_chain(a, b)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = (Decimal(b) / Decimal(a)).ln() / LN2_DECIMAL
+        for frac in (0.1, 0.5, 0.9):
+            gap = Decimal(_letter_gap(chain, frac * min(chain.pi0, chain.pi1)))
+            assert gap == want if not want else abs(gap - want) <= Decimal("1e-14") * abs(want)

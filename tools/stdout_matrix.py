@@ -14,9 +14,9 @@ code, ``name`` the arguments and ``body`` the exact stdout.  A call that
 raises out of ``main`` has the exception's type name, such as
 ``OverflowError``, for its ``kind``, and the stdout written before the
 exception for its ``body``.  Then come the rows of ``row_keys``, library
-values that no call prints in full: ``kind`` is ``value``, ``name`` the
-function, chain and n, and ``body`` the ``repr`` of each value on a line of
-its own.
+values that no call prints in full, the sampler's seeded letter sequences
+last: ``kind`` is ``value``, ``name`` the function, chain, n and any seed,
+and ``body`` the ``repr`` of each value on a line of its own.
 
 The first form writes each entry's body to a file of ``OUTDIR``, under a
 header naming the entry.  Two runs, say of a parent checkout and of a
@@ -42,10 +42,11 @@ whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 nearly alternating chain, ``pmf`` and ``tail`` on the chain (0.3, 0.1),
 with a > b, at n = 33 and 2001, a ``simulate`` of 8193 paths, which
 spans three sampler blocks, ``rate``, ``tail`` and ``simulate`` on
-(0.2, 0.20000000000000004), whose two logs round equal, and last
-``verify`` on (0.3, 0.30000000000000004) and (0.999999, 0.999998), where
-its ``oracle-variance`` check route fails (exit 2).  Only the standard
-library is used, so the script runs against any checkout.
+(0.2, 0.20000000000000004), whose two logs round equal, ``verify`` on
+(0.3, 0.30000000000000004) and (0.999999, 0.999998), whose j1 - j0 its
+``oracle-variance`` check route must resolve, and last ``verify`` on a
+near-alternating chain where ``variance-forms`` fails (exit 2).  Only the
+standard library is used, so the script runs against any checkout.
 """
 
 import argparse
@@ -97,6 +98,8 @@ PMF_CHAINS = [
 PMF_NS = (1, 2, 3, 4, 33, 2000, 2001, 32768)
 DISTANCE_CHAINS = [(0.1, 0.3), (0.3, 0.1), (0.02, 0.05), (0.3, 0.30000000000000004)]
 DISTANCE_NS = (1, 100, 1600)
+# The sampler's streams: (n, seed) of sample_trajectory on (0.1, 0.3).
+TRAJECTORIES = ((10, 42), (10, 7), (100_000, 5))
 
 
 def chain_rule(a: float, b: float) -> tuple[float, float, float]:
@@ -244,27 +247,34 @@ def matrix() -> list[list[str]]:
         ["tail", *near, "--n", "10", "--x", "0.1", "--format", "csv"],
         ["simulate", *near, "--distortion", "0.05", "--n", "6", "--reps", "100", "--seed", "1",
          "--format", "csv"],
-        # verify's two known limits on near-symmetric chains: oracle-variance fails (exit 2).
+        # Near-symmetric chains, whose j1 - j0 oracle-variance must resolve to a few eps.
         ["verify", "--a", "0.3", "--b", "0.30000000000000004"],
         ["verify", "--a", "0.999999", "--b", "0.999998"],
+        # verify's remaining limit: near-alternating, variance-forms loses eps/(2-a-b) (exit 2).
+        ["verify", "--a", "0.9999999954053412", "--b", "0.9999999999989",
+         "--distortion", "0.059567531825363555"],
     ]
     return calls
 
 
-def row_keys() -> list[tuple[str, float, float, int | None]]:
-    """(function, a, b, n) of every row, in order; n is None on the kernel's rows."""
+def row_keys() -> list[tuple]:
+    """(function, a, b, n) of every row, in order, and the seed of a trajectory's row.
+
+    n is None on the kernel's rows.
+    """
     return (
         [(name, a, b, None) for a, b in KERNEL_CHAINS for name in KERNEL_FUNCTIONS]
         + [("occupation_pmf", a, b, n) for a, b in PMF_CHAINS for n in PMF_NS]
         + [("exact_normal_distance", a, b, n) for a, b in DISTANCE_CHAINS for n in DISTANCE_NS]
+        + [("sample_trajectory", 0.1, 0.3, n, seed) for n, seed in TRAJECTORIES]
     )
 
 
-def row_entry(key: tuple[str, float, float, int | None]) -> tuple[str, str, bytes]:
-    """``value``, the row's function, chain and n, and the ``repr`` of each value on a line."""
+def row_entry(key: tuple) -> tuple[str, str, bytes]:
+    """``value``, the row's function, chain, n and seed, and each value's ``repr`` on a line."""
     import tiltedsum
 
-    name, a, b, n = key
+    name, a, b, n, *seed = key
     chain, function = tiltedsum.derive_chain(a, b), getattr(tiltedsum, name)
     if name == "cgf_finite":
         values = [function(chain, m, tilt / chain.ell) for m in KERNEL_NS for tilt in KERNEL_TILTS]
@@ -272,10 +282,13 @@ def row_entry(key: tuple[str, float, float, int | None]) -> tuple[str, str, byte
         values = [function(chain, m, u) for m in KERNEL_NS for u in KERNEL_US]
     elif name == "centered_cumulants":
         values = [function(chain, m, max_order=10) for m in KERNEL_NS if m <= 1000]
+    elif name == "sample_trajectory":
+        values = function(chain, n, *seed).tolist()
     else:
         values = function(chain, n)
     body = "".join(f"{v!r}\n" for v in (values if isinstance(values, list) else [values]))
-    return "value", f"{name} {a!r} {b!r}" + ("" if n is None else f" n={n}"), body.encode()
+    suffix = ("" if n is None else f" n={n}") + "".join(f" seed={s}" for s in seed)
+    return "value", f"{name} {a!r} {b!r}{suffix}", body.encode()
 
 
 def run_in_process(argv: list[str]) -> tuple[int | str, bytes]:
