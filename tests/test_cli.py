@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -94,6 +95,17 @@ def test_installed_entry_point_is_cli_main(capsys):
     assert capsys.readouterr().out
 
 
+def check_out(tmp_path, capsys, argv, code):
+    # --out gets the bytes stdout would, with LF line endings, and stdout gets nothing; the exit
+    # code is the command's.
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "out")) == (code, "")
+    want = run_cli(capsys, *argv)[1].encode()
+    assert (tmp_path / "out").read_bytes() == want and b"\r" not in want
+
+
+FIGURE_CSV = ("figure", "--a", "0.1", "--b", "0.3", "--n-grid", "1:5", "--format", "csv")
+
+
 class TestFigure:
     def test_csv_schema_and_values(self, capsys):
         code, out = run_cli(
@@ -111,6 +123,12 @@ class TestFigure:
         code, out = run_cli(capsys, "figure", "--a", "0.1", "--b", "0.3", "--format", "csv")
         _, rows = parse_csv(out)
         assert code == 0 and len(rows) == 200
+
+    def test_writes_file(self, tmp_path, capsys):
+        check_out(tmp_path, capsys, FIGURE_CSV, 0)
+
+    def test_unwritable_path(self, tmp_path, capsys):
+        assert run_cli(capsys, *FIGURE_CSV, "--out", str(tmp_path / "missing" / "out"))[0] == 3
 
 
 class TestRoundTrip:
@@ -605,34 +623,54 @@ def fresh_python(script):
     return done.stdout, done.stderr
 
 
-def test_plain_float_routes_load_no_numpy():
-    # One new interpreter: importing the CLI adds only standard-library modules (.pth files may
-    # load others at start-up) and none that generates or introspects code, as the value types
-    # are named tuples and annotations evaluate as written.  Every plain-float route gives
-    # builtin floats, the suites pass, and numpy, which only montecarlo needs, stays unloaded.
+@functools.cache
+def plain_float_routes():
+    """One new interpreter's report on the plain-float routes, shared by the tests below.
+
+    It imports the package, then the CLI, then calls the generating functions, the count law
+    and the oracle in turn, and records after each stage whether numpy is loaded.
+    """
     script = """
 import sys
 before = set(sys.modules)
-import tiltedsum.cli
-print(*{m.split('.')[0] for m in set(sys.modules) - before})
 import tiltedsum as ts
+report = {'package': 'numpy' in sys.modules}
+import tiltedsum.cli
+report['added'] = sorted({m.split('.')[0] for m in set(sys.modules) - before})
 from tiltedsum.oracle import VERIFY_PAIRS
 chain = ts.derive_chain(0.1, 0.3)
+def stage(name, values):
+    report[name] = [all(type(v) is float for v in values), 'numpy' in sys.modules]
+stage('generating', [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0),
+                     ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000)])
 support, probs = ts.jn_law(chain, 0.1, 300)
-values = [ts.cgf_finite(chain, 1000, 0.5), ts.occupation_log2_pgf(chain, 1000, 2.0),
-          ts.cgf_limit(chain, 0.5), *ts.centered_cumulants(chain, 1000), *support, *probs,
-          *ts.occupation_pmf(chain, 300), ts.centered_tail_probability(chain, 300, 0.1),
-          ts.exact_normal_distance(chain, 300), *ts.enumerate_pmf(chain, 8),
-          ts.oracle_variance(chain, 0.05, 8), ts.variance_double_sum(chain, 8),
-          *ts.ba_fixed_point_iterate(chain, 0.05), ts.jtilt_generic(chain, 0.05, 1)]
-passed = all(s['pass'] for s in ts.verify_suites(VERIFY_PAIRS))
-print(all(type(v) is float for v in values), passed, 'numpy' in sys.modules)
+stage('count_law', [*ts.occupation_pmf(chain, 300), *support, *probs,
+                    ts.centered_tail_probability(chain, 300, 0.1),
+                    ts.exact_normal_distance(chain, 300)])
+stage('oracle', [*ts.enumerate_pmf(chain, 8), ts.oracle_variance(chain, 0.05, 8),
+                 ts.variance_double_sum(chain, 8), *ts.ba_fixed_point_iterate(chain, 0.05),
+                 ts.jtilt_generic(chain, 0.05, 1)])
+report['suites'] = [all(s['pass'] for s in ts.verify_suites(VERIFY_PAIRS)), 'numpy' in sys.modules]
+import json
+print(json.dumps(report))
 """
-    loaded, verdict = fresh_python(script)[0].splitlines()
-    added = set(loaded.split())
+    return json.loads(fresh_python(script)[0])
+
+
+def test_cli_imports_only_stdlib_and_numpy():
+    # Only what the import adds counts: .pth files run at interpreter start-up may load site
+    # packages of their own.  numpy is not among what it adds: montecarlo, the one module that
+    # needs it, is imported on first use.  Nor is any code generation or introspection module:
+    # the value types are named tuples, and every annotation in the package evaluates as written.
+    added = set(plain_float_routes()["added"])
     assert added - sys.stdlib_module_names == {"tiltedsum"}
     assert added & {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
-    assert verdict == "True True False"
+
+
+def test_verify_suites_run_without_numpy():
+    # The suites and every check route of oracle are plain floats.
+    report = plain_float_routes()
+    assert report["oracle"] == [True, False] and report["suites"] == [True, False]
 
 
 CHAIN = ("--a", "0.1", "--b", "0.3")
@@ -640,16 +678,12 @@ CHAIN = ("--a", "0.1", "--b", "0.3")
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(("paper-tables", "--format", "csv"), 0), (("verify", "--perturb", "1e-6", "--json"), 2),
-     (("figure", *CHAIN, "--n-grid", "1:5", "--format", "csv"), 0)],
-    ids=["paper-tables", "verify", "figure"],
+    [(("paper-tables", "--format", "csv"), 0), (("verify", "--perturb", "1e-6", "--json"), 2)],
+    ids=["paper-tables", "verify"],
 )
 def test_out_holds_exactly_stdout(tmp_path, capsys, argv, code):
-    # --out gets the bytes stdout would, with LF line endings, and stdout gets nothing; the exit
-    # code is the command's.  A path in a directory that does not exist exits 3.
-    assert run_cli(capsys, *argv, "--out", str(tmp_path / "out")) == (code, "")
-    want = run_cli(capsys, *argv)[1].encode()
-    assert (tmp_path / "out").read_bytes() == want and b"\r" not in want
+    # A path in a directory that does not exist exits 3.
+    check_out(tmp_path, capsys, argv, code)
     assert run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))[0] == 3
 
 
@@ -743,6 +777,15 @@ class TestLazyPackage:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="module 'tiltedsum' has no attribute 'no_such'"):
             tiltedsum.no_such  # noqa: B018
+
+    def test_package_import_leaves_numpy_unloaded(self):
+        assert plain_float_routes()["package"] is False
+
+    def test_generating_functions_leave_numpy_unloaded(self):
+        assert plain_float_routes()["generating"] == [True, False]
+
+    def test_count_law_leaves_numpy_unloaded(self):
+        assert plain_float_routes()["count_law"] == [True, False]
 
 
 def is_builtin_scalar(value):
