@@ -14,9 +14,10 @@ and load with the package; ``cgf`` also holds the O(log n) kernel of the
 PGF, the finite-n CGF and the cumulants, which needs no arrays.  The other
 modules load on first access to one of their names: ``exact``, the O(n)
 count law, its tails and its normal distance, so that a command that never
-builds the law does not compile it; ``oracle``, the check routes; both in
-plain floats.  Only ``montecarlo``, the sampler, imports numpy, so every
-CLI command but ``simulate`` runs without numpy's start-up.  The three closed-form modules
+builds the law does not compile it; ``oracle``, the check routes;
+``montecarlo``, the bit-sliced sampler; all in plain Python.  Only
+``sample_trajectory`` imports numpy, for the array it returns, so no CLI
+command pays numpy's start-up.  The three closed-form modules
 declare their public names in their own ``__all__``; the package's
 ``__all__`` is the union of those and the keys of ``_LAZY``.
 """

@@ -22,9 +22,10 @@ rescaled by an exact power of two.  Its entries are jets, truncated Taylor
 series in t of E[u^N_n e^{t(N_n - n*pi1)}]; order 0 gives G_n and L_n, and
 at u = 1 the higher orders give the cumulants of ``centered_cumulants`` at
 any n.  Every function in this module is float arithmetic, one tilt at a
-time, and the module imports no numpy; in the package only ``montecarlo``
-does.  Each tilt is checked once, where it enters: theta*ell in
-``_log2_tilt``, u in ``perron_root`` and ``occupation_log2_pgf``; n by
+time, and the module imports no numpy; in the package only
+``montecarlo.sample_trajectory`` does, for the array it returns.  Each
+tilt is checked once, where it enters: theta*ell in ``_log2_tilt``, u in
+``perron_root`` and ``occupation_log2_pgf``; n by
 ``markov.require_blocklength``, in the kernel and in each function that
 may return without running it.
 

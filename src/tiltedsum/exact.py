@@ -31,7 +31,8 @@ reaches each m.  That costs O(n) float operations, with a power-of-two
 exponent beside every value, so nothing under- or overflows before the
 last step.  Swapping (a, pi0) with (b, pi1) only swaps operands, so the
 law of (b, a) is exactly the reverse of that of (a, b).  The module imports
-no numpy; in the package only ``montecarlo`` does.
+no numpy; in the package only ``montecarlo.sample_trajectory`` does, for the
+array it returns.
 
 The centered sum puts count m at -ell*(m - n*pi1), so the atoms ascend over
 m = n..0 when ell > 0, else 0..n; :func:`exact_normal_distance` reads the

@@ -15,7 +15,7 @@ carries no cancellation, and each count bin and moment is summed with
 the production routes to these.
 
 The module is plain Python floats and lists and imports no numpy; in the
-package only ``montecarlo`` does.
+package only ``montecarlo.sample_trajectory`` does, for the array it returns.
 """
 
 import math

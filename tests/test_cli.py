@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import tiltedsum
-from tiltedsum import cli, oracle
+from tiltedsum import cli, montecarlo, oracle
 from tiltedsum.cli import main, render_csv
 
 from conftest import decimal_tilted
@@ -659,9 +659,10 @@ print(json.dumps(report))
 
 def test_cli_imports_only_stdlib_and_numpy():
     # Only what the import adds counts: .pth files run at interpreter start-up may load site
-    # packages of their own.  numpy is not among what it adds: montecarlo, the one module that
-    # needs it, is imported on first use.  Nor is any code generation or introspection module:
-    # the value types are named tuples, and every annotation in the package evaluates as written.
+    # packages of their own.  numpy is not among what it adds: no module of the package
+    # imports it, and sample_trajectory loads it inside the call.  Nor is any code generation
+    # or introspection module: the value types are named tuples, and every annotation in the
+    # package evaluates as written.
     added = set(plain_float_routes()["added"])
     assert added - sys.stdlib_module_names == {"tiltedsum"}
     assert added & {"__future__", "dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
@@ -687,8 +688,11 @@ def test_out_holds_exactly_stdout(tmp_path, capsys, argv, code):
     assert run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "out"))[0] == 3
 
 
+SIMULATE = ("simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100")
+
+
 @pytest.mark.parametrize(
-    "argv, needs_numpy",
+    "argv, numpy_loaded",
     [
         (("stats", *CHAIN, "--distortion", "0.05"), False),
         (("jtilt", *CHAIN, "--distortion", "0.05"), False),
@@ -700,42 +704,40 @@ def test_out_holds_exactly_stdout(tmp_path, capsys, argv, code):
         (("pmf", *CHAIN, "--distortion", "0.05", "--n", "6"), False),
         (("tail", *CHAIN, "--n", "200", "--x", "0.1"), False),
         (("verify", *CHAIN), False),
-        (("simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"), True),
+        (SIMULATE, False),
+        # The positive control: the same call after an import of numpy reads True.
+        (SIMULATE, True),
     ],
     ids=lambda v: v[0] if isinstance(v, tuple) else None,
 )
-def test_closed_form_commands_run_without_numpy(argv, needs_numpy):
-    # Every format of the call exits 0; numpy is loaded only by a command
-    # that needs the array modules, and simulate shows the check can tell.
+def test_closed_form_commands_run_without_numpy(argv, numpy_loaded):
+    # Every format of the call exits 0, and no command loads numpy; the control imports it
+    # first and shows that the check can tell.
     script = (
-        "import sys; from tiltedsum.cli import main; "
+        f"import sys{', numpy' if numpy_loaded else ''}; from tiltedsum.cli import main; "
         f"codes = [main([*{list(argv)!r}, '--format', f]) for f in ('table', 'csv', 'json')]; "
         "print(codes, 'numpy' in sys.modules, file=sys.stderr)"
     )
     out, err = fresh_python(script)
-    assert out and err.splitlines()[-1] == f"[0, 0, 0] {needs_numpy}"
+    assert out and err.splitlines()[-1] == f"[0, 0, 0] {numpy_loaded}"
 
 
-def test_simulate_loads_numpy_with_one_blas_thread():
-    # simulate sets OPENBLAS_NUM_THREADS to 1 while it imports numpy, so OpenBLAS starts
-    # no worker threads, and unsets it after; a value the caller set is kept, and other
-    # commands leave the variable unset.  The thread count is read where /proc exists,
-    # after the variable is gone, as OpenBLAS reads it only when it loads.  On a 1-vCPU
-    # host OpenBLAS starts no workers either way, so there it cannot tell the default
-    # from its absence.
-    simulate = ["simulate", *CHAIN, "--distortion", "0.05", "--n", "6", "--reps", "100"]
+def test_simulate_starts_no_threads_and_leaves_blas_settings_alone():
+    # A simulate of more than one block of paths loads no numpy and runs on the main thread
+    # alone, read where /proc exists.  It neither sets OPENBLAS_NUM_THREADS nor changes a
+    # value the caller set.
+    simulate = [*SIMULATE[:-1], str(montecarlo._BLOCK_PATHS + 1)]
     script = (
         "import os, sys; from tiltedsum.cli import main; "
         "os.environ.pop('OPENBLAS_NUM_THREADS', None); "
-        f"main(['stats', *{CHAIN!r}]); stats = os.environ.get('OPENBLAS_NUM_THREADS'); "
         f"main({simulate!r}); sim = os.environ.get('OPENBLAS_NUM_THREADS'); "
         "status = '/proc/self/status'; "
         "threads = [line.split()[1] for line in open(status) if line.startswith('Threads:')] "
         "if os.path.exists(status) else ['absent']; "
-        "print(stats, sim, *threads, file=sys.stderr)"
+        "print('numpy' in sys.modules, sim, *threads, file=sys.stderr)"
     )
     threads = "1" if os.path.exists("/proc/self/status") else "absent"
-    assert fresh_python(script)[1].splitlines()[-1] == f"None None {threads}"
+    assert fresh_python(script)[1].splitlines()[-1] == f"False None {threads}"
     preset = (
         "import os, sys; from tiltedsum.cli import main; "
         f"os.environ['OPENBLAS_NUM_THREADS'] = '2'; main({simulate!r}); "

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from statistics import NormalDist
 
@@ -128,15 +129,20 @@ class TestSimulate:
             simulate(moderate, 0.4, 10, 200, 1)
 
 
+def unpacked(states, width):
+    """Each yielded state int as a row of one uint8 bit per path, path r in column r."""
+    return np.array([
+        np.unpackbits(np.frombuffer(state.to_bytes(-(-width // 8), "little"), np.uint8),
+                      count=width, bitorder="little")
+        for state in states
+    ])
+
+
 class TestRuns:
     @pytest.mark.parametrize(
         "a, b, n, rows, k",
-        # k, the runs per path in a chunk, is pinned, so that it takes values
-        # that are and are not powers of two.  At n = 300 and 2000 a block of
-        # 4096 paths spans chunks.  Tall chunks (k > rows) take the np.cumsum
-        # form: one column of 7 and one of 6784 runs, as sample_trajectory
-        # draws, and blocks of 5, MIN_REPLICATIONS and 255 paths.  Wide chunks
-        # (k <= rows) add row by row, the longest at k = rows = 256.
+        # rows paths of n letters, whose counts are read again after the first k letters:
+        # k = n and k < n, one path and blocks of 5 to 4096, n from 1 to 10,000.
         [
             (0.6, 0.7, 1, 4096, 1),
             (0.6, 0.7, 2, 5, 2),
@@ -152,46 +158,83 @@ class TestRuns:
         ],
     )
     def test_scan_matches_cumsum(self, a, b, n, rows, k):
-        # Reference route: the same uniforms, drawn again, turned into run
-        # lengths and summed down each column by np.cumsum.
+        # The bit-sliced counter is a running sum of the letters.  Reference route: unpack the
+        # yielded states one bit per path and sum them down each column by np.cumsum; after k
+        # and after n letters, the counts must give _count_histogram's histogram of a run of
+        # that many letters, which reads the same stream's first letters.
         chain, seed = derive_chain(a, b), 29
-        uniforms = np.random.default_rng(seed)
-        inv_log_stay = 1.0 / np.log1p(-np.array([chain.a, chain.b]))
-        first = (uniforms.random(rows) >= chain.pi0).astype(np.uint8)
-        start = np.zeros(rows)
-        rng = np.random.default_rng(seed)
-        for got_first, got_start, ends in montecarlo._runs(chain, n, rows, rng):
-            assert ends.shape == (k, rows)
-            assert np.array_equal(got_first, first) and np.array_equal(got_start, start)
-            states = first ^ (np.arange(k)[:, None] & 1)
-            lengths = np.floor(np.log(1.0 - uniforms.random((k, rows))) * inv_log_stay[states])
-            lengths += 1.0
-            lengths[0] += start
-            want = np.minimum(np.cumsum(lengths, axis=0), n)
-            assert np.array_equal(ends, want)
-            start, first = want[-1], first ^ (k & 1)
-        assert start.min() == n
+        states = list(montecarlo._letters(chain, n, rows, random.Random(seed)))
+        assert len(states) == n and all(0 <= state < 1 << rows for state in states)
+        counts = np.cumsum(unpacked(states, rows), axis=0)
+        for letters in (k, n):
+            support, _ = jn_law(chain, 0.1, letters)
+            got = montecarlo._count_histogram(chain, 0.1, letters, support, rows, seed)
+            assert got == np.bincount(counts[letters - 1], minlength=letters + 1).tolist()
+
+
+def binary_digits(p):
+    """The binary digits of a float p in (0, 1) after the point, by exact doubling."""
+    digits = []
+    while p:
+        p *= 2.0
+        digits.append(int(p >= 1.0))
+        p -= digits[-1]
+    return digits
+
+
+class TestFlips:
+    @pytest.mark.parametrize("width", [1, 7, 8193, montecarlo._BLOCK_PATHS])
+    @pytest.mark.parametrize(
+        "a", [2.0**-40, 0.5, math.nextafter(1.0 - 1e-12, 0.0)], ids=["2^-40", "0.5", "1-1e-12"]
+    )
+    def test_matches_scalar_reference(self, a, width):
+        # Reference route: path by path, read bit r of each plane of the same getrandbits
+        # stream as the digits of U_r, and compare them with the digits of a (state 0) or b
+        # (state 1) until they differ.  Planes are drawn while any path is undecided, so
+        # both routes leave the stream in the same place.
+        b, seed = 0.3, 41
+        full = (1 << width) - 1
+        state = random.Random(seed).getrandbits(width)
+        rng = random.Random(seed + 1)
+        fired = montecarlo._flips(montecarlo._digit_codes(a, b), state, full, rng)
+
+        uniforms = random.Random(seed + 1)
+        digits = [binary_digits(a), binary_digits(b)]
+        undecided, want, k = set(range(width)), 0, 0
+        while undecided and k < max(map(len, digits)):
+            plane = uniforms.getrandbits(width)
+            for r in list(undecided):
+                p = digits[state >> r & 1]
+                digit = p[k] if k < len(p) else 0
+                if plane >> r & 1 != digit:
+                    undecided.discard(r)
+                    want |= digit << r
+            k += 1
+        assert fired == want
+        assert rng.getstate() == uniforms.getstate()
+
+
+def count_cdf_distance(chain, n, reps, seed):
+    """Sup-distance between the CDF of the sampled counts and that of occupation_pmf."""
+    support, _ = jn_law(chain, 0.01, n)
+    histogram = montecarlo._count_histogram(chain, 0.01, n, support, reps, seed)
+    return np.abs(np.cumsum(histogram) / reps - np.cumsum(occupation_pmf(chain, n))).max()
 
 
 class TestCountHistogram:
     def test_alternating_sums_match_run_lengths(self):
-        # Reference route: expand each chunk's run ends into run lengths and
-        # their states, and count the letters in state 1 path by path.
-        chain, d, n, reps, seed = derive_chain(0.6, 0.7), 0.2, 300, 5000, 3
+        # Reference route: draw the same blocks of letters again, unpack each yielded state
+        # into one bit per path, and count each path's letters in state 1, the lengths of its
+        # runs in state 1 summed.
+        chain, d, n, seed = derive_chain(0.6, 0.7), 0.2, 300, 3
+        reps = montecarlo._BLOCK_PATHS + 5000  # a full block, then a partial one
         support, _ = jn_law(chain, d, n)
         want = np.zeros(n + 1, dtype=np.int64)
-        for block in range(-(-reps // montecarlo._BLOCK_ROWS)):
-            rows = min(montecarlo._BLOCK_ROWS, reps - block * montecarlo._BLOCK_ROWS)
-            stream = np.random.SeedSequence(seed).spawn(block + 1)[block]
-            rng = np.random.default_rng(stream)
-            ones = np.zeros(rows, dtype=np.int64)
-            for first, start, ends in montecarlo._runs(chain, n, rows, rng):
-                lengths = np.diff(ends, axis=0, prepend=start[None, :]).astype(np.int64)
-                states = first ^ (np.arange(len(ends))[:, None] & 1)
-                ones += (states * lengths).sum(axis=0)
+        rng = random.Random(seed)
+        for width in (montecarlo._BLOCK_PATHS, 5000):
+            ones = unpacked(montecarlo._letters(chain, n, width, rng), width).sum(axis=0)
             want += np.bincount(ones, minlength=n + 1)
-        got = montecarlo._count_histogram(chain, d, n, support, reps, seed)
-        assert np.array_equal(got, want)
+        assert montecarlo._count_histogram(chain, d, n, support, reps, seed) == want.tolist()
 
     def test_moved_atom_trips_the_pathwise_check(self, moderate):
         d, n = 0.1, 40
@@ -201,9 +244,11 @@ class TestCountHistogram:
             montecarlo._count_histogram(moderate, d, n, support, 1000, 5)
 
     def test_short_paths_trip_the_length_check(self, moderate, monkeypatch):
-        # A sampler that stops one letter short must be caught before any count is used.
-        runs = montecarlo._runs
-        monkeypatch.setattr(montecarlo, "_runs", lambda chain, n, *rest: runs(chain, n - 1, *rest))
+        # A kernel that stops one letter short must be caught before any count is used.
+        letters = montecarlo._letters
+        monkeypatch.setattr(
+            montecarlo, "_letters", lambda chain, n, *rest: letters(chain, n - 1, *rest)
+        )
         d, n = 0.1, 40
         support, _ = jn_law(moderate, d, n)
         with pytest.raises(RuntimeError, match=f"sampled paths do not all have n={n} letters"):
@@ -212,25 +257,31 @@ class TestCountHistogram:
     @pytest.mark.parametrize("a, b", [(0.02, 0.05), (0.6, 0.7)])
     @pytest.mark.parametrize("n", [40, 2000])
     def test_columns_are_independent_paths(self, a, b, n):
-        # 20,000 paths end in a partial block.  A full block's chunk holds 16
-        # runs per path, fewer than a path expects at n = 2000 (58 and 1293
-        # runs) and on (0.6, 0.7) at n = 40 (26), so those paths span chunks.
-        # The count CDF must still lie within the DKW half-width of the law.
-        chain, reps = derive_chain(a, b), 20_000
-        assert reps % montecarlo._BLOCK_ROWS
-        support, _ = jn_law(chain, 0.01, n)
-        histogram = montecarlo._count_histogram(chain, 0.01, n, support, reps, 17)
-        emp = np.cumsum(histogram) / reps
-        exact = np.cumsum(occupation_pmf(chain, n))
-        assert np.abs(emp - exact).max() <= dkw_halfwidth(reps)
+        # 20,000 paths fill one partial block, bit r of each letter's int for path r.
+        # The count CDF must lie within the DKW half-width of the law.
+        reps = 20_000
+        assert reps % montecarlo._BLOCK_PATHS
+        assert count_cdf_distance(derive_chain(a, b), n, reps, 17) <= dkw_halfwidth(reps)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        # Transition probabilities of many binary digits, near 0, near 1, and a pair one
+        # part in 3e9 from symmetric.
+        [(1e-9, 2e-9), (0.999999, 0.999998), (0.3, 0.3000000001),
+         (math.nextafter(1.0 - 1e-12, 0.0), 0.5)],
+    )
+    def test_exact_draws_on_extreme_chains(self, a, b):
+        # The flips are exact for any float a and b, so the count law of 10**5 paths lies
+        # within the DKW half-width of occupation_pmf, whatever the digits of a and b.
+        reps = 100_000
+        assert count_cdf_distance(derive_chain(a, b), 20, reps, 23) <= dkw_halfwidth(reps)
 
     def test_memory_does_not_grow_with_replications(self, moderate):
-        # The sampler holds one chunk of _CHUNK_ELEMENTS float64 run ends and
-        # per-path vectors of one block, whatever the replication count.  The
-        # row-by-row scan adds in place, with no temporary copy: the peak of
-        # this call measured 1.00 MB, under the 2.10 MB bound (CPython 3.11.7,
-        # numpy 2.4.6).
-        bound = 4 * 8 * montecarlo._CHUNK_ELEMENTS
+        # A block holds about a dozen ints of _BLOCK_PATHS bits for the letter and its
+        # flips, the counter's n.bit_length() planes, and up to 2*(n + 1) ints while the
+        # counter is split, whatever the replication count: the peak of this call measured
+        # 146 kB, under the 262 kB bound of 64 block-wide ints (CPython 3.11.7).
+        bound = 64 * montecarlo._BLOCK_PATHS // 8
         tracemalloc.start()
         try:
             simulate(moderate, 0.1, 16, 400_000, 2)

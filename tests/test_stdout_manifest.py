@@ -30,7 +30,7 @@ def test_stdout_matches_manifest():
     assert not moved, (
         f"{len(moved)} entries differ from {MANIFEST.name} (number, exit code or `value`, "
         "SHA-256 of the stdout or values, name):\n" + "\n".join(moved) + "\n"
-        f"The digests pin CPython 3.11 and numpy 2.4.6 (manifest {header[2:]}; this run "
+        f"The digests pin CPython 3.11 (manifest {header[2:]}; this run "
         f"{stdout_matrix.header()[2:]}), since other builds may round differently.  If the change "
         "is meant, rewrite the manifest with `python3 tools/stdout_matrix.py --manifest src "
         "tests/stdout_manifest.txt` and name the moved entries in CHANGES.md; the file form of "

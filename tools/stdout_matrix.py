@@ -23,7 +23,7 @@ header naming the entry.  Two runs, say of a parent checkout and of a
 change, compare with ``diff -r``; the entries and the file names depend on
 nothing but this script, so a diff names each output and value that moved.
 The second form writes the manifest ``FILE``: a header naming the Python
-and numpy versions, then ``line(i, entry)`` for each entry, its number,
+version, then ``line(i, entry)`` for each entry, its number,
 kind, the SHA-256 of its body and its name.  ``tests/stdout_manifest.txt``
 is such a manifest, and one test of ``tests/test_stdout_manifest.py``
 recomputes every entry, calls and rows, and compares each line with it.  A
@@ -40,12 +40,13 @@ whose x is so close to 0 that its optimal tilt rounds to 0 (exit 1), a
 ``cgf`` at a blocklength beyond float range (exit 1), a JSON
 ``variance-table`` whose variance overflows to infinity, a ``verify`` on a
 nearly alternating chain, ``pmf`` and ``tail`` on the chain (0.3, 0.1),
-with a > b, at n = 33 and 2001, a ``simulate`` of 8193 paths, which
-spans three sampler blocks, ``rate``, ``tail`` and ``simulate`` on
-(0.2, 0.20000000000000004), whose two logs round equal, ``verify`` on
-(0.3, 0.30000000000000004) and (0.999999, 0.999998), whose j1 - j0 its
-``oracle-variance`` check route must resolve, and last ``verify`` on a
-near-alternating chain where ``variance-forms`` fails (exit 2).  Only the
+with a > b, at n = 33 and 2001, a ``simulate`` of 40,000 paths, which
+fills a sampler block and ends in a partial one, ``rate``, ``tail`` and
+``simulate`` on (0.2, 0.20000000000000004), whose two logs round equal,
+``verify`` on (0.3, 0.30000000000000004) and (0.999999, 0.999998), whose
+j1 - j0 its ``oracle-variance`` check route must resolve, and last
+``verify`` on a near-alternating chain where ``variance-forms`` fails
+(exit 2).  Only the
 standard library is used, so the script runs against any checkout.
 """
 
@@ -57,7 +58,6 @@ import os
 import platform
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from importlib.metadata import version
 from pathlib import Path
 from unittest import mock
 
@@ -234,10 +234,9 @@ def matrix() -> list[list[str]]:
         ["pmf", "--a", "0.3", "--b", "0.1", "--distortion", "0.0625", "--n", "2001",
          "--format", "json"],
         ["tail", "--a", "0.3", "--b", "0.1", "--n", "2001", "--x", "0.05", "--format", "csv"],
-        # simulate over three blocks: two full ones of 16 runs per chunk, whose paths span
-        # chunks, then a one-path block of 250 runs per chunk.
+        # simulate over two blocks: a full one of 32768 paths, then a partial one of 7232.
         ["simulate", "--a", "0.6", "--b", "0.7", "--distortion", "0.2", "--n", "300",
-         "--reps", "8193", "--seed", "3", "--format", "csv"],
+         "--reps", "40000", "--seed", "3", "--format", "csv"],
     ]
     # A chain whose two logs round equal, so ell comes from log1p (exits 0, 0, 1, 0).
     near = ["--a", "0.2", "--b", "0.20000000000000004"]
@@ -325,8 +324,8 @@ def entries() -> list[tuple[int | str, str, bytes]]:
 
 
 def header() -> str:
-    """A manifest's first line: the Python and numpy versions that its digests come from."""
-    return f"# CPython {platform.python_version()}, numpy {version('numpy')}"
+    """A manifest's first line: the Python version that its digests come from."""
+    return f"# CPython {platform.python_version()}"
 
 
 def line(i: int, entry: tuple[int | str, str, bytes]) -> str:
